@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"cobrawalk"
 	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/graphstore"
@@ -38,9 +37,11 @@ func buildRandomRegular(b *testing.B, n, deg int) *graph.Graph {
 	return g
 }
 
-func benchCover(b *testing.B, g *graph.Graph, branch core.Branching) {
+// benchRounds runs one full registry-process trial from vertex 0 per op
+// and reports the mean completion round.
+func benchRounds(b *testing.B, name string, g *graph.Graph, branch process.Branching) {
 	b.Helper()
-	c, err := core.NewCobra(g, core.WithBranching(branch), core.WithMaxRounds(1<<20))
+	p, err := process.New(name, g, process.Config{Branching: branch})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,39 +49,24 @@ func benchCover(b *testing.B, g *graph.Graph, branch core.Branching) {
 	var rounds int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Run(0, r)
+		res, err := process.Run(p, r, 1<<20, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Covered {
-			b.Fatal("uncovered run")
+		if !res.Done {
+			b.Fatalf("%s run hit the round cap", name)
 		}
-		rounds += int64(res.CoverTime)
+		rounds += int64(res.Rounds)
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }
 
-func benchInfect(b *testing.B, g *graph.Graph, branch core.Branching, opts ...core.Option) {
-	b.Helper()
-	opts = append([]core.Option{core.WithBranching(branch), core.WithMaxRounds(1 << 20)}, opts...)
-	p, err := core.NewBIPS(g, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	var rounds int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := p.Run(0, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Infected {
-			b.Fatal("uninfected run")
-		}
-		rounds += int64(res.InfectionTime)
-	}
-	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+func benchCover(b *testing.B, g *graph.Graph, branch process.Branching) {
+	benchRounds(b, process.Cobra, g, branch)
+}
+
+func benchInfect(b *testing.B, g *graph.Graph, branch process.Branching) {
+	benchRounds(b, process.BIPS, g, branch)
 }
 
 // BenchmarkE1CobraCoverExpander: Theorem 1 — cover time across degrees at
@@ -117,7 +103,7 @@ func BenchmarkE3FractionalBranching(b *testing.B) {
 	g := buildRandomRegular(b, 2048, 8)
 	for _, rho := range []float64{0.1, 0.25, 0.5, 0.9} {
 		b.Run(fmt.Sprintf("rho=%.2f", rho), func(b *testing.B) {
-			benchCover(b, g, core.Branching{K: 1, Rho: rho})
+			benchCover(b, g, process.Branching{K: 1, Rho: rho})
 		})
 	}
 }
@@ -182,18 +168,18 @@ func BenchmarkE5GrowthBound(b *testing.B) {
 // detection.
 func BenchmarkE6BipsPhases(b *testing.B) {
 	g := buildRandomRegular(b, 4096, 8)
-	p, err := core.NewBIPS(g, core.WithMaxRounds(1<<20))
+	col := process.NewCollector(g.N())
+	p, err := process.New(process.BIPS, g, process.Config{Observer: col.Observe})
 	if err != nil {
 		b.Fatal(err)
 	}
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := p.Run(0, r)
-		if err != nil {
+		if _, err := process.RunCollect(nil, p, col, r, 1<<20, 0); err != nil {
 			b.Fatal(err)
 		}
-		ph := core.DetectPhases(res.Sizes, g.N(), 48)
+		ph := core.DetectPhases(col.Active(), g.N(), 48)
 		if ph.Full < 0 {
 			b.Fatal("phase detection failed")
 		}
@@ -243,41 +229,9 @@ func BenchmarkE8FamilyScaling(b *testing.B) {
 func BenchmarkE9ProtocolComparison(b *testing.B) {
 	g := buildRandomRegular(b, 2048, 8)
 	b.Run("cobra-k2", func(b *testing.B) { benchCover(b, g, core.DefaultBranching) })
-	b.Run("push", func(b *testing.B) {
-		r := rng.New(1)
-		var rounds int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := cobrawalk.Push(g, 0, cobrawalk.BaselineConfig{}, r)
-			if err != nil || !res.Covered {
-				b.Fatalf("push: %v covered=%v", err, res.Covered)
-			}
-			rounds += int64(res.Rounds)
-		}
-		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-	})
-	b.Run("push-pull", func(b *testing.B) {
-		r := rng.New(1)
-		var rounds int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := cobrawalk.PushPull(g, 0, cobrawalk.BaselineConfig{}, r)
-			if err != nil || !res.Covered {
-				b.Fatalf("push-pull: %v covered=%v", err, res.Covered)
-			}
-			rounds += int64(res.Rounds)
-		}
-		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-	})
-	b.Run("flood", func(b *testing.B) {
-		r := rng.New(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if res, err := cobrawalk.Flood(g, 0, cobrawalk.BaselineConfig{}, r); err != nil || !res.Covered {
-				b.Fatalf("flood: %v", err)
-			}
-		}
-	})
+	b.Run("push", func(b *testing.B) { benchRounds(b, process.Push, g, process.Branching{}) })
+	b.Run("push-pull", func(b *testing.B) { benchRounds(b, process.PushPull, g, process.Branching{}) })
+	b.Run("flood", func(b *testing.B) { benchRounds(b, process.Flood, g, process.Branching{}) })
 }
 
 // BenchmarkE10Bipartite: the λ = 1 scope boundary — COBRA still covers
@@ -427,56 +381,6 @@ func BenchmarkTrajectoryEnsemble(b *testing.B) {
 	}
 }
 
-func BenchmarkCobraStep(b *testing.B) {
-	g := buildRandomRegular(b, 65536, 8)
-	c, err := core.NewCobra(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	if err := c.Reset(0); err != nil {
-		b.Fatal(err)
-	}
-	// Advance to a saturated frontier so steps are representative.
-	for i := 0; i < 30; i++ {
-		c.Step(r)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Step(r)
-	}
-	b.ReportMetric(float64(c.ActiveCount()), "active-set")
-}
-
-func BenchmarkBipsStepExact(b *testing.B) {
-	benchBipsStep(b)
-}
-
-func BenchmarkBipsStepFast(b *testing.B) {
-	benchBipsStep(b, core.WithFastSampling())
-}
-
-func benchBipsStep(b *testing.B, opts ...core.Option) {
-	b.Helper()
-	g := buildRandomRegular(b, 65536, 8)
-	p, err := core.NewBIPS(g, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	if err := p.Reset(0); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		p.Step(r)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Step(r)
-	}
-	b.ReportMetric(float64(p.InfectedCount()), "infected")
-}
-
 // BenchmarkDigestFold: per-observation cost of the streaming accumulator
 // (Welford + min/max + sketch bucket increment) — the inner loop of every
 // full-scale ensemble.
@@ -512,19 +416,19 @@ func benchEnsemble(b *testing.B, streaming bool) {
 	b.Helper()
 	g := buildRandomRegular(b, 256, 8)
 	spec := sim.Spec{Trials: 10000, Seed: 1}
-	newCobra := func() *core.Cobra {
-		c, err := core.NewCobra(g, core.WithMaxRounds(1<<20))
+	newCobra := func() process.Process {
+		c, err := process.New(process.Cobra, g, process.Config{})
 		if err != nil {
 			panic(err)
 		}
 		return c
 	}
-	trial := func(c *core.Cobra, _ int, r *rng.Rand) (float64, error) {
-		res, err := c.Run(0, r)
+	trial := func(c process.Process, _ int, r *rng.Rand) (float64, error) {
+		res, err := process.Run(c, r, 1<<20, 0)
 		if err != nil {
 			return 0, err
 		}
-		return float64(res.CoverTime), nil
+		return float64(res.Rounds), nil
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

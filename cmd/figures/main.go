@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 
 	"cobrawalk/internal/buildinfo"
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/plot"
 	"cobrawalk/internal/process"
@@ -88,22 +87,24 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-func meanCover(g *graph.Graph, branch core.Branching, trials int, seed uint64) (float64, error) {
-	c, err := core.NewCobra(g, core.WithBranching(branch), core.WithMaxRounds(1<<20))
+// meanCover is the mean cover time of trials k = 2 COBRA runs from
+// vertex 0 on the registry cobra engine.
+func meanCover(g *graph.Graph, trials int, seed uint64) (float64, error) {
+	c, err := process.New(process.Cobra, g, process.Config{})
 	if err != nil {
 		return 0, err
 	}
 	r := rng.NewStream(seed, 0xf16)
 	var acc stats.Welford
 	for i := 0; i < trials; i++ {
-		res, err := c.Run(0, r)
+		res, err := process.Run(c, r, process.DefaultMaxRounds, 0)
 		if err != nil {
 			return 0, err
 		}
-		if !res.Covered {
+		if !res.Done {
 			return 0, fmt.Errorf("uncovered run on %s", g.Name())
 		}
-		acc.Add(float64(res.CoverTime))
+		acc.Add(float64(res.Rounds))
 	}
 	return acc.Mean(), nil
 }
@@ -132,7 +133,7 @@ func figureCoverVsN(quick bool, seed uint64) (*plot.Plot, error) {
 			if err != nil {
 				return nil, err
 			}
-			m, err := meanCover(g, core.DefaultBranching, trials, seed)
+			m, err := meanCover(g, trials, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -152,7 +153,7 @@ func figureCoverVsN(quick bool, seed uint64) (*plot.Plot, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := meanCover(g, core.DefaultBranching, trials, seed)
+		m, err := meanCover(g, trials, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +201,7 @@ func figureCoverVsGap(quick bool, seed uint64) (*plot.Plot, error) {
 		if 1-lambda <= 1e-9 {
 			continue
 		}
-		m, err := meanCover(g, core.DefaultBranching, trials, seed)
+		m, err := meanCover(g, trials, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package cobrawalk
 import (
 	"context"
 
-	"cobrawalk/internal/baseline"
 	"cobrawalk/internal/buildinfo"
 	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
@@ -100,45 +99,15 @@ func Spectrum(g *Graph) ([]float64, error) { return spectral.DenseSpectrum(g) }
 
 // Branching describes a process branching factor: K pushes always, plus
 // one more with probability Rho (Theorem 3's 1+ρ regime is K=1, Rho=ρ).
-type Branching = core.Branching
+type Branching = process.Branching
 
-// Cobra is a reusable COBRA process; BIPS is its dual epidemic process.
-type (
-	Cobra       = core.Cobra
-	CobraResult = core.CobraResult
-	BIPS        = core.BIPS
-	BipsResult  = core.BipsResult
-	RoundStat   = core.RoundStat
-	PhaseTimes  = core.PhaseTimes
-)
+// PhaseTimes is the three-phase decomposition of a BIPS |A_t| trajectory
+// (Lemmas 2-4); see DetectPhases.
+type PhaseTimes = core.PhaseTimes
 
-// Option configures process construction.
-type Option = core.Option
-
-// Process options, re-exported from internal/core.
-var (
-	// WithBranching sets the branching factor (default k = 2).
-	WithBranching = core.WithBranching
-	// WithK is shorthand for WithBranching(Branching{K: k}).
-	WithK = core.WithK
-	// WithMaxRounds caps the rounds a Run may execute.
-	WithMaxRounds = core.WithMaxRounds
-	// WithHitTimes records first-visit rounds per vertex (COBRA).
-	WithHitTimes = core.WithHitTimes
-	// WithTrace records a per-round trace.
-	WithTrace = core.WithTrace
-	// WithFastSampling switches BIPS to the closed-form Bernoulli path.
-	WithFastSampling = core.WithFastSampling
-)
-
-// NewCobra returns a reusable COBRA process on g (default branching k=2).
-func NewCobra(g *Graph, opts ...Option) (*Cobra, error) { return core.NewCobra(g, opts...) }
-
-// NewBIPS returns a reusable BIPS process on g (default branching k=2).
-func NewBIPS(g *Graph, opts ...Option) (*BIPS, error) { return core.NewBIPS(g, opts...) }
-
-// DetectPhases decomposes a BIPS size trajectory into the paper's three
-// proof phases (Lemmas 2-4).
+// DetectPhases decomposes a BIPS size trajectory — a MetricsCollector's
+// Active series on the bips process — into the paper's three proof
+// phases (Lemmas 2-4).
 var DetectPhases = core.DetectPhases
 
 // Duality machinery (Theorem 4).
@@ -200,7 +169,7 @@ var (
 )
 
 // DefaultBranching is the paper's canonical k = 2 branching factor.
-var DefaultBranching = core.DefaultBranching
+var DefaultBranching = process.DefaultBranching
 
 // The unified process layer: every spreading process — cobra, bips,
 // push, push-pull, flood, kwalk, and the parallel-kernel variants
@@ -266,29 +235,6 @@ var (
 	RunProcessCollect = process.RunCollect
 	// NewTrajectoryDigest returns an empty trajectory digest.
 	NewTrajectoryDigest = stats.NewTrajectoryDigest
-)
-
-// Baseline protocols for comparison experiments (the paper's §1
-// context). These are one-shot convenience wrappers over the process
-// layer; ensemble callers should construct a Process once and reuse it.
-type (
-	// BaselineResult reports one baseline protocol run.
-	BaselineResult = baseline.Result
-	// BaselineConfig bounds baseline protocol runs.
-	BaselineConfig = baseline.Config
-)
-
-var (
-	// Push runs the classic push rumour-spreading protocol.
-	Push = baseline.Push
-	// PushPull runs the push-pull protocol.
-	PushPull = baseline.PushPull
-	// Flood runs full flooding (rounds = eccentricity of the start).
-	Flood = baseline.Flood
-	// RandomWalkCover covers the graph with a single random walk.
-	RandomWalkCover = baseline.RandomWalkCover
-	// MultiWalkCover covers the graph with k independent random walks.
-	MultiWalkCover = baseline.MultiWalkCover
 )
 
 // Random-walk theory: exact anchors for the k = 1 end of the branching

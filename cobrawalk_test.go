@@ -24,32 +24,33 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("gap = %v", rep.Gap)
 	}
 
-	proc, err := cobrawalk.NewCobra(g, cobrawalk.WithHitTimes())
+	proc, err := cobrawalk.NewProcess("cobra", g, cobrawalk.ProcessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := proc.Run(0, r)
+	res, err := cobrawalk.RunProcess(proc, r, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Covered || res.CoverTime < int(math.Log2(256)) {
+	if !res.Done || res.Rounds < int(math.Log2(256)) {
 		t.Fatalf("cover result: %+v", res)
 	}
 
-	epi, err := cobrawalk.NewBIPS(g)
+	col := cobrawalk.NewMetricsCollector(g.N())
+	epi, err := cobrawalk.NewProcess("bips", g, cobrawalk.ProcessConfig{Observer: col.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bres, err := epi.Run(0, r)
+	bres, err := cobrawalk.RunProcessCollect(context.Background(), epi, col, r, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bres.Infected {
+	if !bres.Done {
 		t.Fatalf("infection result: %+v", bres)
 	}
-	phases := cobrawalk.DetectPhases(bres.Sizes, g.N(), 16)
-	if phases.Full < 0 {
-		t.Fatalf("phases: %+v", phases)
+	phases := cobrawalk.DetectPhases(col.Active(), g.N(), 16)
+	if phases.Full != bres.Rounds {
+		t.Fatalf("phases: %+v for a %d-round run", phases, bres.Rounds)
 	}
 }
 
@@ -90,23 +91,31 @@ func TestFacadeGrowthBound(t *testing.T) {
 	}
 }
 
+// TestFacadeBaselines drives the baseline protocols the paper positions
+// COBRA against through the process registry.
 func TestFacadeBaselines(t *testing.T) {
 	g, err := cobrawalk.Complete(32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := cobrawalk.NewRand(2)
-	res, err := cobrawalk.Push(g, 0, cobrawalk.BaselineConfig{}, r)
-	if err != nil || !res.Covered {
-		t.Fatalf("push: %+v, %v", res, err)
-	}
-	res, err = cobrawalk.Flood(g, 0, cobrawalk.BaselineConfig{}, r)
-	if err != nil || res.Rounds != 1 {
-		t.Fatalf("flood: %+v, %v", res, err)
-	}
-	res, err = cobrawalk.MultiWalkCover(g, 0, 4, cobrawalk.BaselineConfig{}, r)
-	if err != nil || !res.Covered {
-		t.Fatalf("walks: %+v, %v", res, err)
+	for _, tc := range []struct {
+		name   string
+		cfg    cobrawalk.ProcessConfig
+		rounds int // exact round count, or 0 for any
+	}{
+		{"push", cobrawalk.ProcessConfig{}, 0},
+		{"flood", cobrawalk.ProcessConfig{}, 1},
+		{"kwalk", cobrawalk.ProcessConfig{Branching: cobrawalk.Branching{K: 4}}, 0},
+	} {
+		p, err := cobrawalk.NewProcess(tc.name, g, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cobrawalk.RunProcess(p, r, 0, 0)
+		if err != nil || !res.Done || (tc.rounds > 0 && res.Rounds != tc.rounds) {
+			t.Fatalf("%s: %+v, %v", tc.name, res, err)
+		}
 	}
 }
 
@@ -191,21 +200,21 @@ func TestFacadeStreams(t *testing.T) {
 	}
 }
 
-// ExampleNewCobra demonstrates the basic cover-time workflow.
-func ExampleNewCobra() {
+// ExampleNewProcess demonstrates the basic cover-time workflow.
+func ExampleNewProcess() {
 	g, err := cobrawalk.Complete(64)
 	if err != nil {
 		panic(err)
 	}
-	proc, err := cobrawalk.NewCobra(g) // branching k = 2
+	proc, err := cobrawalk.NewProcess("cobra", g, cobrawalk.ProcessConfig{}) // branching k = 2
 	if err != nil {
 		panic(err)
 	}
-	res, err := proc.Run(0, cobrawalk.NewRand(1))
+	res, err := cobrawalk.RunProcess(proc, cobrawalk.NewRand(1), 0, 0)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("covered:", res.Covered, "in O(log n) rounds:", res.CoverTime <= 30)
+	fmt.Println("covered:", res.Done, "in O(log n) rounds:", res.Rounds <= 30)
 	// Output: covered: true in O(log n) rounds: true
 }
 
@@ -223,21 +232,23 @@ func ExampleComputeExactDuality() {
 	// Output: Theorem 4 max error below 1e-10: true
 }
 
-// ExampleNewBIPS demonstrates the dual epidemic process.
-func ExampleNewBIPS() {
+// ExampleRunProcessCollect demonstrates the dual epidemic process with
+// its |A_t| trajectory recorded by a metrics collector.
+func ExampleRunProcessCollect() {
 	g, err := cobrawalk.Complete(64)
 	if err != nil {
 		panic(err)
 	}
-	epi, err := cobrawalk.NewBIPS(g)
+	col := cobrawalk.NewMetricsCollector(g.N())
+	epi, err := cobrawalk.NewProcess("bips", g, cobrawalk.ProcessConfig{Observer: col.Observe})
 	if err != nil {
 		panic(err)
 	}
-	res, err := epi.Run(0, cobrawalk.NewRand(1))
+	res, err := cobrawalk.RunProcessCollect(context.Background(), epi, col, cobrawalk.NewRand(1), 0, 0)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("fully infected:", res.Infected, "source in A_0:", res.Sizes[0] == 1)
+	fmt.Println("fully infected:", res.Done, "source in A_0:", col.Active()[0] == 1)
 	// Output: fully infected: true source in A_0: true
 }
 

@@ -23,7 +23,9 @@
 //   - spectral toolkit: λ₂, λ_n, λ_max, spectral gap, the Theorem 1/2 time
 //     scale T = log n/(1-λ)³;
 //   - the COBRA and BIPS processes with integer branching k and fractional
-//     branching 1+ρ (Theorem 3 / Corollary 1), fully instrumented;
+//     branching 1+ρ (Theorem 3 / Corollary 1), plus the push, push-pull,
+//     flood and k-walk comparison protocols, all from one process
+//     registry (NewProcess) with one production engine each;
 //   - the duality machinery: Monte-Carlo estimation and an exact
 //     subset-space verifier for graphs up to 13 vertices;
 //   - Lemma 1 growth bounds, three-phase trajectory analysis (Lemmas 2-4);
@@ -58,8 +60,8 @@
 //	g, err := cobrawalk.RandomRegular(4096, 8, r)
 //	if err != nil { ... }
 //	rep, err := cobrawalk.Analyze(g)        // λ, gap, theorem T
-//	proc, err := cobrawalk.NewCobra(g)      // k = 2 by default
-//	res, err := proc.Run(0, r)              // res.CoverTime, res.Transmissions
+//	proc, err := cobrawalk.NewProcess("cobra", g, cobrawalk.ProcessConfig{}) // k = 2
+//	res, err := cobrawalk.RunProcess(proc, r, 0, 0) // res.Rounds, res.Transmissions
 //
 // The runnable programs under cmd/ (cobrasim, bipssim, sweep, graphinfo,
 // experiments, figures, and the cobrawalkd HTTP simulation service) and

@@ -32,48 +32,36 @@ func main() {
 	fmt.Println("protocol        mean rounds   total msgs   msgs/node   per-node/round cap")
 	fmt.Println("--------------------------------------------------------------------------")
 
-	// COBRA k = 2.
-	proc, err := cobrawalk.NewCobra(g)
-	if err != nil {
-		obs.Fatal(logger, "creating COBRA process", "err", err)
-	}
-	var rounds, msgs float64
-	for i := 0; i < runs; i++ {
-		res, err := proc.Run(0, r)
-		if err != nil {
-			obs.Fatal(logger, "COBRA run failed", "run", i, "err", err)
-		}
-		if !res.Covered {
-			obs.Fatal(logger, "COBRA run did not cover", "run", i)
-		}
-		rounds += float64(res.CoverTime)
-		msgs += float64(res.Transmissions)
-	}
-	printRow("COBRA k=2", rounds/runs, msgs/runs, "2")
-
-	type proto struct {
-		name string
-		cap  string
-		run  func(*cobrawalk.Graph, int32, cobrawalk.BaselineConfig, *cobrawalk.Rand) (cobrawalk.BaselineResult, error)
-	}
-	protos := []proto{
-		{"push", "1 (never quiesces)", cobrawalk.Push},
-		{"push-pull", "2", cobrawalk.PushPull},
-		{"flood", fmt.Sprintf("%d (degree)", degree), cobrawalk.Flood},
-		{"random walk", "1 global", cobrawalk.RandomWalkCover},
-		{"2 walks", "2 global", func(g *cobrawalk.Graph, s int32, c cobrawalk.BaselineConfig, r *cobrawalk.Rand) (cobrawalk.BaselineResult, error) {
-			return cobrawalk.MultiWalkCover(g, s, 2, c, r)
-		}},
+	// Every protocol is a registry process, constructed once and reused
+	// for all runs.
+	protos := []struct {
+		name    string
+		process string
+		walkers int // kwalk's K; 0 keeps the default branching (COBRA k = 2)
+		cap     string
+	}{
+		{"COBRA k=2", "cobra", 0, "2"},
+		{"push", "push", 0, "1 (never quiesces)"},
+		{"push-pull", "push-pull", 0, "2"},
+		{"flood", "flood", 0, fmt.Sprintf("%d (degree)", degree)},
+		{"random walk", "kwalk", 1, "1 global"},
+		{"2 walks", "kwalk", 2, "2 global"},
 	}
 	for _, p := range protos {
+		proc, err := cobrawalk.NewProcess(p.process, g, cobrawalk.ProcessConfig{
+			Branching: cobrawalk.Branching{K: p.walkers},
+		})
+		if err != nil {
+			obs.Fatal(logger, "creating process", "protocol", p.name, "err", err)
+		}
 		var rounds, msgs float64
 		for i := 0; i < runs; i++ {
-			res, err := p.run(g, 0, cobrawalk.BaselineConfig{MaxRounds: 1 << 24}, r)
+			res, err := cobrawalk.RunProcess(proc, r, 1<<24, 0)
 			if err != nil {
-				obs.Fatal(logger, "baseline run failed", "protocol", p.name, "err", err)
+				obs.Fatal(logger, "run failed", "protocol", p.name, "run", i, "err", err)
 			}
-			if !res.Covered {
-				obs.Fatal(logger, "baseline did not cover", "protocol", p.name)
+			if !res.Done {
+				obs.Fatal(logger, "run did not cover", "protocol", p.name, "run", i)
 			}
 			rounds += float64(res.Rounds)
 			msgs += float64(res.Transmissions)

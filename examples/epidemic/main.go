@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -95,9 +96,13 @@ func buildPennedHerd() (*cobrawalk.Graph, error) {
 }
 
 func runScenario(g *cobrawalk.Graph, contacts cobrawalk.Branching, r *cobrawalk.Rand) error {
-	proc, err := cobrawalk.NewBIPS(g,
-		cobrawalk.WithBranching(contacts),
-		cobrawalk.WithMaxRounds(200_000))
+	// The collector records |A_t| per round: the phases come from its
+	// Active series.
+	col := cobrawalk.NewMetricsCollector(g.N())
+	proc, err := cobrawalk.NewProcess("bips", g, cobrawalk.ProcessConfig{
+		Branching: contacts,
+		Observer:  col.Observe,
+	})
 	if err != nil {
 		return err
 	}
@@ -105,16 +110,17 @@ func runScenario(g *cobrawalk.Graph, contacts cobrawalk.Branching, r *cobrawalk.
 	var days, p1s, p2s, p3s []float64
 	failed := 0
 	for rep := 0; rep < replicates; rep++ {
-		res, err := proc.Run(0, r) // animal 0 is the PI calf
+		// Animal 0 is the PI calf, the persistent source.
+		res, err := cobrawalk.RunProcessCollect(context.Background(), proc, col, r, 200_000, 0)
 		if err != nil {
 			return err
 		}
-		if !res.Infected {
+		if !res.Done {
 			failed++
 			continue
 		}
-		days = append(days, float64(res.InfectionTime))
-		ph := cobrawalk.DetectPhases(res.Sizes, g.N(), smallTarget)
+		days = append(days, float64(res.Rounds))
+		ph := cobrawalk.DetectPhases(col.Active(), g.N(), smallTarget)
 		p1, p2, p3 := ph.PhaseLengths()
 		p1s = append(p1s, float64(p1))
 		p2s = append(p2s, float64(p2))

@@ -34,21 +34,22 @@ func main() {
 	fmt.Printf("λmax = %.4f, spectral gap = %.4f\n", rep.LambdaMax, rep.Gap)
 	fmt.Printf("Theorem 1 time scale T = log n/(1-λ)³ = %.1f rounds\n", rep.TheoremT())
 
-	proc, err := cobrawalk.NewCobra(g) // k = 2, the paper's setting
+	// The zero ProcessConfig means branching k = 2, the paper's setting.
+	proc, err := cobrawalk.NewProcess("cobra", g, cobrawalk.ProcessConfig{})
 	if err != nil {
 		obs.Fatal(logger, "creating process", "err", err)
 	}
 	covers := make([]float64, 0, runs)
 	var msgs float64
 	for i := 0; i < runs; i++ {
-		res, err := proc.Run(0, r)
+		res, err := cobrawalk.RunProcess(proc, r, 0, 0) // cap 0 = default, start at vertex 0
 		if err != nil {
 			obs.Fatal(logger, "run failed", "run", i, "err", err)
 		}
-		if !res.Covered {
+		if !res.Done {
 			obs.Fatal(logger, "run did not cover the graph", "run", i)
 		}
-		covers = append(covers, float64(res.CoverTime))
+		covers = append(covers, float64(res.Rounds))
 		msgs += float64(res.Transmissions)
 	}
 	s, err := cobrawalk.Summarize(covers)

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 )
 
@@ -59,11 +60,37 @@ func (d DualityEstimate) MaxZScore() float64 {
 	return maxZ
 }
 
+// engine is a registry process with single-vertex membership; the
+// registry's cobra and bips engines both qualify.
+type engine interface {
+	process.Process
+	process.Reacher
+}
+
+// newEngine constructs the named registry engine on g with the given
+// branching and the exact sampling path. The branching is validated here
+// because process.Config reads a zero Branching as the default, which the
+// estimators would otherwise accept silently.
+func newEngine(name string, g *graph.Graph, branch Branching) (engine, error) {
+	if err := branch.Validate(); err != nil {
+		return nil, err
+	}
+	p, err := process.New(name, g, process.Config{Branching: branch})
+	if err != nil {
+		return nil, err
+	}
+	e, ok := p.(engine)
+	if !ok {
+		return nil, fmt.Errorf("core: process %s does not expose its reached set", name)
+	}
+	return e, nil
+}
+
 // EstimateDuality runs trials independent COBRA walks from u (recording
 // whether v was hit by each round t) and trials independent BIPS epidemics
 // with source v (recording whether u was infected at round t), estimating
-// both sides of Theorem 4 for t = 0..tMax. Both processes use the exact
-// sampling path and the given branching.
+// both sides of Theorem 4 for t = 0..tMax. Both processes are the
+// registry engines on the exact sampling path with the given branching.
 func EstimateDuality(g *graph.Graph, u, v int32, tMax, trials int, branch Branching, seed uint64) (DualityEstimate, error) {
 	if tMax < 0 {
 		return DualityEstimate{}, fmt.Errorf("core: negative horizon %d", tMax)
@@ -79,7 +106,7 @@ func EstimateDuality(g *graph.Graph, u, v int32, tMax, trials int, branch Branch
 		BipsSE:        make([]float64, tMax+1),
 	}
 
-	cobra, err := NewCobra(g, WithBranching(branch), WithMaxRounds(tMax+1))
+	cobra, err := newEngine(process.Cobra, g, branch)
 	if err != nil {
 		return DualityEstimate{}, err
 	}
@@ -97,7 +124,7 @@ func EstimateDuality(g *graph.Graph, u, v int32, tMax, trials int, branch Branch
 			if t > 0 {
 				cobra.Step(r)
 			}
-			if !cobra.Visited(v) {
+			if !cobra.Reached(v) {
 				surv[t]++
 			} else {
 				break // once hit, survival is 0 for all later t
@@ -105,12 +132,13 @@ func EstimateDuality(g *graph.Graph, u, v int32, tMax, trials int, branch Branch
 		}
 	}
 
-	bips, err := NewBIPS(g, WithBranching(branch), WithMaxRounds(tMax+1))
+	bips, err := newEngine(process.BIPS, g, branch)
 	if err != nil {
 		return DualityEstimate{}, err
 	}
 	// BIPS side: excl[t] = #trials with u ∉ A_t. Note u may leave and
-	// rejoin the infected set, so every round is examined.
+	// rejoin the infected set, so every round is examined — and the
+	// epidemic keeps stepping after full infection, up to the horizon.
 	excl := make([]int, tMax+1)
 	r2 := rng.NewStream(seed, 0xb1b5)
 	for i := 0; i < trials; i++ {
@@ -121,7 +149,7 @@ func EstimateDuality(g *graph.Graph, u, v int32, tMax, trials int, branch Branch
 			if t > 0 {
 				bips.Step(r2)
 			}
-			if !bips.Infected(u) {
+			if !bips.Reached(u) {
 				excl[t]++
 			}
 		}

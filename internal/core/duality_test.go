@@ -7,6 +7,16 @@ import (
 	"cobrawalk/internal/graph"
 )
 
+func mustGraph(t *testing.T) func(*graph.Graph, error) *graph.Graph {
+	return func(g *graph.Graph, err error) *graph.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("graph construction: %v", err)
+		}
+		return g
+	}
+}
+
 // TestExactDualityTheorem4 is the strongest check in the repository: it
 // computes both sides of Theorem 4 exactly (no Monte Carlo) over the full
 // subset space of small graphs and asserts they agree to floating-point

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 )
 
@@ -62,54 +63,27 @@ func ExactExpectedGrowth(g *graph.Graph, source int32, a []int32, branch Branchi
 	if !srcOK {
 		return 0, fmt.Errorf("core: source %d not in A", source)
 	}
-	// d_A(u) for u ∈ Γ(A) via one pass over the edges leaving A.
-	dA := make(map[int32]int, len(a)*4)
+	// d_A(u) for u ∈ Γ(A) via one pass over the edges leaving A, summed
+	// in discovery order: float addition is not associative, so a fixed
+	// order is what makes the result bit-reproducible.
+	dA := make([]int32, n)
+	gamma := make([]int32, 0, len(a))
 	for _, v := range a {
 		for _, u := range g.Neighbors(v) {
+			if dA[u] == 0 {
+				gamma = append(gamma, u)
+			}
 			dA[u]++
 		}
 	}
 	expected := 1.0 // the persistent source
-	for u, d := range dA {
+	for _, u := range gamma {
 		if u == source {
 			continue
 		}
-		expected += infectProb(d, g.Degree(u), branch)
+		expected += infectProb(int(dA[u]), g.Degree(u), branch)
 	}
 	return expected, nil
-}
-
-// SampleGrowth runs trials independent single BIPS steps from A_t = a
-// (source included) and returns the sampled |A_{t+1}| values. Used to
-// validate Lemma 1 empirically and to measure the growth-factor
-// distribution that the paper's Lemma 2 martingale argument integrates.
-func SampleGrowth(g *graph.Graph, source int32, a []int32, branch Branching, trials int, seed uint64) ([]float64, error) {
-	if trials < 1 {
-		return nil, fmt.Errorf("core: trials = %d, need >= 1", trials)
-	}
-	b, err := NewBIPS(g, WithBranching(branch))
-	if err != nil {
-		return nil, err
-	}
-	extra := make([]int32, 0, len(a))
-	for _, v := range a {
-		if v != source {
-			extra = append(extra, v)
-		}
-	}
-	r := rng.NewStream(seed, 0x9c0147)
-	out := make([]float64, trials)
-	for i := 0; i < trials; i++ {
-		if err := b.Reset(source, extra...); err != nil {
-			return nil, err
-		}
-		if b.InfectedCount() != len(extra)+1 {
-			return nil, fmt.Errorf("core: duplicate vertices in A")
-		}
-		b.Step(r)
-		out[i] = float64(b.InfectedCount())
-	}
-	return out, nil
 }
 
 // Lemma2MGF holds a Monte-Carlo estimate of the exponential-moment
@@ -134,7 +108,8 @@ func (l Lemma2MGF) Bound(t int) float64 {
 	return math.Exp(float64(t) * (math.Log(1+l.X) - l.X))
 }
 
-// EstimateLemma2MGF runs `trials` independent BIPS processes from source
+// EstimateLemma2MGF runs `trials` independent registry bips processes
+// from source, each stepped to the horizon tMax even past full infection,
 // and estimates G_t(φ) for t = 0..tMax with φ = log(1+x), x = (1-λ)/2,
 // small-set threshold m. Used by experiment E15 to validate the Lemma 2
 // supermartingale argument directly.
@@ -159,7 +134,7 @@ func EstimateLemma2MGF(g *graph.Graph, source int32, branch Branching, lambda fl
 		G:   make([]float64, tMax+1),
 		SE:  make([]float64, tMax+1),
 	}
-	b, err := NewBIPS(g, WithBranching(branch), WithMaxRounds(tMax+1))
+	b, err := newEngine(process.BIPS, g, branch)
 	if err != nil {
 		return Lemma2MGF{}, err
 	}
@@ -170,18 +145,18 @@ func EstimateLemma2MGF(g *graph.Graph, source int32, branch Branching, lambda fl
 		if err := b.Reset(source); err != nil {
 			return Lemma2MGF{}, err
 		}
-		a0 := float64(b.InfectedCount())
+		a0 := float64(b.ReachedCount())
 		alive := true // 1{E_{t-1}}: all sizes so far < m+1
 		for t := 0; t <= tMax; t++ {
 			if t > 0 {
 				// The indicator freezes once any prior size exceeds m.
-				if b.InfectedCount() >= m+1 {
+				if b.ReachedCount() >= m+1 {
 					alive = false
 				}
 				b.Step(r)
 			}
 			if alive {
-				v := math.Exp(-out.Phi * (float64(b.InfectedCount()) - a0))
+				v := math.Exp(-out.Phi * (float64(b.ReachedCount()) - a0))
 				sums[t] += v
 				sumSqs[t] += v * v
 			}

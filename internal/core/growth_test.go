@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/spectral"
 	"cobrawalk/internal/stats"
@@ -135,8 +136,9 @@ func TestCorollary1HoldsExactly(t *testing.T) {
 	}
 }
 
-// TestSampleGrowthMatchesExact cross-validates the Monte-Carlo one-step
-// sampler against the closed-form expectation.
+// TestSampleGrowthMatchesExact cross-validates the closed-form one-step
+// expectation against the registry bips engine: Reset to A (source
+// first), one Step, read |A_1|.
 func TestSampleGrowthMatchesExact(t *testing.T) {
 	g := mustGraph(t)(graph.Petersen())
 	rr := rng.New(3)
@@ -148,9 +150,18 @@ func TestSampleGrowthMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := SampleGrowth(g, 0, set, DefaultBranching, 5000, 11)
+	b, err := process.New(process.BIPS, g, process.Config{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	r := rng.NewStream(11, 0x9c0147)
+	samples := make([]float64, 5000)
+	for i := range samples {
+		if err := b.Reset(set...); err != nil {
+			t.Fatal(err)
+		}
+		b.Step(r)
+		samples[i] = float64(b.ReachedCount())
 	}
 	s, err := stats.Summarize(samples)
 	if err != nil {
@@ -161,13 +172,29 @@ func TestSampleGrowthMatchesExact(t *testing.T) {
 	}
 }
 
-func TestSampleGrowthValidation(t *testing.T) {
-	g := mustGraph(t)(graph.Complete(4))
-	if _, err := SampleGrowth(g, 0, []int32{0}, DefaultBranching, 0, 1); err == nil {
-		t.Fatal("zero trials should fail")
+// TestExactExpectedGrowthRepeatable pins bit-identical results across
+// calls. The d(u) = 63 denominators of K64 make the per-vertex terms
+// non-dyadic, so the float sum depends on its order; the closed form
+// sums in Γ(A) discovery order, which is fixed by the set and the graph.
+func TestExactExpectedGrowthRepeatable(t *testing.T) {
+	g := mustGraph(t)(graph.Complete(64))
+	set, err := RandomInfectedSet(g, 0, 48, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := SampleGrowth(g, 0, []int32{0, 9}, DefaultBranching, 5, 1); err == nil {
-		t.Fatal("bad vertex should fail")
+	br := Branching{K: 1, Rho: 0.5}
+	first, err := ExactExpectedGrowth(g, 0, set, br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		got, err := ExactExpectedGrowth(g, 0, set, br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d returned %v, first call %v", i, got, first)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 )
 
@@ -95,7 +96,7 @@ func TestCoverTimeRelabelInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	meanCover := func(gr *graph.Graph, start int32, seed uint64) (mean, se float64) {
-		c, err := NewCobra(gr)
+		c, err := process.New(process.Cobra, gr, process.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +104,11 @@ func TestCoverTimeRelabelInvariance(t *testing.T) {
 		const trials = 300
 		var sum, sumSq float64
 		for i := 0; i < trials; i++ {
-			res, err := c.Run(start, rr)
-			if err != nil || !res.Covered {
+			res, err := process.Run(c, rr, 0, start)
+			if err != nil || !res.Done {
 				t.Fatalf("run failed: %v", err)
 			}
-			x := float64(res.CoverTime)
+			x := float64(res.Rounds)
 			sum += x
 			sumSq += x * x
 		}
@@ -132,24 +133,23 @@ func TestBipsStochasticMonotonicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	meanInfec := func(extra []int32, seed uint64) (mean, se float64) {
-		b, err := NewBIPS(g)
+		b, err := process.New(process.BIPS, g, process.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rr := rng.New(seed)
 		const trials = 200
+		starts := append([]int32{0}, extra...)
 		var sum, sumSq float64
 		for i := 0; i < trials; i++ {
-			if err := b.Reset(0, extra...); err != nil {
+			res, err := process.Run(b, rr, 1<<16, starts...)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for !b.FullyInfected() && b.Round() < 1<<16 {
-				b.Step(rr)
-			}
-			if !b.FullyInfected() {
+			if !res.Done {
 				t.Fatal("uninfected run")
 			}
-			x := float64(b.Round())
+			x := float64(res.Rounds)
 			sum += x
 			sumSq += x * x
 		}

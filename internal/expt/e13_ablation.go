@@ -6,8 +6,8 @@ import (
 	"math"
 	"time"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 )
 
@@ -40,19 +40,17 @@ func runE13(ctx context.Context, w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		for _, br := range []core.Branching{{K: 2}, {K: 1, Rho: 0.5}} {
+		for _, br := range []process.Branching{{K: 2}, {K: 1, Rho: 0.5}} {
 			var exactMean, exactSE, fastMean, fastSE float64
 			for _, fast := range []bool{false, true} {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				opts := []core.Option{core.WithBranching(br), core.WithMaxRounds(1 << 18)}
 				name := "exact"
 				if fast {
-					opts = append(opts, core.WithFastSampling())
 					name = "fast"
 				}
-				proc, err := core.NewBIPS(g, opts...)
+				proc, err := process.New(process.BIPS, g, process.Config{Branching: br, FastSampling: fast})
 				if err != nil {
 					return err
 				}
@@ -60,14 +58,14 @@ func runE13(ctx context.Context, w io.Writer, p Params) error {
 				start := time.Now()
 				r := rng.NewStream(p.Seed^uint64(deg), map[bool]uint64{false: 1, true: 2}[fast])
 				for i := 0; i < trials; i++ {
-					res, err := proc.Run(0, r)
+					res, err := process.Run(proc, r, 1<<18, 0)
 					if err != nil {
 						return err
 					}
-					if !res.Infected {
+					if !res.Done {
 						continue
 					}
-					times = append(times, float64(res.InfectionTime))
+					times = append(times, float64(res.Rounds))
 				}
 				perRun := time.Since(start) / time.Duration(trials)
 				s, err := summarizeOrErr(times, "infection times")

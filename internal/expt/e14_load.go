@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/sim"
@@ -47,42 +46,29 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 	type loadOut struct {
 		rounds, total, maxSend, maxRecv, gini float64
 	}
-	if _, err := core.NewCobra(g, core.WithLoadCounts()); err != nil {
-		return err
-	}
-	cres, err := sim.RunWithState(ctx, sim.Spec{Trials: trials, Seed: p.Seed ^ 0xe14, Workers: p.Workers},
-		func() *core.Cobra {
-			c, err := core.NewCobra(g, core.WithLoadCounts(), core.WithMaxRounds(1<<18))
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return c
-		},
-		func(c *core.Cobra, trial int, r *rng.Rand) (loadOut, error) {
-			out, err := c.Run(0, r)
+	cres, err := sim.Run(ctx, sim.Spec{Trials: trials, Seed: p.Seed ^ 0xe14, Workers: p.Workers},
+		func(trial int, r *rng.Rand) (loadOut, error) {
+			out, err := cobraWithLoad(g, 0, r)
 			if err != nil {
 				return loadOut{}, err
 			}
-			if !out.Covered {
-				return loadOut{}, fmt.Errorf("uncovered run")
-			}
 			var maxSend, maxRecv int64
-			sends := make([]float64, len(out.Activations))
-			for v := range out.Activations {
-				send := 2 * out.Activations[v] // k = 2 messages per activation
+			sends := make([]float64, len(out.activations))
+			for v := range out.activations {
+				send := 2 * out.activations[v] // k = 2 messages per activation
 				sends[v] = float64(send)
 				if send > maxSend {
 					maxSend = send
 				}
-				if out.Deliveries[v] > maxRecv {
-					maxRecv = out.Deliveries[v]
+				if out.deliveries[v] > maxRecv {
+					maxRecv = out.deliveries[v]
 				}
 			}
 			gini, err := stats.Gini(sends)
 			if err != nil {
 				return loadOut{}, err
 			}
-			return loadOut{float64(out.CoverTime), float64(out.Transmissions), float64(maxSend), float64(maxRecv), gini}, nil
+			return loadOut{float64(out.rounds), float64(out.transmissions), float64(maxSend), float64(maxRecv), gini}, nil
 		})
 	if err != nil {
 		return err
@@ -99,8 +85,8 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 
 	// Push: per-vertex sends = rounds since the vertex was informed, which
 	// we can compute from the protocol's structure: a vertex informed at
-	// round t sends exactly (rounds - t) messages. Reuse the COBRA hit
-	// recorder by running push manually here.
+	// round t sends exactly (rounds - t) messages. Like COBRA's, the push
+	// loop runs here with a per-vertex counter.
 	pres, err := sim.Run(ctx, sim.Spec{Trials: trials, Seed: p.Seed ^ 0x41, Workers: p.Workers},
 		func(trial int, r *rng.Rand) (loadOut, error) {
 			rounds, total, maxSend, err := pushWithLoad(g, 0, r)
@@ -125,6 +111,62 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 	tbl.AddNote("push's source transmits every round until global completion (duty %.2f); COBRA vertices go quiet between activations (max duty %.2f)", pDuty, cDuty)
 	tbl.AddNote("COBRA max receive load (deliveries incl. duplicates): %.2f per vertex", cMaxRecv)
 	return tbl.Emit(w, p)
+}
+
+// cobraLoad is one COBRA run's outcome with its per-vertex load.
+type cobraLoad struct {
+	rounds        int
+	transmissions int64
+	// activations[v] counts the rounds v was active, so v sent
+	// 2·activations[v] messages.
+	activations []int64
+	// deliveries[v] counts messages delivered to v, including coalesced
+	// duplicates.
+	deliveries []int64
+}
+
+// cobraWithLoad runs one COBRA k=2 cover run from start, recording
+// per-vertex activations and deliveries. The registry cobra engine's
+// branch-free push loop carries no per-push hook, so this mirrors its
+// loop with counters. It draws exactly as the engine does: one bounded
+// draw per push, in active-set order, with C_{t+1} in first-push order.
+// A run past 2^18 rounds is an error.
+func cobraWithLoad(g *graph.Graph, start int32, r *rng.Rand) (cobraLoad, error) {
+	n := g.N()
+	out := cobraLoad{activations: make([]int64, n), deliveries: make([]int64, n)}
+	visited := make([]bool, n)
+	chosen := make([]int, n) // chosen[u] == round+1: u is already in C_{round+1}
+	visited[start] = true
+	count := 1
+	cur := []int32{start}
+	var next []int32
+	for count < n {
+		if out.rounds >= 1<<18 {
+			return cobraLoad{}, fmt.Errorf("uncovered run")
+		}
+		next = next[:0]
+		for _, v := range cur {
+			out.activations[v]++
+			deg := g.Degree(v)
+			for i := 0; i < 2; i++ {
+				u := g.Neighbor(v, r.Intn(deg))
+				out.transmissions++
+				out.deliveries[u]++
+				if chosen[u] == out.rounds+1 {
+					continue // coalesce
+				}
+				chosen[u] = out.rounds + 1
+				next = append(next, u)
+				if !visited[u] {
+					visited[u] = true
+					count++
+				}
+			}
+		}
+		cur, next = next, cur
+		out.rounds++
+	}
+	return out, nil
 }
 
 // pushWithLoad runs the push protocol recording per-vertex send counts

@@ -10,6 +10,8 @@ import (
 
 	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
+	"cobrawalk/internal/rng"
 	"cobrawalk/internal/stats"
 )
 
@@ -242,8 +244,10 @@ func TestLookup(t *testing.T) {
 
 // TestExperimentsSmoke runs every experiment end-to-end at smoke scale and
 // checks it renders a table without error. This is the integration test of
-// the whole pipeline (graph → spectral → core/baseline → sim → stats →
-// table).
+// the whole pipeline (graph → spectral → process/core → sim → stats →
+// table). It also pins each experiment's determinism: the JSON output at
+// Workers 1 and at Workers 4 must match byte for byte once wall-clock
+// columns are blanked.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke experiments take a few seconds")
@@ -264,7 +268,165 @@ func TestExperimentsSmoke(t *testing.T) {
 			if !strings.Contains(out, "---") {
 				t.Fatalf("%s produced no table:\n%s", e.ID, out)
 			}
+
+			var js [2][]byte
+			for i, workers := range []int{1, 4} {
+				q := p
+				q.Workers, q.Format = workers, FormatJSON
+				var buf bytes.Buffer
+				if err := e.Run(context.Background(), &buf, q); err != nil {
+					t.Fatalf("%s (workers %d) failed: %v", e.ID, workers, err)
+				}
+				js[i] = blankWallClock(t, buf.Bytes())
+			}
+			if !bytes.Equal(js[0], js[1]) {
+				t.Fatalf("%s JSON differs between workers 1 and 4:\n%s\n%s", e.ID, js[0], js[1])
+			}
 		})
+	}
+}
+
+// blankWallClock re-encodes NDJSON tables with every cell of a
+// wall-clock column (one whose name contains "wall") emptied.
+func blankWallClock(t *testing.T, ndjson []byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	for _, line := range bytes.Split(bytes.TrimSpace(ndjson), []byte("\n")) {
+		var rec struct {
+			Columns []string   `json:"columns"`
+			Rows    [][]string `json:"rows"`
+			Notes   []string   `json:"notes"`
+			Title   string     `json:"title"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("invalid JSON line %q: %v", line, err)
+		}
+		for c, name := range rec.Columns {
+			if !strings.Contains(name, "wall") {
+				continue
+			}
+			for _, row := range rec.Rows {
+				if c < len(row) {
+					row[c] = ""
+				}
+			}
+		}
+		blob, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(append(blob, '\n'))
+	}
+	return out.Bytes()
+}
+
+// TestCobraWithLoadMatchesRegistry pins E14's load-tracking COBRA loop to
+// the registry cobra engine: from the same seed it must finish in the
+// same round with the same transmissions and leave the generator in the
+// same state. The load counters must also add up: every push is
+// delivered somewhere, and every activation sends exactly k = 2.
+func TestCobraWithLoadMatchesRegistry(t *testing.T) {
+	r := rng.New(3)
+	var graphs []*graph.Graph
+	for _, mk := range []func() (*graph.Graph, error){
+		func() (*graph.Graph, error) { return graph.RandomRegularConnected(256, 8, r) }, // power-of-two degree
+		func() (*graph.Graph, error) { return graph.RandomRegularConnected(128, 3, r) },
+		func() (*graph.Graph, error) { return graph.Complete(48) },
+		func() (*graph.Graph, error) { return graph.Barbell(8, 3) }, // irregular
+	} {
+		g, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		p, err := process.New(process.Cobra, g, process.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 5; seed++ {
+			rLoad, rReg := rng.New(seed), rng.New(seed)
+			out, err := cobraWithLoad(g, 0, rLoad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := process.Run(p, rReg, 1<<18, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Done || out.rounds != res.Rounds || out.transmissions != res.Transmissions {
+				t.Fatalf("%s seed %d: load loop %d rounds / %d sends, registry %+v",
+					g.Name(), seed, out.rounds, out.transmissions, res)
+			}
+			if rLoad.State() != rReg.State() {
+				t.Fatalf("%s seed %d: generator states diverged", g.Name(), seed)
+			}
+			var deliveries, activations int64
+			for v := range out.activations {
+				deliveries += out.deliveries[v]
+				activations += out.activations[v]
+			}
+			if deliveries != out.transmissions {
+				t.Fatalf("%s: deliveries %d != transmissions %d", g.Name(), deliveries, out.transmissions)
+			}
+			if 2*activations != out.transmissions {
+				t.Fatalf("%s: 2·activations %d != transmissions %d", g.Name(), 2*activations, out.transmissions)
+			}
+			if out.activations[0] < 1 {
+				t.Fatalf("%s: start vertex has no activations", g.Name())
+			}
+		}
+	}
+}
+
+// TestLoadCountsConsistency: a vertex is active after round 0 only if a
+// message reached it the round before, so its activations never exceed
+// its deliveries (plus one for the start's round-0 activation).
+func TestLoadCountsConsistency(t *testing.T) {
+	g, err := graph.Complete(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const start = 5
+	out, err := cobraWithLoad(g, start, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range out.activations {
+		limit := out.deliveries[v]
+		if v == start {
+			limit++
+		}
+		if out.activations[v] > limit {
+			t.Fatalf("vertex %d: %d activations from %d deliveries", v, out.activations[v], out.deliveries[v])
+		}
+	}
+	if out.activations[start] < 1 {
+		t.Fatal("start vertex has no activations")
+	}
+}
+
+// TestLoadCountsResetBetweenRuns: consecutive runs on one stream each
+// count only their own messages.
+func TestLoadCountsResetBetweenRuns(t *testing.T) {
+	g, err := graph.Complete(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(2)
+	for run := 0; run < 2; run++ {
+		out, err := cobraWithLoad(g, 0, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deliveries int64
+		for _, d := range out.deliveries {
+			deliveries += d
+		}
+		if deliveries != out.transmissions {
+			t.Fatalf("run %d: deliveries %d != its transmissions %d (stale counters?)", run, deliveries, out.transmissions)
+		}
 	}
 }
 

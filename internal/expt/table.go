@@ -3,8 +3,9 @@
 // al. comparisons quoted in its introduction, its scope boundaries, and
 // the extension workloads catalogued in EXPERIMENTS.md). Each experiment
 // builds its workload from internal/graph, measures the spectral parameter
-// λ it is conditioned on, runs the processes from internal/core and
-// internal/baseline under internal/sim, fits the claimed scaling law with
+// λ it is conditioned on, runs the registry processes of internal/process
+// (directly under internal/sim or internal/sweep, or through the
+// estimators of internal/core), fits the claimed scaling law with
 // internal/stats, and renders a table.
 //
 // Ensemble experiments stream trial results through sim.Reduce into

@@ -30,15 +30,15 @@ import (
 // row loads). infCount (d_A per candidate) is touched only on the
 // fast-sampling path.
 //
-// The generator is consumed exactly like the reference implementation
-// (core.BIPS) — candidates are discovered in infected-list order, and per
-// candidate the exact path draws an optional Rho Bernoulli then one
+// The generator is consumed exactly like the test-only reference
+// implementation — candidates are discovered in infected-list order, and
+// per candidate the exact path draws an optional Rho Bernoulli then one
 // bounded draw per sample, while the fast path draws the optional Rho
 // Bernoulli then one Bernoulli against the closed-form infection
 // probability, computed with the identical float expression. The
-// differential harness (internal/process/difftest) pins the
-// byte-identity; do not reorder draws or refactor the probability
-// arithmetic.
+// differential harness (internal/process/difftest) holds the reference
+// and pins the byte-identity; do not reorder draws or refactor the
+// probability arithmetic.
 type bipsProc struct {
 	// g pins the source graph: see cobraProc — the CSR slices alias it,
 	// and mmap-backed graphs unmap when the graph becomes unreachable.
@@ -365,9 +365,9 @@ func (p *bipsProc) Step(r *rng.Rand) {
 }
 
 // missProb returns (1-p)^k with small integer exponents multiplied out —
-// identical, operation for operation, to the reference implementation's
-// core.missProb so the fast path's infection probabilities match bit for
-// bit.
+// identical, operation for operation, to the difftest reference's copy so
+// the fast path's infection probabilities match bit for bit. math.Pow
+// costs more than the rest of a fast-path candidate evaluation.
 func missProb(p float64, k int) float64 {
 	q := 1 - p
 	switch k {
@@ -389,6 +389,7 @@ func (p *bipsProc) Done() bool           { return p.infLen == p.n }
 func (p *bipsProc) Round() int           { return p.round }
 func (p *bipsProc) ReachedCount() int    { return p.infLen }
 func (p *bipsProc) Transmissions() int64 { return p.sent }
+func (p *bipsProc) Reached(v int32) bool { return p.infB[v] != 0 }
 
 // AppendReached appends A_t in ascending vertex order.
 func (p *bipsProc) AppendReached(dst []int32) []int32 {

@@ -370,6 +370,7 @@ func (p *bipsParProc) Done() bool           { return p.infLen == p.n }
 func (p *bipsParProc) Round() int           { return p.round }
 func (p *bipsParProc) ReachedCount() int    { return p.infLen }
 func (p *bipsParProc) Transmissions() int64 { return p.sent }
+func (p *bipsParProc) Reached(v int32) bool { return p.infB[v] != 0 }
 
 // AppendReached appends A_t in ascending vertex order.
 func (p *bipsParProc) AppendReached(dst []int32) []int32 {

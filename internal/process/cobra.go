@@ -27,10 +27,10 @@ import (
 // C_{t+1} therefore builds into a fixed n-length buffer through a write
 // index rather than append.
 //
-// cobraProc consumes its generator exactly like the reference
-// implementation (core.Cobra): per active vertex one optional Rho
-// Bernoulli followed by one bounded draw per push, in active-set order.
-// The differential harness (internal/process/difftest) pins that
+// cobraProc consumes its generator exactly like the test-only reference
+// implementation: per active vertex one optional Rho Bernoulli followed by
+// one bounded draw per push, in active-set order. The differential harness
+// (internal/process/difftest) holds the reference and pins that
 // byte-identity; do not reorder draws.
 type cobraProc struct {
 	// g pins the source graph for the engine's lifetime: the CSR slices
@@ -205,6 +205,7 @@ func (p *cobraProc) Done() bool           { return p.reached == p.n }
 func (p *cobraProc) Round() int           { return p.round }
 func (p *cobraProc) ReachedCount() int    { return p.reached }
 func (p *cobraProc) Transmissions() int64 { return p.sent }
+func (p *cobraProc) Reached(v int32) bool { return p.visited.test(v) }
 
 // AppendReached appends the visited set in ascending vertex order.
 func (p *cobraProc) AppendReached(dst []int32) []int32 {

@@ -242,6 +242,7 @@ func (p *cobraParProc) Done() bool           { return p.reached == p.n }
 func (p *cobraParProc) Round() int           { return p.round }
 func (p *cobraParProc) ReachedCount() int    { return p.reached }
 func (p *cobraParProc) Transmissions() int64 { return p.sent }
+func (p *cobraParProc) Reached(v int32) bool { return p.visited.test(v) }
 
 // AppendReached appends the visited set in ascending vertex order.
 func (p *cobraParProc) AppendReached(dst []int32) []int32 {

@@ -1,16 +1,15 @@
 // Package difftest pins the native cobra/bips engines of internal/process
-// to the reference implementations in internal/core.
+// to test-only reference implementations.
 //
 // The native engines (bitset frontiers over the CSR arrays, precomputed
-// bounded samplers) are performance rewrites of the stamp-array processes
-// in internal/core, under one hard contract: driven from identical RNG
-// streams they must be byte-identical to the reference — same reached
-// sets, same transmission counts, same per-round trajectories across
-// every sweep metric. This package holds both halves of that pin: the
-// reference engines re-adapted to the Process interface (the thin
-// adapters that used to *be* the production cobra/bips processes, demoted
-// here to test-only duty), and the lockstep harness that drives a native
-// and a reference engine from cloned generators and diffs everything
+// bounded samplers, branch-free loops) are performance rewrites of the
+// plain stamp-array processes in reference.go, under one hard contract:
+// driven from identical RNG streams they must be byte-identical to the
+// reference — same reached sets, same transmission counts, same
+// per-round trajectories across every sweep metric. This package holds
+// both halves of that pin: the reference engines, which no production
+// code constructs, and the lockstep harness that drives a native and a
+// reference engine from cloned generators and diffs everything
 // observable after every round.
 package difftest
 
@@ -19,139 +18,19 @@ import (
 	"fmt"
 	"slices"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 )
-
-// NewCoreCobra adapts core.Cobra — the reference COBRA implementation —
-// to the Process interface. This is the adapter that used to back the
-// "cobra" registry entry before the native engine landed.
-func NewCoreCobra(g *graph.Graph, cfg process.Config) (process.Process, error) {
-	br := cfg.Branching
-	if br == (process.Branching{}) {
-		br = process.DefaultBranching
-	}
-	c, err := core.NewCobra(g, core.WithBranching(br))
-	if err != nil {
-		return nil, err
-	}
-	return &coreCobra{c: c, g: g, obs: cfg.Observer}, nil
-}
-
-type coreCobra struct {
-	c        *core.Cobra
-	g        *graph.Graph
-	obs      process.RoundObserver
-	prevSent int64
-}
-
-func (p *coreCobra) Reset(starts ...int32) error {
-	p.prevSent = 0
-	return p.c.Reset(starts...)
-}
-
-func (p *coreCobra) Step(r *rng.Rand) {
-	p.c.Step(r)
-	if p.obs != nil {
-		sent := p.c.Transmissions()
-		p.obs(process.RoundStat{
-			Round:         p.c.Round(),
-			Active:        p.c.ActiveCount(),
-			Reached:       p.c.VisitedCount(),
-			Transmissions: sent - p.prevSent,
-		})
-		p.prevSent = sent
-	}
-}
-
-func (p *coreCobra) Done() bool           { return p.c.Covered() }
-func (p *coreCobra) Round() int           { return p.c.Round() }
-func (p *coreCobra) ReachedCount() int    { return p.c.VisitedCount() }
-func (p *coreCobra) Transmissions() int64 { return p.c.Transmissions() }
-
-// AppendReached appends the visited set in ascending vertex order.
-func (p *coreCobra) AppendReached(dst []int32) []int32 {
-	for v := int32(0); int(v) < p.g.N(); v++ {
-		if p.c.Visited(v) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
-// NewCoreBips adapts core.BIPS — the reference BIPS implementation — to
-// the Process interface. The first start vertex is the persistent source;
-// any further starts seed A_0.
-func NewCoreBips(g *graph.Graph, cfg process.Config) (process.Process, error) {
-	br := cfg.Branching
-	if br == (process.Branching{}) {
-		br = process.DefaultBranching
-	}
-	opts := []core.Option{core.WithBranching(br)}
-	if cfg.FastSampling {
-		opts = append(opts, core.WithFastSampling())
-	}
-	b, err := core.NewBIPS(g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &coreBips{b: b, g: g, obs: cfg.Observer}, nil
-}
-
-type coreBips struct {
-	b        *core.BIPS
-	g        *graph.Graph
-	obs      process.RoundObserver
-	prevSent int64
-}
-
-func (p *coreBips) Reset(starts ...int32) error {
-	if len(starts) == 0 {
-		return errors.New("difftest: empty start set")
-	}
-	p.prevSent = 0
-	return p.b.Reset(starts[0], starts[1:]...)
-}
-
-func (p *coreBips) Step(r *rng.Rand) {
-	p.b.Step(r)
-	if p.obs != nil {
-		sent := p.b.Transmissions()
-		p.obs(process.RoundStat{
-			Round:         p.b.Round(),
-			Active:        p.b.InfectedCount(),
-			Reached:       p.b.InfectedCount(),
-			Transmissions: sent - p.prevSent,
-		})
-		p.prevSent = sent
-	}
-}
-
-func (p *coreBips) Done() bool           { return p.b.FullyInfected() }
-func (p *coreBips) Round() int           { return p.b.Round() }
-func (p *coreBips) ReachedCount() int    { return p.b.InfectedCount() }
-func (p *coreBips) Transmissions() int64 { return p.b.Transmissions() }
-
-// AppendReached appends A_t in ascending vertex order.
-func (p *coreBips) AppendReached(dst []int32) []int32 {
-	for v := int32(0); int(v) < p.g.N(); v++ {
-		if p.b.Infected(v) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
 
 // Reference returns the reference-implementation factory for a native
 // process name, or nil if the name has no reference twin.
 func Reference(name string) process.Factory {
 	switch name {
 	case process.Cobra:
-		return NewCoreCobra
+		return NewReferenceCobra
 	case process.BIPS:
-		return NewCoreBips
+		return NewReferenceBips
 	default:
 		return nil
 	}
@@ -170,13 +49,21 @@ func (m *Mismatch) Error() string {
 	return fmt.Sprintf("difftest: round %d: %s: native %s != reference %s", m.Round, m.Field, m.Got, m.Want)
 }
 
+// pastDone is how many rounds Lockstep keeps stepping after the
+// reference reports Done. Callers step engines past completion — the
+// duality and Lemma 2 estimators run bips to a fixed horizon after full
+// infection — so the post-Done dynamics are pinned too.
+const pastDone = 3
+
 // Lockstep drives a native and a reference engine from identically seeded
 // generators and compares everything observable after every round: Round,
 // Done, ReachedCount, Transmissions, the RoundStat streams delivered to
 // the observers, the generators' own states (a consumption skew that
 // happens not to change this round's outputs still fails), and — on Done
-// or the round cap — the full reached sets. It returns nil when the
-// engines were byte-identical for the whole run, or the first divergence.
+// or the round cap — the full reached sets, through both AppendReached
+// and Reached. A run that reaches Done continues pastDone more rounds,
+// each compared in full. It returns nil when the engines were
+// byte-identical for the whole run, or the first divergence.
 //
 // Both engines are constructed fresh from their factories so the harness
 // also covers construction-time defaults, and each is driven twice from
@@ -220,8 +107,23 @@ func Lockstep(g *graph.Graph, cfg process.Config, native, reference process.Fact
 				return err
 			}
 		}
-		if err := compareReached(nat, ref); err != nil {
+		if err := compareReached(g.N(), nat, ref); err != nil {
 			return err
+		}
+		if !ref.Done() {
+			continue // stopped by the round cap
+		}
+		// Step a fixed count past Done, not while Done: bips may drop out
+		// of full infection and back.
+		for i := 0; i < pastDone; i++ {
+			nat.Step(natRNG)
+			ref.Step(refRNG)
+			if err := compareRound(nat, ref, natStats, refStats, natRNG, refRNG); err != nil {
+				return err
+			}
+			if err := compareReached(g.N(), nat, ref); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -280,7 +182,7 @@ func LockstepWorkers(g *graph.Graph, cfg process.Config, factory process.Factory
 			if err := compareRound(pb, pa, bStats, aStats, bRNG, aRNG); err != nil {
 				return err
 			}
-			if err := compareReached(pb, pa); err != nil {
+			if err := compareReached(g.N(), pb, pa); err != nil {
 				return err
 			}
 		}
@@ -319,8 +221,10 @@ func compareRound(nat, ref process.Process, natStats, refStats []process.RoundSt
 	return nil
 }
 
-// compareReached diffs the engines' full reached sets.
-func compareReached(nat, ref process.Process) error {
+// compareReached diffs the engines' full reached sets, and checks each
+// engine's Reached membership test against its own AppendReached over all
+// n vertices.
+func compareReached(n int, nat, ref process.Process) error {
 	natR, okN := nat.(process.Reacher)
 	refR, okR := ref.(process.Reacher)
 	if !okN || !okR {
@@ -332,6 +236,32 @@ func compareReached(nat, ref process.Process) error {
 		return &Mismatch{ref.Round(), "reached set",
 			fmt.Sprintf("%d vertices %v…", len(want), head(want)),
 			fmt.Sprintf("%d vertices %v…", len(got), head(got))}
+	}
+	for _, side := range []struct {
+		name string
+		r    process.Reacher
+	}{{"native", natR}, {"reference", refR}} {
+		if err := checkReached(ref.Round(), side.name, n, side.r, want); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkReached compares r.Reached(v) with membership in set (ascending,
+// the engines' common AppendReached) for every vertex v < n. The Mismatch
+// it reports carries the set membership as Want and Reached(v) as Got.
+func checkReached(round int, side string, n int, r process.Reacher, set []int32) error {
+	i := 0
+	for v := int32(0); int(v) < n; v++ {
+		in := i < len(set) && set[i] == v
+		if in {
+			i++
+		}
+		if got := r.Reached(v); got != in {
+			return &Mismatch{round, fmt.Sprintf("%s Reached(%d) vs AppendReached", side, v),
+				fmt.Sprint(in), fmt.Sprint(got)}
+		}
 	}
 	return nil
 }

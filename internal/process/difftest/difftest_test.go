@@ -3,6 +3,7 @@ package difftest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"cobrawalk/internal/graph"
@@ -46,9 +47,10 @@ var branchings = []process.Branching{
 	{K: 2, Rho: 0.25},
 }
 
-// TestLockstepCobra pins native cobra to core.Cobra across the grid:
-// byte-identical rounds, reached sets, transmissions, trajectories and
-// generator states from identical seeds, including a Reset rerun.
+// TestLockstepCobra pins native cobra to the reference COBRA across the
+// grid: byte-identical rounds, reached sets, transmissions, trajectories
+// and generator states from identical seeds, including a Reset rerun and
+// rounds past Done.
 func TestLockstepCobra(t *testing.T) {
 	for _, g := range gridGraphs(t) {
 		for _, br := range branchings {
@@ -57,12 +59,12 @@ func TestLockstepCobra(t *testing.T) {
 				t.Parallel()
 				cfg := process.Config{Branching: br}
 				seed := uint64(len(g.Name())) + uint64(br.K)<<8
-				if err := Lockstep(g, cfg, nativeFactory(t, process.Cobra), NewCoreCobra, seed, 1<<14, 0); err != nil {
+				if err := Lockstep(g, cfg, nativeFactory(t, process.Cobra), NewReferenceCobra, seed, 1<<14, 0); err != nil {
 					t.Fatal(err)
 				}
 				// Multi-vertex start sets exercise Reset dedup too.
 				starts := []int32{0, int32(g.N() / 2), 0}
-				if err := Lockstep(g, cfg, nativeFactory(t, process.Cobra), NewCoreCobra, seed+1, 1<<14, starts...); err != nil {
+				if err := Lockstep(g, cfg, nativeFactory(t, process.Cobra), NewReferenceCobra, seed+1, 1<<14, starts...); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -70,8 +72,8 @@ func TestLockstepCobra(t *testing.T) {
 	}
 }
 
-// TestLockstepBips pins native bips to core.BIPS across the grid, on both
-// the exact-sampling and the closed-form fast path.
+// TestLockstepBips pins native bips to the reference BIPS across the
+// grid, on both the exact-sampling and the closed-form fast path.
 func TestLockstepBips(t *testing.T) {
 	for _, g := range gridGraphs(t) {
 		for _, br := range branchings {
@@ -82,11 +84,11 @@ func TestLockstepBips(t *testing.T) {
 					t.Parallel()
 					cfg := process.Config{Branching: br, FastSampling: fast}
 					seed := uint64(len(g.Name())) + uint64(br.K)<<8 + 7
-					if err := Lockstep(g, cfg, nativeFactory(t, process.BIPS), NewCoreBips, seed, 1<<14, 0); err != nil {
+					if err := Lockstep(g, cfg, nativeFactory(t, process.BIPS), NewReferenceBips, seed, 1<<14, 0); err != nil {
 						t.Fatal(err)
 					}
 					starts := []int32{1, int32(g.N() - 1)}
-					if err := Lockstep(g, cfg, nativeFactory(t, process.BIPS), NewCoreBips, seed+1, 1<<14, starts...); err != nil {
+					if err := Lockstep(g, cfg, nativeFactory(t, process.BIPS), NewReferenceBips, seed+1, 1<<14, starts...); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -118,10 +120,80 @@ func TestLockstepHasTeeth(t *testing.T) {
 		cfg.Branching = process.Branching{K: 3}
 		return nativeFactory(t, process.Cobra)(g, cfg)
 	}
-	err = Lockstep(g, process.Config{Branching: process.Branching{K: 2}}, skewed, NewCoreCobra, 11, 1<<14, 0)
+	err = Lockstep(g, process.Config{Branching: process.Branching{K: 2}}, skewed, NewReferenceCobra, 11, 1<<14, 0)
 	var mm *Mismatch
 	if !errors.As(err, &mm) {
 		t.Fatalf("skewed engine passed the lockstep harness: %v", err)
+	}
+}
+
+// reacherProcess is an engine with the process.Reacher extension.
+type reacherProcess interface {
+	process.Process
+	process.Reacher
+}
+
+// lyingReached misreports membership of one vertex through Reached while
+// every count and AppendReached stay truthful.
+type lyingReached struct{ reacherProcess }
+
+func (l lyingReached) Reached(v int32) bool {
+	return l.reacherProcess.Reached(v) != (v == 7)
+}
+
+// frozenAtDone stops stepping once Done — a plausible shortcut that
+// breaks callers which step to a fixed horizon past full infection.
+type frozenAtDone struct{ reacherProcess }
+
+func (f frozenAtDone) Step(r *rng.Rand) {
+	if !f.Done() {
+		f.reacherProcess.Step(r)
+	}
+}
+
+// TestLockstepCheckHasTeeth proves the harness's Reached and past-Done
+// checks bite: wrapped native engines that break either one must fail
+// with a *Mismatch.
+func TestLockstepCheckHasTeeth(t *testing.T) {
+	g, err := graph.RandomRegularConnected(128, 4, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ref  process.Factory
+		wrap func(reacherProcess) process.Process
+	}{
+		{process.Cobra, NewReferenceCobra, func(p reacherProcess) process.Process { return lyingReached{p} }},
+		{process.BIPS, NewReferenceBips, func(p reacherProcess) process.Process { return lyingReached{p} }},
+		{process.BIPS, NewReferenceBips, func(p reacherProcess) process.Process { return frozenAtDone{p} }},
+	} {
+		broken := func(g *graph.Graph, cfg process.Config) (process.Process, error) {
+			p, err := nativeFactory(t, tc.name)(g, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return tc.wrap(p.(reacherProcess)), nil
+		}
+		err := Lockstep(g, process.Config{}, broken, tc.ref, 11, 1<<14, 0)
+		var mm *Mismatch
+		if !errors.As(err, &mm) {
+			t.Fatalf("%s: broken engine passed the lockstep harness: %v", tc.name, err)
+		}
+	}
+}
+
+// TestReferenceMissProbMatchesPow checks the reference's multiplied-out
+// exponents against math.Pow.
+func TestReferenceMissProbMatchesPow(t *testing.T) {
+	for k := 1; k <= 7; k++ {
+		for _, p := range []float64{0, 0.1, 0.25, 0.5, 0.9, 1} {
+			got := missProb(p, k)
+			want := math.Pow(1-p, float64(k))
+			if math.Abs(got-want) > 1e-12 {
+				t.Fatalf("missProb(%v, %d) = %v, want %v", p, k, got, want)
+			}
+		}
 	}
 }
 

@@ -18,18 +18,9 @@ import (
 	"fmt"
 	"runtime"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/rng"
 )
-
-// Branching is the branching factor shared with internal/core: K
-// contacts per round plus one more with probability Rho. For kwalk, K is
-// the walker count and Rho must be zero.
-type Branching = core.Branching
-
-// DefaultBranching is the paper's canonical k = 2 branching factor.
-var DefaultBranching = core.DefaultBranching
 
 // Process is one reusable spreading process bound to a fixed graph.
 // Construct via a registry Factory (or the concrete constructors), then
@@ -81,11 +72,14 @@ type Config struct {
 	// Branching configures branched processes: K pushes (cobra), K
 	// neighbour samples (bips) or K walkers (kwalk), plus Rho where the
 	// process supports fractional branching. The zero value means
-	// core.DefaultBranching (the paper's k = 2). Unbranched processes
-	// ignore it.
+	// DefaultBranching (the paper's k = 2). Unbranched processes ignore
+	// it.
 	Branching Branching
-	// FastSampling switches bips to the closed-form Bernoulli sampling
-	// path (core.WithFastSampling). Ignored by every other process.
+	// FastSampling switches bips (and bips-par) to the closed-form
+	// Bernoulli sampling path: each candidate u is infected with its
+	// exact probability 1-(1-d_A(u)/d(u))^K·(1-Rho·d_A(u)/d(u)) instead
+	// of drawing the K individual neighbour samples. The two paths are
+	// identical in distribution. Ignored by every other process.
 	FastSampling bool
 	// Observer, when non-nil, receives a RoundStat after every Step.
 	Observer RoundObserver
@@ -212,12 +206,17 @@ func checkStartsN(n int, starts []int32) error {
 	return nil
 }
 
-// Reacher is the optional Process extension the differential test harness
-// keys on: engines that can enumerate their reached set implement it,
-// returning the vertices in ascending id order. The native cobra/bips
-// engines and the difftest reference adapters all do.
+// Reacher is the optional Process extension for engines that expose their
+// reached set: cobra, bips, cobra-par, bips-par and the difftest reference
+// engines implement it. The differential test harness diffs reached sets
+// through it, and the duality estimator reads single-vertex membership.
 type Reacher interface {
+	// AppendReached appends the reached vertices to dst in ascending id
+	// order and returns the extended slice.
 	AppendReached(dst []int32) []int32
+	// Reached reports whether v is currently reached: visited for
+	// cobra, v ∈ A_t for bips.
+	Reached(v int32) bool
 }
 
 // stampSet is an O(1)-clear membership set over vertex ids: v is a

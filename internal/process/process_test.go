@@ -2,11 +2,11 @@ package process
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/rng"
 )
@@ -126,6 +126,220 @@ func TestFloodRoundsEqualEccentricity(t *testing.T) {
 					g.Name(), s, res.Rounds, res.Done, want)
 			}
 		}
+	}
+}
+
+// TestPushLogarithmicOnComplete: push on K_n informs everyone in
+// ≈ log2(n) + ln(n) rounds (Frieze–Grimmett); for n = 512 that is
+// ≈ 15.2, checked within a generous band.
+func TestPushLogarithmicOnComplete(t *testing.T) {
+	p, err := New(Push, mk(t)(graph.Complete(512)), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(4)
+	const trials = 40
+	sum := 0.0
+	for i := 0; i < trials; i++ {
+		res, err := Run(p, r, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Done {
+			t.Fatal("push failed to cover")
+		}
+		sum += float64(res.Rounds)
+	}
+	mean := sum / trials
+	if want := math.Log2(512) + math.Log(512); mean < want-4 || mean > want+6 {
+		t.Fatalf("push mean rounds %.2f, theory ≈ %.2f", mean, want)
+	}
+}
+
+// TestPushPullFasterOrEqualToPush: push-pull does everything push does
+// plus pulls, so it is no slower on average.
+func TestPushPullFasterOrEqualToPush(t *testing.T) {
+	g := expander(t, 256, 3)
+	meanOf := func(name string) float64 {
+		p, err := New(name, g, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(6)
+		const trials = 30
+		sum := 0.0
+		for i := 0; i < trials; i++ {
+			res, err := Run(p, r, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Done {
+				t.Fatalf("%s did not cover", name)
+			}
+			sum += float64(res.Rounds)
+		}
+		return sum / trials
+	}
+	if push, pushPull := meanOf(Push), meanOf(PushPull); pushPull > push+1 {
+		t.Fatalf("push-pull (%.2f rounds) slower than push (%.2f)", pushPull, push)
+	}
+}
+
+// kwalkMeanCover is the mean cover time of k independent walks from
+// vertex 0 on g over trials runs.
+func kwalkMeanCover(t *testing.T, g *graph.Graph, k, trials int, seed uint64) float64 {
+	t.Helper()
+	p, err := New(KWalk, g, Config{Branching: Branching{K: k}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(seed)
+	sum := 0.0
+	for i := 0; i < trials; i++ {
+		res, err := Run(p, r, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Done {
+			t.Fatalf("%d walks did not cover %s", k, g.Name())
+		}
+		sum += float64(res.Rounds)
+	}
+	return sum / float64(trials)
+}
+
+// TestRandomWalkCoverCycleQuadratic: a single walk covers C_n in
+// n(n-1)/2 rounds in expectation — 276 for n = 24.
+func TestRandomWalkCoverCycleQuadratic(t *testing.T) {
+	mean := kwalkMeanCover(t, mk(t)(graph.Cycle(24)), 1, 60, 7)
+	if want := 24.0 * 23 / 2; math.Abs(mean-want)/want > 0.25 {
+		t.Fatalf("C24 walk cover mean %.1f, theory %.1f", mean, want)
+	}
+}
+
+// TestMultiWalkSpeedup: eight walks cover a cycle at least twice as fast
+// (in rounds) as one.
+func TestMultiWalkSpeedup(t *testing.T) {
+	g := mk(t)(graph.Cycle(20))
+	one, eight := kwalkMeanCover(t, g, 1, 40, 8), kwalkMeanCover(t, g, 8, 40, 8)
+	if eight > one/2 {
+		t.Fatalf("8 walks (%.1f rounds) show no meaningful speedup over 1 (%.1f)", eight, one)
+	}
+}
+
+// TestTransmissionAccounting: push sends one message per informed vertex
+// per round, flooding Σ deg(informed) — on K4 from one vertex, 1 and 3
+// in round one, and flooding covers K4 in that round.
+func TestTransmissionAccounting(t *testing.T) {
+	g := mk(t)(graph.Complete(4))
+	for _, tc := range []struct {
+		name string
+		sent int64
+	}{{Push, 1}, {Flood, 3}} {
+		p, err := New(tc.name, g, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(p, rng.New(10), 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Transmissions != tc.sent {
+			t.Fatalf("%s round-1 transmissions = %d, want %d", tc.name, res.Transmissions, tc.sent)
+		}
+		if tc.name == Flood && !res.Done {
+			t.Fatal("flood should cover K4 in one round")
+		}
+	}
+}
+
+// TestMaxRoundsCap: a run that cannot finish within the cap stops there
+// and reports not done — for every registered process, on a long cycle.
+func TestMaxRoundsCap(t *testing.T) {
+	g := mk(t)(graph.Cycle(1000))
+	for _, info := range All() {
+		t.Run(info.Name, func(t *testing.T) {
+			p, err := info.New(g, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(p, rng.New(7), 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Done || res.Rounds != 2 {
+				t.Fatalf("capped run reported %+v, want 2 rounds, not done", res)
+			}
+		})
+	}
+}
+
+// baselines are the comparison protocols as registry configurations:
+// push, push-pull, flooding, one random walk and four independent walks.
+var baselines = []struct {
+	name, proc string
+	cfg        Config
+}{
+	{"push", Push, Config{}},
+	{"push-pull", PushPull, Config{}},
+	{"flood", Flood, Config{}},
+	{"random-walk", KWalk, Config{Branching: Branching{K: 1}}},
+	{"4-walks", KWalk, Config{Branching: Branching{K: 4}}},
+}
+
+// TestValidation: every baseline rejects a nil graph and a graph with an
+// isolated vertex, and Run fails from an empty, negative or out-of-range
+// start set.
+func TestValidation(t *testing.T) {
+	g := mk(t)(graph.Complete(5))
+	iso := mk(t)(graph.FromEdges("iso", 3, [][2]int32{{0, 1}}))
+	r := rng.New(1)
+	for _, b := range baselines {
+		t.Run(b.name, func(t *testing.T) {
+			if _, err := New(b.proc, nil, b.cfg); err == nil {
+				t.Fatal("nil graph should fail")
+			}
+			if _, err := New(b.proc, iso, b.cfg); err == nil {
+				t.Fatal("isolated vertex should fail")
+			}
+			p, err := New(b.proc, g, b.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, starts := range [][]int32{nil, {-1}, {5}, {0, 5}} {
+				if _, err := Run(p, r, 0, starts...); err == nil {
+					t.Fatalf("Run from %v should fail", starts)
+				}
+			}
+		})
+	}
+}
+
+// TestAllProtocolsCoverCompleteGraph: every baseline informs K32 from
+// one vertex; flooding does so in exactly one round.
+func TestAllProtocolsCoverCompleteGraph(t *testing.T) {
+	g := mk(t)(graph.Complete(32))
+	r := rng.New(2)
+	for _, b := range baselines {
+		t.Run(b.name, func(t *testing.T) {
+			p, err := New(b.proc, g, b.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(p, r, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Done || p.ReachedCount() != g.N() {
+				t.Fatalf("did not cover K32: %+v, reached %d", res, p.ReachedCount())
+			}
+			if res.Rounds < 1 || res.Transmissions < int64(g.N()-1) {
+				t.Fatalf("degenerate result %+v", res)
+			}
+			if b.proc == Flood && res.Rounds != 1 {
+				t.Fatalf("flood took %d rounds on K32, want 1", res.Rounds)
+			}
+		})
 	}
 }
 
@@ -317,12 +531,12 @@ func TestZeroAllocTrials(t *testing.T) {
 	}
 }
 
-// TestBranchingFlowsThrough pins that Config.Branching reaches the core
-// processes: cobra k=1 sends exactly one message per active vertex per
+// TestBranchingFlowsThrough pins that Config.Branching reaches the
+// engines: cobra k=1 sends exactly one message per active vertex per
 // round.
 func TestBranchingFlowsThrough(t *testing.T) {
 	g := mk(t)(graph.Complete(16))
-	p, err := New(Cobra, g, Config{Branching: core.Branching{K: 1}})
+	p, err := New(Cobra, g, Config{Branching: Branching{K: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

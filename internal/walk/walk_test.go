@@ -4,9 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"cobrawalk/internal/baseline"
-	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 )
 
@@ -132,22 +131,26 @@ func TestHittingTimesMatchSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.NewCobra(g, core.WithK(1))
+	c, err := process.New(process.Cobra, g, process.Config{Branching: process.Branching{K: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	visited := c.(process.Reacher)
 	r := rng.New(3)
 	const trials = 3000
 	const start = 7
 	sum, sumSq := 0.0, 0.0
 	for i := 0; i < trials; i++ {
-		hit, err := c.RunUntilHit(start, 0, r)
-		if err != nil {
+		if err := c.Reset(start); err != nil {
 			t.Fatal(err)
 		}
-		if hit < 0 {
-			t.Fatal("capped hit")
+		for !visited.Reached(0) {
+			if c.Round() >= 1<<20 {
+				t.Fatal("capped hit")
+			}
+			c.Step(r)
 		}
+		hit := c.Round()
 		sum += float64(hit)
 		sumSq += float64(hit) * float64(hit)
 	}
@@ -202,11 +205,15 @@ func TestMatthewsBoundsSandwichSimulatedCover(t *testing.T) {
 		if lo > hi {
 			t.Fatalf("%s: bounds inverted: %v > %v", g.Name(), lo, hi)
 		}
+		w, err := process.New(process.KWalk, g, process.Config{Branching: process.Branching{K: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		const trials = 400
 		sum := 0.0
 		for i := 0; i < trials; i++ {
-			res, err := baseline.RandomWalkCover(g, 0, baseline.Config{}, r)
-			if err != nil || !res.Covered {
+			res, err := process.Run(w, r, 0, 0)
+			if err != nil || !res.Done {
 				t.Fatalf("%s: walk failed: %v", g.Name(), err)
 			}
 			sum += float64(res.Rounds)
@@ -234,7 +241,7 @@ func TestMatthewsBoundsValidation(t *testing.T) {
 func TestCobraK1MeanCoverMatchesWalkTheory(t *testing.T) {
 	n := 16
 	g := mk(t)(graph.Cycle(n))
-	c, err := core.NewCobra(g, core.WithK(1))
+	c, err := process.New(process.Cobra, g, process.Config{Branching: process.Branching{K: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +249,11 @@ func TestCobraK1MeanCoverMatchesWalkTheory(t *testing.T) {
 	const trials = 600
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		res, err := c.Run(0, r)
-		if err != nil || !res.Covered {
+		res, err := process.Run(c, r, 0, 0)
+		if err != nil || !res.Done {
 			t.Fatal("run failed")
 		}
-		sum += float64(res.CoverTime)
+		sum += float64(res.Rounds)
 	}
 	mean := sum / trials
 	want := float64(n*(n-1)) / 2

@@ -8,7 +8,7 @@ import (
 	"cobrawalk/internal/rng"
 )
 
-// BenchmarkReferenceStep measures the internal/core reference engines
+// BenchmarkReferenceStep measures the difftest reference engines
 // through the same harness as BenchmarkProcessStep (same graph, same
 // collector, same trial shape), so the native-vs-reference speedup can
 // be read off one benchmark run instead of reconstructed from git
