@@ -507,13 +507,13 @@ func BenchmarkRandomRegularGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleBaseline is ROADMAP open item 1's n = 10^7 expander
-// baseline: one full collected trial per op for the native cobra and
-// bips engines on a 10^7-vertex random-regular graph of degree 8 —
-// the scale the paper's O(log n) cover-time results become compelling
-// at. Building that graph takes minutes and the CSR alone is ~400 MB,
-// so the benchmark is opt-in: set COBRAWALK_SCALE_BENCH=1 to run it.
-// The committed record lives in BENCH_scale.json.
+// BenchmarkScaleBaseline is the n = 10^7 expander baseline: one full
+// collected trial per op for the cobra and bips engines (at the default
+// single kernel worker) on a 10^7-vertex random-regular graph of degree
+// 8 — the scale the paper's O(log n) cover-time results become
+// compelling at. Building that graph takes minutes and the CSR alone is
+// ~400 MB, so the benchmark is opt-in: set COBRAWALK_SCALE_BENCH=1 to
+// run it. The committed record lives in BENCH_scale.json.
 func BenchmarkScaleBaseline(b *testing.B) {
 	if os.Getenv("COBRAWALK_SCALE_BENCH") == "" {
 		b.Skip("set COBRAWALK_SCALE_BENCH=1 to run the n=10^7 baseline")
@@ -551,16 +551,14 @@ func BenchmarkScaleBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleParallel measures the parallel round kernel at the
-// baseline's n = 10^7 scale: one full collected trial per op for
-// cobra-par and bips-par, each at kernel worker counts 1 and
-// GOMAXPROCS. The w1 and wN results are byte-identical by the kernel's
-// determinism contract (pinned in internal/process/difftest), so the
-// ratio between them is pure kernel speedup with zero semantic risk;
-// on a single-core runner the two collapse to the same number and the
-// interesting figure is w1 vs the sequential baseline — the price of
-// the staging+merge structure. Opt-in via COBRAWALK_SCALE_BENCH=1 like
-// the baseline; the committed record lives in BENCH_scale.json.
+// BenchmarkScaleParallel measures the round kernel at the baseline's
+// n = 10^7 scale: one full collected trial per op for cobra and bips,
+// each at kernel worker counts 1 and GOMAXPROCS. The w1 and wN results
+// are byte-identical by the kernel's determinism contract (pinned in
+// internal/process/difftest), so the ratio between them is pure kernel
+// speedup with zero semantic risk; on a single-core runner only w1
+// runs. Opt-in via COBRAWALK_SCALE_BENCH=1 like the baseline; the
+// committed record lives in BENCH_scale.json.
 func BenchmarkScaleParallel(b *testing.B) {
 	if os.Getenv("COBRAWALK_SCALE_BENCH") == "" {
 		b.Skip("set COBRAWALK_SCALE_BENCH=1 to run the n=10^7 parallel-kernel benchmark")
@@ -571,7 +569,7 @@ func BenchmarkScaleParallel(b *testing.B) {
 	if workerCounts[1] == 1 {
 		workerCounts = workerCounts[:1]
 	}
-	for _, name := range []string{process.CobraPar, process.BIPSPar} {
+	for _, name := range []string{process.Cobra, process.BIPS} {
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("%s/w%d", name, w), func(b *testing.B) {
 				col := process.NewCollector(g.N())

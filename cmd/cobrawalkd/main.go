@@ -79,7 +79,7 @@ func run(args []string, out, errw io.Writer) error {
 		maxJobs   = fs.Int("max-jobs", 2, "jobs running concurrently")
 		pointWrk  = fs.Int("point-workers", 1, "points run concurrently within a job")
 		workers   = fs.Int("workers", 0, "trial worker goroutines per point (0 = GOMAXPROCS)")
-		kernelWrk = fs.Int("kernel-workers", 0, "intra-trial kernel workers for cobra-par/bips-par trials (0 = fill the per-job CPU budget left by -workers)")
+		kernelWrk = fs.Int("kernel-workers", 0, "intra-trial kernel workers for cobra/bips trials (0 = fill the per-job CPU budget left by -workers)")
 		cacheCap  = fs.Int("graph-cache", 0, "graph cache vertex budget (0 = default)")
 		graphDir  = fs.String("graph-dir", "", "graph store directory: cache misses mmap .csrg files from here and built graphs spill back (see cmd/graphbuild)")
 		madvise   = fs.String("graph-madvise", "", "madvise hints for -graph-dir mmaps: comma-separated willneed,hugepage, or off")

@@ -71,14 +71,14 @@ func run(args []string, out, errw io.Writer) error {
 		branchings = fs.String("branchings", "", "comma-separated branchings, each K or K+RHO (default 2)")
 		metrics    = fs.String("metrics", "", "comma-separated metrics (see -list-metrics; default rounds,transmissions)")
 		trials     = fs.Int("trials", 30, "trials per point")
-		seed       = fs.Uint64("seed", 1, "sweep master seed")
+		seed       = fs.Uint64("seed", 0, "sweep master seed (0, like a -spec file or daemon job that omits seed)")
 		maxRounds  = fs.Int("max-rounds", 0, "per-trial round cap (0 = default)")
 		lambda     = fs.Bool("lambda", false, "measure λ_max of every point's graph")
 
 		outDir    = fs.String("out", "", "artifact directory (manifest + per-point records + results.ndjson)")
 		resume    = fs.Bool("resume", false, "skip points whose records already exist in -out")
 		workers   = fs.Int("workers", 0, "trial worker goroutines per point (0 = GOMAXPROCS)")
-		kernelWrk = fs.Int("kernel-workers", 0, "intra-trial kernel workers for cobra-par/bips-par trials (0 = fill the CPU budget left by -workers)")
+		kernelWrk = fs.Int("kernel-workers", 0, "intra-trial kernel workers for cobra/bips trials (0 = fill the CPU budget left by -workers)")
 		pointWrk  = fs.Int("point-workers", 1, "points run concurrently")
 		cacheCap  = fs.Int("graph-cache", 0, "graph cache vertex budget (0 = default, negative = disable)")
 		graphDir  = fs.String("graph-dir", "", "graph store directory: cache misses mmap .csrg files from here and built graphs spill back (see cmd/graphbuild)")

@@ -131,6 +131,43 @@ func TestSpecFileAndResume(t *testing.T) {
 	}
 }
 
+// TestDefaultSeedMatchesSpec pins one default master seed across entry
+// points: a flags run without -seed and a -spec run of the same sweep
+// whose JSON omits "seed" (as a daemon job may) print the same summary
+// and write byte-identical results.
+func TestDefaultSeedMatchesSpec(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "spec.json")
+	specJSON := `{"families":["rand-reg"],"sizes":[64],"degrees":[4],"processes":["cobra","bips"],"trials":5}`
+	if err := os.WriteFile(specPath, []byte(specJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	flagsDir, specDir := filepath.Join(dir, "flags"), filepath.Join(dir, "spec")
+	fromFlags, err := runQuiet(t, "-families", "rand-reg", "-sizes", "64", "-degrees", "4",
+		"-processes", "cobra,bips", "-trials", "5", "-format", "json", "-out", flagsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSpec, err := runQuiet(t, "-spec", specPath, "-format", "json", "-out", specDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromFlags != fromSpec {
+		t.Fatalf("flags run and seedless spec run differ:\n%s\nvs\n%s", fromFlags, fromSpec)
+	}
+	flagsResults, err := os.ReadFile(filepath.Join(flagsDir, "results.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specResults, err := os.ReadFile(filepath.Join(specDir, "results.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(flagsResults, specResults) {
+		t.Fatal("flags run and seedless spec run wrote different results.ndjson")
+	}
+}
+
 func TestVersionFlag(t *testing.T) {
 	out, err := runQuiet(t, "-version")
 	if err != nil {

@@ -172,9 +172,9 @@ var (
 var DefaultBranching = process.DefaultBranching
 
 // The unified process layer: every spreading process — cobra, bips,
-// push, push-pull, flood, kwalk, and the parallel-kernel variants
-// cobra-par and bips-par — is a reusable Process object behind
-// one interface, registered by name (see internal/process). Construct
+// push, push-pull, flood and kwalk — is a reusable Process object
+// behind one interface, registered by name (see internal/process);
+// cobra and bips run on the intra-trial round kernel. Construct
 // once per graph via NewProcess, then Reset/Step (or RunProcess) many
 // times; ensembles run without per-trial graph-sized allocations.
 type (

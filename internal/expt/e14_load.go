@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/sim"
 	"cobrawalk/internal/stats"
@@ -128,9 +129,11 @@ type cobraLoad struct {
 // cobraWithLoad runs one COBRA k=2 cover run from start, recording
 // per-vertex activations and deliveries. The registry cobra engine's
 // branch-free push loop carries no per-push hook, so this mirrors its
-// loop with counters. It draws exactly as the engine does: one bounded
-// draw per push, in active-set order, with C_{t+1} in first-push order.
-// A run past 2^18 rounds is an error.
+// loop with counters. It draws exactly as the engine does: one round
+// seed from r per round, then the active set in process.KernelChunk
+// blocks, block c drawing one bounded draw per push from stream
+// (roundSeed, c), with C_{t+1} in first-push order. A run past 2^18
+// rounds is an error.
 func cobraWithLoad(g *graph.Graph, start int32, r *rng.Rand) (cobraLoad, error) {
 	n := g.N()
 	out := cobraLoad{activations: make([]int64, n), deliveries: make([]int64, n)}
@@ -140,16 +143,21 @@ func cobraWithLoad(g *graph.Graph, start int32, r *rng.Rand) (cobraLoad, error) 
 	count := 1
 	cur := []int32{start}
 	var next []int32
+	cr := rng.New(0) // the chunk generator, reseeded per block
 	for count < n {
 		if out.rounds >= 1<<18 {
 			return cobraLoad{}, fmt.Errorf("uncovered run")
 		}
 		next = next[:0]
-		for _, v := range cur {
+		roundSeed := r.Uint64()
+		for j, v := range cur {
+			if j%process.KernelChunk == 0 {
+				cr.ReseedStream(roundSeed, uint64(j/process.KernelChunk))
+			}
 			out.activations[v]++
 			deg := g.Degree(v)
 			for i := 0; i < 2; i++ {
-				u := g.Neighbor(v, r.Intn(deg))
+				u := g.Neighbor(v, cr.Intn(deg))
 				out.transmissions++
 				out.deliveries[u]++
 				if chosen[u] == out.rounds+1 {

@@ -323,8 +323,10 @@ func blankWallClock(t *testing.T, ndjson []byte) []byte {
 // TestCobraWithLoadMatchesRegistry pins E14's load-tracking COBRA loop to
 // the registry cobra engine: from the same seed it must finish in the
 // same round with the same transmissions and leave the generator in the
-// same state. The load counters must also add up: every push is
-// delivered somewhere, and every activation sends exactly k = 2.
+// same state. The 8192-vertex expander's rounds span several kernel
+// chunks, pinning the per-chunk stream layout. The load counters must
+// also add up: every push is delivered somewhere, and every activation
+// sends exactly k = 2.
 func TestCobraWithLoadMatchesRegistry(t *testing.T) {
 	r := rng.New(3)
 	var graphs []*graph.Graph
@@ -333,6 +335,7 @@ func TestCobraWithLoadMatchesRegistry(t *testing.T) {
 		func() (*graph.Graph, error) { return graph.RandomRegularConnected(128, 3, r) },
 		func() (*graph.Graph, error) { return graph.Complete(48) },
 		func() (*graph.Graph, error) { return graph.Barbell(8, 3) }, // irregular
+		func() (*graph.Graph, error) { return graph.RandomRegularConnected(8192, 8, r) },
 	} {
 		g, err := mk()
 		if err != nil {

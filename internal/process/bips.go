@@ -2,12 +2,13 @@ package process
 
 import (
 	"math"
+	"runtime"
 
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/rng"
 )
 
-// bipsProc is the native BIPS (biased infection with persistent source)
+// bipsProc is the BIPS (biased infection with persistent source)
 // engine: the first start vertex is the permanently infected source; at
 // every round each vertex with an infected neighbour samples K random
 // neighbours with replacement (plus one with probability Rho) and joins
@@ -18,27 +19,44 @@ import (
 // v ∈ A_t, `candB[v]` is 1 once v has been discovered as a candidate this
 // round. A byte map costs 8× the memory of a bitset (16 KB at n = 2^14 —
 // still L1-resident) but the per-arc update is a plain load/store pair
-// with no shift/mask arithmetic and, crucially, no read-modify-write of a
-// word shared by 64 vertices: with a 256-word bitset, consecutive arcs
-// hit the same word often enough that the OR chains serialize through
-// store-forwarding, and the candidate scan touches every arc of the
-// infected set. The hot loops are branchless — candidate discovery and
-// the hit test are folded into unconditional stores plus arithmetic index
-// advancement into fixed n+1-length buffers (see cobraProc for why: the
-// membership branches are data-dependent coin flips whose mispredicts
-// flush the pipeline and squash the out-of-order window hiding the random
-// row loads). infCount (d_A per candidate) is touched only on the
-// fast-sampling path.
+// with no read-modify-write of a word shared by 64 vertices: with a
+// bitset, consecutive arcs hit the same word often enough that the OR
+// chains serialize through store-forwarding, and the candidate scan
+// touches every arc of the infected set. The hot loops are branchless —
+// candidate discovery and the hit compaction are folded into
+// unconditional stores plus arithmetic index advancement into fixed
+// n+1-length buffers (see cobraProc for why). infCount (d_A per
+// candidate) is touched only on the fast-sampling path.
 //
-// The generator is consumed exactly like the test-only reference
-// implementation — candidates are discovered in infected-list order, and
-// per candidate the exact path draws an optional Rho Bernoulli then one
-// bounded draw per sample, while the fast path draws the optional Rho
-// Bernoulli then one Bernoulli against the closed-form infection
-// probability, computed with the identical float expression. The
-// differential harness (internal/process/difftest) holds the reference
-// and pins the byte-identity; do not reorder draws or refactor the
-// probability arithmetic.
+// A Step runs on the round kernel (kernel.go):
+//
+//  1. Seed: one Uint64 draw from the trial stream yields roundSeed.
+//  2. Collect (sequential, no RNG): Γ(A_t) minus the source, in
+//     infected-list discovery order. Collection is a duplicate-
+//     suppressing scan whose discovery order defines the candidate
+//     list, so it stays sequential.
+//  3. Evaluate (parallel): candidates are cut into KernelChunk-sized
+//     chunks. A worker claiming chunk c reseeds its private generator
+//     to NewStream(roundSeed, c) and fills the chunk's slice of the
+//     hit-flag buffer (disjoint ranges; infB, infCount and the CSR are
+//     read-only here), recording per-chunk transmission counts. Per
+//     candidate the exact path draws an optional Rho Bernoulli then one
+//     bounded draw per sample; the fast path draws the optional Rho
+//     Bernoulli then one Bernoulli against the closed-form infection
+//     probability.
+//  4. Compact (sequential): a branchless index bump over the hit flags
+//     builds A_{t+1}, then the member-wise cleanup runs.
+//
+// Chunk boundaries depend only on the candidate count and the chunk
+// streams only on (roundSeed, c), so results are byte-identical for
+// every worker count. The test-only reference engine
+// (internal/process/difftest) draws in the same layout with the
+// identical probability expression, and the lockstep harness pins the
+// two draw for draw; do not reorder draws or refactor the probability
+// arithmetic.
+//
+// Buffers are sized at construction and reused; steady-state Steps
+// perform zero allocations.
 type bipsProc struct {
 	// g pins the source graph: see cobraProc — the CSR slices alias it,
 	// and mmap-backed graphs unmap when the graph becomes unreachable.
@@ -54,16 +72,25 @@ type bipsProc struct {
 	fast bool
 	obs  RoundObserver
 
+	pool *kernelPool
+
 	source   int32
 	infB     []uint8 // infB[v] == 1 iff v ∈ A_t
 	candB    []uint8 // candB[v] == 1 iff v already discovered this round
 	infCount []int32
-	infBuf   []int32  // A_t, first infLen entries (+ sentinel slot)
-	nextBuf  []int32  // A_{t+1} under construction
-	candBuf  []int32  // Γ(A_t) minus the source, in discovery order
-	hitBuf   []uint8  // per-candidate hit flags for the two-pass tight loop
-	drawBuf  []uint64 // bulk-generated draws, one L1-sized chunk at a time
+	infBuf   []int32 // A_t, first infLen entries (+ sentinel slot)
+	nextBuf  []int32 // A_{t+1} under construction
+	candBuf  []int32 // Γ(A_t) minus the source, in discovery order
+	hitBuf   []uint8 // per-candidate hit flags; chunk c owns [c·KernelChunk, …)
 	infLen   int
+
+	// Per-round kernel state: the candidate count, the round seed (both
+	// frozen during the parallel phase), per-chunk transmission counts,
+	// and one bulk-draw buffer per worker for the pow2 fast loop.
+	nc        int
+	roundSeed uint64
+	sentC     []int64
+	drawBufs  [][]uint64
 
 	round int
 	sent  int64
@@ -87,12 +114,14 @@ func newBipsProc(g *graph.Graph, cfg Config) (Process, error) {
 		rho:       br.Rho,
 		fast:      cfg.FastSampling,
 		obs:       cfg.Observer,
+		pool:      newKernelPool(cfg.KernelWorkers),
 		infB:      make([]uint8, g.N()),
 		candB:     make([]uint8, g.N()),
 		infBuf:    make([]int32, g.N()+1),
 		nextBuf:   make([]int32, g.N()+1),
 		candBuf:   make([]int32, g.N()+1),
 		hitBuf:    make([]uint8, g.N()+1),
+		sentC:     make([]int64, chunksFor(g.N())),
 	}
 	if cfg.FastSampling {
 		p.infCount = make([]int32, g.N())
@@ -101,14 +130,20 @@ func newBipsProc(g *graph.Graph, cfg Config) (Process, error) {
 		p.reg = int32(reg)
 		p.samp = rng.NewBounded(uint64(reg))
 		if _, pow2 := p.samp.Mask(); pow2 && !p.fast {
-			// One L1-sized chunk of bulk draws for the tight loop; at
-			// least K so a block always holds one whole candidate.
+			// One L1-sized bulk-draw chunk per worker; at least K so a
+			// block always holds one whole candidate.
 			size := 2048
 			if p.k > size {
 				size = p.k
 			}
-			p.drawBuf = make([]uint64, size)
+			p.drawBufs = make([][]uint64, p.pool.workers())
+			for i := range p.drawBufs {
+				p.drawBufs[i] = make([]uint64, size)
+			}
 		}
+	}
+	if len(p.pool.start) > 0 {
+		runtime.AddCleanup(p, func(kp *kernelPool) { kp.stop() }, p.pool)
 	}
 	return p, nil
 }
@@ -133,28 +168,132 @@ func (p *bipsProc) Reset(starts ...int32) error {
 	return nil
 }
 
-// clearByteMembers zeroes the byte-map entries named by members, switching
-// to a whole-map memclr when the members would dirty a comparable number of
-// cache lines anyway: member-wise clearing is a random store per member,
-// memclr is a straight-line sweep.
-func clearByteMembers(b []uint8, members []int32) {
-	if len(members) >= len(b)>>3 {
-		clear(b)
-		return
+// runChunk evaluates candidate chunk `chunk` into its slice of the
+// hit-flag buffer. Shared state (infB, infCount, the CSR arrays, the
+// candidate list) is read-only during the parallel phase; the only
+// writes are hitBuf[chunk range] and sentC[chunk].
+func (p *bipsProc) runChunk(worker, chunk int) {
+	r := p.pool.rands[worker]
+	r.ReseedStream(p.roundSeed, uint64(chunk))
+	lo := chunk * KernelChunk
+	hi := lo + KernelChunk
+	if hi > p.nc {
+		hi = p.nc
 	}
-	for _, v := range members {
-		b[v] = 0
+	cands := p.candBuf[lo:hi]
+	hit := p.hitBuf[lo:hi]
+	nb := p.neighbors
+	offsets := p.offsets
+	k := p.k
+	rho := p.rho
+	var sent int64
+	switch {
+	case p.fast:
+		infCount := p.infCount
+		for i, u := range cands {
+			deg := offsets[u+1] - offsets[u]
+			pp := float64(infCount[u]) / float64(deg)
+			prob := 1 - missProb(pp, k)*(1-rho*pp)
+			sent += int64(k) // expected-equivalent accounting
+			if rho > 0 && r.Bernoulli(rho) {
+				sent++
+			}
+			var h uint8
+			if r.Bernoulli(prob) {
+				h = 1
+			}
+			hit[i] = h
+		}
+	case p.reg > 0 && rho == 0:
+		// Regular graph, integral branching: the tight loop. Every
+		// sample is drawn (no short-circuit on the first hit, so
+		// transmission counts reflect the protocol as defined) into a
+		// per-candidate hit flag; iterations carry no cross-iteration
+		// dependency, so the out-of-order core overlaps the random row
+		// loads across candidates. On the power-of-two degree path the
+		// draws are bulk-generated with FillUint64 into the worker's
+		// private L1-sized buffer — the candidate count fixes the draw
+		// count up front, so the chunked stream is identical to per-call
+		// draws, state included — and K = 2 (the paper's default
+		// branching) gets a fully unrolled body.
+		reg := int64(p.reg)
+		samp := p.samp
+		mask, pow2 := p.samp.Mask()
+		infB := p.infB
+		if pow2 {
+			draws := p.drawBufs[worker]
+			blockCands := len(draws) / k
+			for blo := 0; blo < len(cands); blo += blockCands {
+				bhi := blo + blockCands
+				if bhi > len(cands) {
+					bhi = len(cands)
+				}
+				block := cands[blo:bhi]
+				r.FillUint64(draws[:len(block)*k])
+				pos := 0
+				if k == 2 {
+					for bi, u := range block {
+						base := int64(u) * reg
+						w0 := nb[base+int64(draws[pos]&mask)]
+						w1 := nb[base+int64(draws[pos+1]&mask)]
+						pos += 2
+						hit[blo+bi] = infB[w0] | infB[w1]
+					}
+				} else {
+					for bi, u := range block {
+						base := int64(u) * reg
+						var hits uint8
+						for s := 0; s < k; s++ {
+							w := nb[base+int64(draws[pos]&mask)]
+							pos++
+							hits |= infB[w]
+						}
+						hit[blo+bi] = hits
+					}
+				}
+			}
+		} else {
+			for i, u := range cands {
+				base := int64(u) * reg
+				var hits uint8
+				for s := 0; s < k; s++ {
+					w := nb[base+int64(samp.Next(r))]
+					hits |= infB[w]
+				}
+				hit[i] = hits
+			}
+		}
+		sent = int64(k) * int64(len(cands))
+	default:
+		infB := p.infB
+		for i, u := range cands {
+			olo, ohi := offsets[u], offsets[u+1]
+			deg := uint64(ohi - olo)
+			samples := k
+			if rho > 0 && r.Bernoulli(rho) {
+				samples++
+			}
+			var hits uint8
+			for s := 0; s < samples; s++ {
+				sent++
+				w := nb[olo+int64(r.Uint64n(deg))]
+				hits |= infB[w]
+			}
+			hit[i] = hits
+		}
 	}
+	p.sentC[chunk] = sent
 }
 
 func (p *bipsProc) Step(r *rng.Rand) {
-	sentBefore := p.sent
-	// Collect candidates: the inclusive neighbourhood Γ(A_t), in
-	// infected-list discovery order (the order the RNG stream is spent
-	// in). The byte maps and CSR arrays are hoisted into locals throughout
-	// Step: stores through the maps could alias p, so without the hoist
-	// the compiler reloads each slice header from p on every arc. On the
-	// fast path, accumulate d_A(u) while scanning.
+	p.roundSeed = r.Uint64()
+	// Collect candidates: the neighbourhood Γ(A_t) in infected-list
+	// discovery order. No randomness is consumed, so collection order —
+	// and therefore the chunk grid — is worker-count-free. The byte maps
+	// and CSR arrays are hoisted into locals throughout Step: stores
+	// through the maps could alias p, so without the hoist the compiler
+	// reloads each slice header from p on every arc. On the fast path,
+	// accumulate d_A(u) while scanning.
 	cands := p.candBuf
 	candB := p.candB
 	nb := p.neighbors
@@ -163,9 +302,8 @@ func (p *bipsProc) Step(r *rng.Rand) {
 	nc := 0
 	// Pre-mark the source so it never enters the candidate list: the
 	// protocol skips it without consuming any draws, so excluding it here
-	// keeps the RNG stream identical while letting every evaluation loop
-	// below run with no per-candidate source test at all. The mark is
-	// undone after the round's cleanup.
+	// lets every evaluation loop run with no per-candidate source test at
+	// all. The mark is undone after the round's cleanup.
 	candB[p.source] = 1
 	if p.fast {
 		infCount := p.infCount
@@ -186,12 +324,13 @@ func (p *bipsProc) Step(r *rng.Rand) {
 		// unconditionally, advance on a fresh candidate byte. Once every
 		// non-source vertex is a candidate no row can contribute more, so
 		// dense rounds break out of the scan early (the check is per row,
-		// not per arc, and predicts perfectly until the exit).
-		// The row scan is unrolled two arcs per iteration (plus an odd
-		// tail): the per-arc work is four µops, so halving the loop
-		// control is a measurable slice of the round. A duplicate
-		// neighbour inside one pair is still counted once — the second
-		// byte load observes the first store.
+		// not per arc, and predicts perfectly until the exit). A load of
+		// the row eight infected vertices ahead, parked in the sentinel
+		// slot of hitBuf, prefetches it. The row scan is unrolled two
+		// arcs per iteration (plus an odd tail): the per-arc work is four
+		// µops, so halving the loop control is a measurable slice of the
+		// round. A duplicate neighbour inside one pair is still counted
+		// once — the second byte load observes the first store.
 		reg := int64(p.reg)
 		full := p.n - 1
 		pf := p.hitBuf
@@ -233,121 +372,28 @@ func (p *bipsProc) Step(r *rng.Rand) {
 		}
 	}
 	cands = cands[:nc]
+	p.nc = nc
+
+	// Evaluate in parallel, then compact sequentially.
+	numChunks := chunksFor(nc)
+	p.pool.dispatch(p, numChunks)
 
 	next := p.nextBuf
 	next[0] = p.source // the source is always infected
 	j := 1
-
-	k := p.k
-	rho := p.rho
-	if p.fast {
-		infCount := p.infCount
-		for _, u := range cands {
-			deg := offsets[u+1] - offsets[u]
-			pp := float64(infCount[u]) / float64(deg)
-			prob := 1 - missProb(pp, k)*(1-rho*pp)
-			p.sent += int64(k) // expected-equivalent accounting
-			if rho > 0 && r.Bernoulli(rho) {
-				p.sent++
-			}
-			if r.Bernoulli(prob) {
-				next[j] = u
-				j++
-			}
-		}
-	} else if p.reg > 0 && rho == 0 {
-		// Regular graph, integral branching: the tight loop, in two
-		// passes. Pass one draws every sample (no short-circuit on the
-		// first hit, so transmission counts reflect the protocol as
-		// defined) and records a per-candidate hit flag; its iterations
-		// carry no cross-iteration data dependency, so the out-of-order
-		// core overlaps the random row loads across candidates. On the
-		// power-of-two degree path the draws are bulk-generated with
-		// FillUint64 in L1-sized chunks — the candidate count fixes the
-		// draw count up front, so the chunked stream is identical to
-		// per-call draws, state included — and K = 2 (the paper's default
-		// branching) gets a fully unrolled body. Pass two compacts the
-		// hit candidates into A_{t+1} — a branchless index bump over
-		// L1-resident flags, keeping the serial part of the round off
-		// the load-latency chain.
-		reg := int64(p.reg)
-		samp := p.samp
-		mask, pow2 := p.samp.Mask()
-		infB := p.infB
-		hit := p.hitBuf
-		if pow2 {
-			draws := p.drawBuf
-			blockCands := len(draws) / k
-			for lo := 0; lo < len(cands); lo += blockCands {
-				hi := lo + blockCands
-				if hi > len(cands) {
-					hi = len(cands)
-				}
-				block := cands[lo:hi]
-				r.FillUint64(draws[:len(block)*k])
-				pos := 0
-				if k == 2 {
-					for bi, u := range block {
-						base := int64(u) * reg
-						w0 := nb[base+int64(draws[pos]&mask)]
-						w1 := nb[base+int64(draws[pos+1]&mask)]
-						pos += 2
-						hit[lo+bi] = infB[w0] | infB[w1]
-					}
-				} else {
-					for bi, u := range block {
-						base := int64(u) * reg
-						var hits uint8
-						for s := 0; s < k; s++ {
-							w := nb[base+int64(draws[pos]&mask)]
-							pos++
-							hits |= infB[w]
-						}
-						hit[lo+bi] = hits
-					}
-				}
-			}
-		} else {
-			for i, u := range cands {
-				base := int64(u) * reg
-				var hits uint8
-				for s := 0; s < k; s++ {
-					w := nb[base+int64(samp.Next(r))]
-					hits |= infB[w]
-				}
-				hit[i] = hits
-			}
-		}
-		for i, u := range cands {
-			next[j] = u
-			j += int(hit[i])
-		}
-		p.sent += int64(k) * int64(len(cands))
-	} else {
-		infB := p.infB
-		for _, u := range cands {
-			lo, hi := offsets[u], offsets[u+1]
-			deg := uint64(hi - lo)
-			samples := k
-			if rho > 0 && r.Bernoulli(rho) {
-				samples++
-			}
-			var hits uint8
-			for i := 0; i < samples; i++ {
-				p.sent++
-				w := nb[lo+int64(r.Uint64n(deg))]
-				hits |= infB[w]
-			}
-			if hits != 0 {
-				next[j] = u
-				j++
-			}
-		}
+	hit := p.hitBuf
+	for i, u := range cands {
+		next[j] = u
+		j += int(hit[i])
+	}
+	var sent int64
+	for c := 0; c < numChunks; c++ {
+		sent += p.sentC[c]
 	}
 
 	// Swap infected sets: clear the per-round candidate marks (including
-	// the source pre-mark) and the old membership marks (member-wise when
-	// sparse, memclr when dense), then stamp the new set.
+	// the source pre-mark) and the old membership marks, then stamp the
+	// new set.
 	clearByteMembers(candB, cands)
 	candB[p.source] = 0
 	infB := p.infB
@@ -358,9 +404,40 @@ func (p *bipsProc) Step(r *rng.Rand) {
 	p.infBuf, p.nextBuf = next, p.infBuf
 	p.infLen = j
 	p.round++
+	p.sent += sent
 	if p.obs != nil {
 		p.obs(RoundStat{Round: p.round, Active: p.infLen, Reached: p.infLen,
-			Transmissions: p.sent - sentBefore})
+			Transmissions: sent})
+	}
+}
+
+func (p *bipsProc) Done() bool           { return p.infLen == p.n }
+func (p *bipsProc) Round() int           { return p.round }
+func (p *bipsProc) ReachedCount() int    { return p.infLen }
+func (p *bipsProc) Transmissions() int64 { return p.sent }
+func (p *bipsProc) Reached(v int32) bool { return p.infB[v] != 0 }
+
+// AppendReached appends A_t in ascending vertex order.
+func (p *bipsProc) AppendReached(dst []int32) []int32 {
+	for v, x := range p.infB {
+		if x != 0 {
+			dst = append(dst, int32(v))
+		}
+	}
+	return dst
+}
+
+// clearByteMembers zeroes the byte-map entries named by members, switching
+// to a whole-map memclr when the members would dirty a comparable number of
+// cache lines anyway: member-wise clearing is a random store per member,
+// memclr is a straight-line sweep.
+func clearByteMembers(b []uint8, members []int32) {
+	if len(members) >= len(b)>>3 {
+		clear(b)
+		return
+	}
+	for _, v := range members {
+		b[v] = 0
 	}
 }
 
@@ -383,20 +460,4 @@ func missProb(p float64, k int) float64 {
 	default:
 		return math.Pow(q, float64(k))
 	}
-}
-
-func (p *bipsProc) Done() bool           { return p.infLen == p.n }
-func (p *bipsProc) Round() int           { return p.round }
-func (p *bipsProc) ReachedCount() int    { return p.infLen }
-func (p *bipsProc) Transmissions() int64 { return p.sent }
-func (p *bipsProc) Reached(v int32) bool { return p.infB[v] != 0 }
-
-// AppendReached appends A_t in ascending vertex order.
-func (p *bipsProc) AppendReached(dst []int32) []int32 {
-	for v, x := range p.infB {
-		if x != 0 {
-			dst = append(dst, int32(v))
-		}
-	}
-	return dst
 }

@@ -1,6 +1,7 @@
 package process
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,10 +11,14 @@ import (
 )
 
 // The tests in this file pin the paper's process semantics on the
-// registry cobra and bips engines (and, where the check is
-// engine-agnostic, on their parallel-kernel variants): coalescing, the
-// k = 1 walk, source persistence, SIS shrinkage, the neighbourhood
-// constraint and the exact/fast sampling equivalence.
+// registry cobra and bips engines (where the check is engine-agnostic,
+// at every kernel width in kernelWidths): coalescing, the k = 1 walk,
+// source persistence, SIS shrinkage, the neighbourhood constraint and
+// the exact/fast sampling equivalence.
+
+// kernelWidths are the kernel worker counts the width-agnostic checks
+// run at: the inline single-worker path and a pool with helpers.
+var kernelWidths = []int{1, 4}
 
 func TestBranchingString(t *testing.T) {
 	if s := (Branching{K: 2}).String(); s != "k=2" {
@@ -49,16 +54,17 @@ func checkNewValidation(t *testing.T, names ...string) {
 }
 
 func TestNewCobraValidation(t *testing.T) {
-	checkNewValidation(t, Cobra, CobraPar)
+	checkNewValidation(t, Cobra)
 }
 
 // TestNewBIPSValidation also pins that every seed of A_0, not only the
 // source, is range-checked.
 func TestNewBIPSValidation(t *testing.T) {
-	checkNewValidation(t, BIPS, BIPSPar)
+	checkNewValidation(t, BIPS)
 	g := mk(t)(graph.Complete(4))
-	for _, name := range []string{BIPS, BIPSPar} {
-		p, err := New(name, g, Config{})
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", BIPS, w)
+		p, err := New(BIPS, g, Config{KernelWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,8 +80,9 @@ func TestNewBIPSValidation(t *testing.T) {
 // and a failed Reset leaves the engine usable for the next run.
 func TestCobraResetValidation(t *testing.T) {
 	g := mk(t)(graph.Complete(5))
-	for _, name := range []string{Cobra, CobraPar} {
-		p, err := New(name, g, Config{})
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", Cobra, w)
+		p, err := New(Cobra, g, Config{KernelWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +94,7 @@ func TestCobraResetValidation(t *testing.T) {
 		if _, err := Run(p, rng.New(1), 0, 17); err == nil {
 			t.Errorf("%s: Run with bad start should fail", name)
 		}
-		fresh, err := New(name, g, Config{})
+		fresh, err := New(Cobra, g, Config{KernelWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,9 +148,10 @@ func TestCobraCoversCompleteGraph(t *testing.T) {
 // the active set never empties.
 func TestCobraActiveSetAtMostDoubles(t *testing.T) {
 	g := mk(t)(graph.Petersen())
-	for _, name := range []string{Cobra, CobraPar} {
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", Cobra, w)
 		prev := 1
-		p, err := New(name, g, Config{Observer: func(rs RoundStat) {
+		p, err := New(Cobra, g, Config{KernelWorkers: w, Observer: func(rs RoundStat) {
 			if rs.Active > 2*prev {
 				t.Fatalf("%s: active set grew from %d to %d (> 2x)", name, prev, rs.Active)
 			}
@@ -199,8 +207,9 @@ func TestCobraK1IsSingleWalker(t *testing.T) {
 // the other one, and coalescing keeps |C_t| = 1.
 func TestCobraCoalescing(t *testing.T) {
 	g := mk(t)(graph.Complete(2))
-	for _, name := range []string{Cobra, CobraPar} {
-		p, err := New(name, g, Config{Observer: func(rs RoundStat) {
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", Cobra, w)
+		p, err := New(Cobra, g, Config{KernelWorkers: w, Observer: func(rs RoundStat) {
 			if rs.Active != 1 {
 				t.Fatalf("%s: K2 active count = %d, want 1 (coalescing broken)", name, rs.Active)
 			}
@@ -272,8 +281,9 @@ func hitTime(t *testing.T, p Process, r *rng.Rand, maxRounds int, start, target 
 // vertices hit so far are exactly ReachedCount many.
 func TestCobraHitTimes(t *testing.T) {
 	g := mk(t)(graph.Complete(16))
-	for _, name := range []string{Cobra, CobraPar} {
-		p, err := New(name, g, Config{})
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", Cobra, w)
+		p, err := New(Cobra, g, Config{KernelWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,8 +334,9 @@ func TestCobraHitTimes(t *testing.T) {
 // misses it.
 func TestCobraRunUntilHit(t *testing.T) {
 	g := mk(t)(graph.Complete(10))
-	for _, name := range []string{Cobra, CobraPar} {
-		p, err := New(name, g, Config{})
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", Cobra, w)
+		p, err := New(Cobra, g, Config{KernelWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,10 +364,11 @@ func TestCobraRunUntilHit(t *testing.T) {
 // produce the same run, round by round.
 func TestCobraDeterminismGivenSeed(t *testing.T) {
 	g := mk(t)(graph.Petersen())
-	for _, name := range []string{Cobra, CobraPar} {
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", Cobra, w)
 		run := func() (Result, []RoundStat) {
 			var trace []RoundStat
-			p, err := New(name, g, Config{Observer: func(rs RoundStat) { trace = append(trace, rs) }})
+			p, err := New(Cobra, g, Config{KernelWorkers: w, Observer: func(rs RoundStat) { trace = append(trace, rs) }})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -523,8 +535,9 @@ func TestProcessesOnIrregularGraphs(t *testing.T) {
 
 func TestBipsSourceAlwaysInfected(t *testing.T) {
 	g := mk(t)(graph.Cycle(20))
-	for _, name := range []string{BIPS, BIPSPar} {
-		p, err := New(name, g, Config{})
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", BIPS, w)
+		p, err := New(BIPS, g, Config{KernelWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -572,8 +585,9 @@ func TestBipsInfectsCompleteGraph(t *testing.T) {
 // with k = 1 shrinkage is common.
 func TestBipsCanShrink(t *testing.T) {
 	g := mk(t)(graph.Cycle(32))
-	for _, name := range []string{BIPS, BIPSPar} {
-		p, err := New(name, g, Config{Branching: Branching{K: 1}})
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", BIPS, w)
+		p, err := New(BIPS, g, Config{KernelWorkers: w, Branching: Branching{K: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,8 +640,9 @@ func TestBipsExtraSeeds(t *testing.T) {
 // joins A_t within a plausible number of rounds.
 func TestBipsRunUntilContains(t *testing.T) {
 	g := mk(t)(graph.Complete(12))
-	for _, name := range []string{BIPS, BIPSPar} {
-		p, err := New(name, g, Config{})
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", BIPS, w)
+		p, err := New(BIPS, g, Config{KernelWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -674,8 +689,9 @@ func TestBipsDeterminismAndReuse(t *testing.T) {
 // of the source.
 func TestBipsNeighbourhoodConstraint(t *testing.T) {
 	g := mk(t)(graph.Cycle(101))
-	for _, name := range []string{BIPS, BIPSPar} {
-		p, err := New(name, g, Config{})
+	for _, w := range kernelWidths {
+		name := fmt.Sprintf("%s/w%d", BIPS, w)
+		p, err := New(BIPS, g, Config{KernelWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}

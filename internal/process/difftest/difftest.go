@@ -1,16 +1,17 @@
-// Package difftest pins the native cobra/bips engines of internal/process
-// to test-only reference implementations.
+// Package difftest pins the cobra/bips engines of internal/process to
+// test-only reference implementations.
 //
-// The native engines (bitset frontiers over the CSR arrays, precomputed
-// bounded samplers, branch-free loops) are performance rewrites of the
+// The registry engines (bitset frontiers over the CSR arrays,
+// precomputed bounded samplers, branch-free loops, rounds fanned out
+// over the round kernel's worker pool) are performance rewrites of the
 // plain stamp-array processes in reference.go, under one hard contract:
 // driven from identical RNG streams they must be byte-identical to the
-// reference — same reached sets, same transmission counts, same
-// per-round trajectories across every sweep metric. This package holds
-// both halves of that pin: the reference engines, which no production
-// code constructs, and the lockstep harness that drives a native and a
-// reference engine from cloned generators and diffs everything
-// observable after every round.
+// reference at every kernel worker count — same reached sets, same
+// transmission counts, same per-round trajectories across every sweep
+// metric. This package holds both halves of that pin: the reference
+// engines, which no production code constructs, and the lockstep
+// harness that drives a native and a reference engine from cloned
+// generators and diffs everything observable after every round.
 package difftest
 
 import (
@@ -59,15 +60,18 @@ const pastDone = 3
 // generators and compares everything observable after every round: Round,
 // Done, ReachedCount, Transmissions, the RoundStat streams delivered to
 // the observers, the generators' own states (a consumption skew that
-// happens not to change this round's outputs still fails), and — on Done
-// or the round cap — the full reached sets, through both AppendReached
-// and Reached. A run that reaches Done continues pastDone more rounds,
-// each compared in full. It returns nil when the engines were
-// byte-identical for the whole run, or the first divergence.
+// happens not to change this round's outputs still fails), and the full
+// reached sets, through both AppendReached and Reached (a transient
+// divergence that later re-coalesces still fails). A run that reaches
+// Done continues pastDone more rounds, each compared in full. It returns
+// nil when the engines were byte-identical for the whole run, or the
+// first divergence.
 //
-// Both engines are constructed fresh from their factories so the harness
-// also covers construction-time defaults, and each is driven twice from
-// the same seed to pin Reset reusability.
+// Both engines are constructed fresh from their factories with cfg, so
+// the harness also covers construction-time defaults; callers pin the
+// kernel's worker-count invariance by varying cfg.KernelWorkers, which
+// the reference ignores. Each engine is driven twice from the same seed
+// to pin Reset reusability.
 func Lockstep(g *graph.Graph, cfg process.Config, native, reference process.Factory,
 	seed uint64, maxRounds int, starts ...int32) error {
 	if maxRounds <= 0 {
@@ -97,18 +101,21 @@ func Lockstep(g *graph.Graph, cfg process.Config, native, reference process.Fact
 		if err := ref.Reset(starts...); err != nil {
 			return fmt.Errorf("difftest: reference Reset: %w", err)
 		}
-		if err := compareRound(nat, ref, natStats, refStats, natRNG, refRNG); err != nil {
+		compare := func() error {
+			if err := compareRound(nat, ref, natStats, refStats, natRNG, refRNG); err != nil {
+				return err
+			}
+			return compareReached(g.N(), nat, ref)
+		}
+		if err := compare(); err != nil {
 			return err
 		}
 		for !ref.Done() && ref.Round() < maxRounds {
 			nat.Step(natRNG)
 			ref.Step(refRNG)
-			if err := compareRound(nat, ref, natStats, refStats, natRNG, refRNG); err != nil {
+			if err := compare(); err != nil {
 				return err
 			}
-		}
-		if err := compareReached(g.N(), nat, ref); err != nil {
-			return err
 		}
 		if !ref.Done() {
 			continue // stopped by the round cap
@@ -118,71 +125,7 @@ func Lockstep(g *graph.Graph, cfg process.Config, native, reference process.Fact
 		for i := 0; i < pastDone; i++ {
 			nat.Step(natRNG)
 			ref.Step(refRNG)
-			if err := compareRound(nat, ref, natStats, refStats, natRNG, refRNG); err != nil {
-				return err
-			}
-			if err := compareReached(g.N(), nat, ref); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// LockstepWorkers pins the parallel round kernels' determinism contract:
-// the same kernel process constructed at two different KernelWorkers
-// settings, driven from identically seeded generators, must be
-// byte-identical in everything observable — Round, Done, ReachedCount,
-// Transmissions, the RoundStat streams, the trial generators' own states
-// (the kernels spend exactly one trial-stream draw per round; a skew
-// fails even when this round's outputs agree), and the full reached set
-// after every round (not just at the end: a transient divergence that
-// later re-coalesces still fails). Both engines are driven twice from
-// the same seed to pin Reset reusability, mirroring Lockstep.
-//
-// The engine at workersA is the "reference" side of reported Mismatches,
-// the engine at workersB the "native" side.
-func LockstepWorkers(g *graph.Graph, cfg process.Config, factory process.Factory,
-	workersA, workersB int, seed uint64, maxRounds int, starts ...int32) error {
-	if maxRounds <= 0 {
-		maxRounds = process.DefaultMaxRounds
-	}
-
-	var aStats, bStats []process.RoundStat
-	aCfg, bCfg := cfg, cfg
-	aCfg.KernelWorkers = workersA
-	bCfg.KernelWorkers = workersB
-	aCfg.Observer = func(rs process.RoundStat) { aStats = append(aStats, rs) }
-	bCfg.Observer = func(rs process.RoundStat) { bStats = append(bStats, rs) }
-
-	pa, err := factory(g, aCfg)
-	if err != nil {
-		return fmt.Errorf("difftest: constructing %d-worker engine: %w", workersA, err)
-	}
-	pb, err := factory(g, bCfg)
-	if err != nil {
-		return fmt.Errorf("difftest: constructing %d-worker engine: %w", workersB, err)
-	}
-
-	for rerun := 0; rerun < 2; rerun++ {
-		aStats, bStats = aStats[:0], bStats[:0]
-		aRNG, bRNG := rng.New(seed), rng.New(seed)
-		if err := pa.Reset(starts...); err != nil {
-			return fmt.Errorf("difftest: %d-worker Reset: %w", workersA, err)
-		}
-		if err := pb.Reset(starts...); err != nil {
-			return fmt.Errorf("difftest: %d-worker Reset: %w", workersB, err)
-		}
-		if err := compareRound(pb, pa, bStats, aStats, bRNG, aRNG); err != nil {
-			return err
-		}
-		for !pa.Done() && pa.Round() < maxRounds {
-			pa.Step(aRNG)
-			pb.Step(bRNG)
-			if err := compareRound(pb, pa, bStats, aStats, bRNG, aRNG); err != nil {
-				return err
-			}
-			if err := compareReached(g.N(), pb, pa); err != nil {
+			if err := compare(); err != nil {
 				return err
 			}
 		}

@@ -12,8 +12,8 @@ import (
 )
 
 // grid is the family × size × degree slice of the differential suite.
-// Regular families drive the native engines' hoisted-degree fast paths;
-// the irregular ones (barbell, star) force the per-vertex offsets path.
+// Regular families drive the engines' hoisted-degree fast paths; the
+// irregular ones (barbell, star) force the per-vertex offsets path.
 func gridGraphs(t testing.TB) []*graph.Graph {
 	t.Helper()
 	var gs []*graph.Graph
@@ -38,6 +38,32 @@ func gridGraphs(t testing.TB) []*graph.Graph {
 	return gs
 }
 
+// multiChunkGraphs are the grid's large members, one regular and one
+// irregular, whose rounds span several process.KernelChunk chunks — the
+// only configurations in which the kernel splits one round across
+// workers. checkMultiChunk asserts that they still do. The irregular
+// member is a fast-mixing G(n, p): on a 96×96 grid cobra's active set
+// peaks below two chunks, and a grid large enough to need three costs
+// seconds per lockstep run.
+func multiChunkGraphs(t testing.TB) []*graph.Graph {
+	t.Helper()
+	regular, err := graph.RandomRegularConnected(8192, 8, rng.New(8192*100+8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	irregular, err := graph.ErdosRenyi(8192, 16.0/8192, rng.New(8192*100+16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !irregular.IsConnected() {
+		t.Fatal("multi-chunk G(n, p) is disconnected; pick another seed")
+	}
+	if _, err := irregular.Regularity(); err == nil {
+		t.Fatal("multi-chunk G(n, p) came out regular")
+	}
+	return []*graph.Graph{regular, irregular}
+}
+
 var branchings = []process.Branching{
 	{K: 1},
 	{K: 2},
@@ -47,52 +73,121 @@ var branchings = []process.Branching{
 	{K: 2, Rho: 0.25},
 }
 
-// TestLockstepCobra pins native cobra to the reference COBRA across the
-// grid: byte-identical rounds, reached sets, transmissions, trajectories
-// and generator states from identical seeds, including a Reset rerun and
-// rounds past Done.
-func TestLockstepCobra(t *testing.T) {
+// multiChunkBranchings run on the multi-chunk graphs: an integral and a
+// fractional branching whose active sets grow to a constant fraction of
+// n (K = 1 keeps cobra's active set at one vertex).
+var multiChunkBranchings = []process.Branching{
+	{K: 2},
+	{K: 1, Rho: 0.5},
+}
+
+// kernelWidths are the kernel worker counts every lockstep case runs
+// at: the inline single-worker path, a count that does not divide the
+// chunk grid evenly, and more workers than most rounds have chunks.
+var kernelWidths = []int{1, 3, 8}
+
+// lockstepCase is one (graph, branching) cell of the lockstep grid.
+type lockstepCase struct {
+	g          *graph.Graph
+	br         process.Branching
+	multiChunk bool
+}
+
+// lockstepCases is the full grid: every small graph under every
+// branching, plus the multi-chunk graphs under multiChunkBranchings.
+func lockstepCases(t testing.TB) []lockstepCase {
+	var cs []lockstepCase
 	for _, g := range gridGraphs(t) {
 		for _, br := range branchings {
-			br := br
-			t.Run(fmt.Sprintf("%s/%s", g.Name(), br), func(t *testing.T) {
-				t.Parallel()
-				cfg := process.Config{Branching: br}
-				seed := uint64(len(g.Name())) + uint64(br.K)<<8
-				if err := Lockstep(g, cfg, nativeFactory(t, process.Cobra), NewReferenceCobra, seed, 1<<14, 0); err != nil {
-					t.Fatal(err)
-				}
-				// Multi-vertex start sets exercise Reset dedup too.
-				starts := []int32{0, int32(g.N() / 2), 0}
-				if err := Lockstep(g, cfg, nativeFactory(t, process.Cobra), NewReferenceCobra, seed+1, 1<<14, starts...); err != nil {
-					t.Fatal(err)
-				}
-			})
+			cs = append(cs, lockstepCase{g: g, br: br})
 		}
+	}
+	for _, g := range multiChunkGraphs(t) {
+		for _, br := range multiChunkBranchings {
+			cs = append(cs, lockstepCase{g: g, br: br, multiChunk: true})
+		}
+	}
+	return cs
+}
+
+// runLockstep pins the registry engine `name` to reference on one grid
+// cell at every kernel width, from a single start and from a
+// deduplicating multi-vertex start set. On a multi-chunk cell it also
+// checks that some round really spanned at least three chunks.
+func runLockstep(t *testing.T, name string, reference process.Factory, c lockstepCase, cfg process.Config, seed uint64, starts []int32) {
+	for _, w := range kernelWidths {
+		c, cfg, w := c, cfg, w
+		label := fmt.Sprintf("%s/%s/w%d", c.g.Name(), c.br, w)
+		if cfg.FastSampling {
+			label = fmt.Sprintf("%s/%s/fast/w%d", c.g.Name(), c.br, w)
+		}
+		t.Run(label, func(t *testing.T) {
+			t.Parallel()
+			cfg.Branching = c.br
+			cfg.KernelWorkers = w
+			native, maxActive := observeActive(nativeFactory(t, name))
+			if err := Lockstep(c.g, cfg, native, reference, seed, 1<<14, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := Lockstep(c.g, cfg, native, reference, seed+1, 1<<14, starts...); err != nil {
+				t.Fatal(err)
+			}
+			if c.multiChunk {
+				checkMultiChunk(t, *maxActive)
+			}
+		})
 	}
 }
 
-// TestLockstepBips pins native bips to the reference BIPS across the
-// grid, on both the exact-sampling and the closed-form fast path.
+// observeActive wraps factory so the engines it builds also record the
+// largest RoundStat.Active they report, behind Lockstep's own observer.
+func observeActive(factory process.Factory) (process.Factory, *int) {
+	maxActive := new(int)
+	return func(g *graph.Graph, cfg process.Config) (process.Process, error) {
+		inner := cfg.Observer
+		cfg.Observer = func(rs process.RoundStat) {
+			*maxActive = max(*maxActive, rs.Active)
+			inner(rs)
+		}
+		return factory(g, cfg)
+	}, maxActive
+}
+
+// checkMultiChunk fails unless the largest observed set spans at least
+// three kernel chunks. A round chunks the active set C_t (cobra) or the
+// candidates Γ(A_t) minus the source (bips). Lockstep steps past Done,
+// so A_t = V, whose n−1 candidates are the largest bips list, is
+// stepped from; cobra's active set stays near its peak for many rounds
+// on these expanders, so its largest C_t is too.
+func checkMultiChunk(t *testing.T, maxActive int) {
+	t.Helper()
+	if chunks := (maxActive - 1 + process.KernelChunk - 1) / process.KernelChunk; chunks < 3 {
+		t.Fatalf("largest round spans %d kernel chunks (max active %d), want at least 3", chunks, maxActive)
+	}
+}
+
+// TestLockstepCobra pins registry cobra to the reference COBRA across
+// the grid at every kernel width: byte-identical rounds, reached sets,
+// transmissions, trajectories and generator states from identical
+// seeds, including a Reset rerun and rounds past Done.
+func TestLockstepCobra(t *testing.T) {
+	for _, c := range lockstepCases(t) {
+		seed := uint64(len(c.g.Name())) + uint64(c.br.K)<<8
+		// Multi-vertex start sets exercise Reset dedup too.
+		starts := []int32{0, int32(c.g.N() / 2), 0}
+		runLockstep(t, process.Cobra, NewReferenceCobra, c, process.Config{}, seed, starts)
+	}
+}
+
+// TestLockstepBips pins registry bips to the reference BIPS across the
+// grid at every kernel width, on both the exact-sampling and the
+// closed-form fast path.
 func TestLockstepBips(t *testing.T) {
-	for _, g := range gridGraphs(t) {
-		for _, br := range branchings {
-			for _, fast := range []bool{false, true} {
-				br, fast := br, fast
-				name := fmt.Sprintf("%s/%s/fast=%v", g.Name(), br, fast)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					cfg := process.Config{Branching: br, FastSampling: fast}
-					seed := uint64(len(g.Name())) + uint64(br.K)<<8 + 7
-					if err := Lockstep(g, cfg, nativeFactory(t, process.BIPS), NewReferenceBips, seed, 1<<14, 0); err != nil {
-						t.Fatal(err)
-					}
-					starts := []int32{1, int32(g.N() - 1)}
-					if err := Lockstep(g, cfg, nativeFactory(t, process.BIPS), NewReferenceBips, seed+1, 1<<14, starts...); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
+	for _, c := range lockstepCases(t) {
+		for _, fast := range []bool{false, true} {
+			seed := uint64(len(c.g.Name())) + uint64(c.br.K)<<8 + 7
+			starts := []int32{1, int32(c.g.N() - 1)}
+			runLockstep(t, process.BIPS, NewReferenceBips, c, process.Config{FastSampling: fast}, seed, starts)
 		}
 	}
 }
@@ -197,62 +292,65 @@ func TestReferenceMissProbMatchesPow(t *testing.T) {
 	}
 }
 
-// TestInvariants is the property half of the suite, on the native engines
-// alone: reached is monotone non-decreasing for cobra, transmissions ≥
-// reached − |starts| for both (every newly reached vertex was hit by at
-// least one message), and Done ⇒ full coverage on these connected graphs.
+// TestInvariants is the property half of the suite, on the registry
+// engines alone, inline and on a kernel pool: reached is monotone
+// non-decreasing for cobra, transmissions ≥ reached − |starts| for both
+// (every newly reached vertex was hit by at least one message), and
+// Done ⇒ full coverage on these connected graphs.
 func TestInvariants(t *testing.T) {
 	for _, g := range gridGraphs(t) {
-		for _, name := range []string{process.Cobra, process.BIPS, process.CobraPar, process.BIPSPar} {
-			g, name := g, name
-			t.Run(fmt.Sprintf("%s/%s", name, g.Name()), func(t *testing.T) {
-				t.Parallel()
-				info, err := process.Lookup(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prevReached := -1
-				cfg := process.Config{Observer: func(rs process.RoundStat) {
-					if info.Monotone && rs.Reached < prevReached {
-						t.Fatalf("round %d: monotone process lost reached vertices: %d -> %d",
-							rs.Round, prevReached, rs.Reached)
-					}
-					prevReached = rs.Reached
-					if rs.Active < 0 || rs.Reached < 0 || rs.Reached > g.N() {
-						t.Fatalf("round %d: degenerate stat %+v", rs.Round, rs)
-					}
-				}}
-				p, err := info.New(g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := rng.New(uint64(g.N()))
-				for trial := 0; trial < 3; trial++ {
-					prevReached = -1
-					res, err := process.Run(p, r, 1<<14, 0)
+		for _, name := range []string{process.Cobra, process.BIPS} {
+			for _, w := range []int{1, 4} {
+				g, name, w := g, name, w
+				t.Run(fmt.Sprintf("%s/w%d/%s", name, w, g.Name()), func(t *testing.T) {
+					t.Parallel()
+					info, err := process.Lookup(name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !res.Done {
-						t.Fatalf("trial %d hit the round cap on a connected graph", trial)
+					prevReached := -1
+					cfg := process.Config{KernelWorkers: w, Observer: func(rs process.RoundStat) {
+						if info.Monotone && rs.Reached < prevReached {
+							t.Fatalf("round %d: monotone process lost reached vertices: %d -> %d",
+								rs.Round, prevReached, rs.Reached)
+						}
+						prevReached = rs.Reached
+						if rs.Active < 0 || rs.Reached < 0 || rs.Reached > g.N() {
+							t.Fatalf("round %d: degenerate stat %+v", rs.Round, rs)
+						}
+					}}
+					p, err := info.New(g, cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if p.ReachedCount() != g.N() {
-						t.Fatalf("Done with %d of %d reached", p.ReachedCount(), g.N())
-					}
-					if res.Transmissions < int64(g.N()-1) {
-						t.Fatalf("covered %d vertices with only %d transmissions", g.N(), res.Transmissions)
-					}
-					set := p.(process.Reacher).AppendReached(nil)
-					if len(set) != g.N() {
-						t.Fatalf("AppendReached returned %d of %d vertices", len(set), g.N())
-					}
-					for i, v := range set {
-						if int(v) != i {
-							t.Fatalf("AppendReached not the ascending full set at index %d: %d", i, v)
+					r := rng.New(uint64(g.N()))
+					for trial := 0; trial < 3; trial++ {
+						prevReached = -1
+						res, err := process.Run(p, r, 1<<14, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !res.Done {
+							t.Fatalf("trial %d hit the round cap on a connected graph", trial)
+						}
+						if p.ReachedCount() != g.N() {
+							t.Fatalf("Done with %d of %d reached", p.ReachedCount(), g.N())
+						}
+						if res.Transmissions < int64(g.N()-1) {
+							t.Fatalf("covered %d vertices with only %d transmissions", g.N(), res.Transmissions)
+						}
+						set := p.(process.Reacher).AppendReached(nil)
+						if len(set) != g.N() {
+							t.Fatalf("AppendReached returned %d of %d vertices", len(set), g.N())
+						}
+						for i, v := range set {
+							if int(v) != i {
+								t.Fatalf("AppendReached not the ascending full set at index %d: %d", i, v)
+							}
 						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"cobrawalk/internal/graph"
@@ -10,86 +9,35 @@ import (
 	"cobrawalk/internal/rng"
 )
 
-// TestKernelWorkerInvarianceCobra pins the parallel COBRA kernel's
-// determinism contract across the family × size × degree × branching
-// grid: one worker versus eight workers must be byte-identical in every
-// observable — reached sets after every round, transmissions,
-// trajectories, trial-generator states — including a Reset rerun and a
-// deduplicating multi-vertex start set.
-func TestKernelWorkerInvarianceCobra(t *testing.T) {
-	for _, g := range gridGraphs(t) {
-		for _, br := range branchings {
-			g, br := g, br
-			t.Run(fmt.Sprintf("%s/%s", g.Name(), br), func(t *testing.T) {
-				t.Parallel()
-				cfg := process.Config{Branching: br}
-				factory := nativeFactory(t, process.CobraPar)
-				seed := uint64(len(g.Name())) + uint64(br.K)<<8 + 13
-				if err := LockstepWorkers(g, cfg, factory, 1, 8, seed, 1<<14, 0); err != nil {
-					t.Fatal(err)
-				}
-				starts := []int32{0, int32(g.N() / 2), 0}
-				if err := LockstepWorkers(g, cfg, factory, 1, 8, seed+1, 1<<14, starts...); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
-// TestKernelWorkerInvarianceBips is the BIPS half of the grid, on both
-// the exact-sampling and the closed-form fast path.
-func TestKernelWorkerInvarianceBips(t *testing.T) {
-	for _, g := range gridGraphs(t) {
-		for _, br := range branchings {
-			for _, fast := range []bool{false, true} {
-				g, br, fast := g, br, fast
-				name := fmt.Sprintf("%s/%s/fast=%v", g.Name(), br, fast)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					cfg := process.Config{Branching: br, FastSampling: fast}
-					factory := nativeFactory(t, process.BIPSPar)
-					seed := uint64(len(g.Name())) + uint64(br.K)<<8 + 29
-					if err := LockstepWorkers(g, cfg, factory, 1, 8, seed, 1<<14, 0); err != nil {
-						t.Fatal(err)
-					}
-					starts := []int32{1, int32(g.N() - 1)}
-					if err := LockstepWorkers(g, cfg, factory, 1, 8, seed+1, 1<<14, starts...); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestKernelWorkerCountsPairwise sweeps intermediate worker counts on
-// one representative graph: any two counts must agree, not just 1 vs 8
-// (a bug that only bites when chunks outnumber workers by a non-integer
-// ratio would hide from a single pairing).
+// TestKernelWorkerCountsPairwise sweeps further kernel worker counts on
+// one representative graph: each must match the reference, so any two
+// counts agree, not just the grid's 1, 3 and 8 (a bug that only bites
+// when chunks outnumber workers by a particular ratio would hide from a
+// few pairings).
 func TestKernelWorkerCountsPairwise(t *testing.T) {
 	g, err := graph.RandomRegularConnected(256, 8, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{process.CobraPar, process.BIPSPar} {
+	for _, name := range []string{process.Cobra, process.BIPS} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			factory := nativeFactory(t, name)
-			for _, w := range []int{2, 3, 5, 16} {
-				if err := LockstepWorkers(g, process.Config{}, factory, 1, w, 77, 1<<14, 0); err != nil {
-					t.Fatalf("workers 1 vs %d: %v", w, err)
+			for _, w := range []int{2, 5, 16} {
+				cfg := process.Config{KernelWorkers: w}
+				if err := Lockstep(g, cfg, nativeFactory(t, name), Reference(name), 77, 1<<14, 0); err != nil {
+					t.Fatalf("workers %d: %v", w, err)
 				}
 			}
 		})
 	}
 }
 
-// TestLockstepWorkersHasTeeth proves the harness detects divergence: a
-// factory that skews the branching factor on the 8-worker side must
-// fail with a *Mismatch naming the diverging field.
-func TestLockstepWorkersHasTeeth(t *testing.T) {
+// TestLockstepKernelWidthHasTeeth proves the grid's worker-count axis
+// bites: a factory that skews the branching factor only when built
+// with eight kernel workers passes at one worker and must fail at eight
+// with a *Mismatch.
+func TestLockstepKernelWidthHasTeeth(t *testing.T) {
 	g, err := graph.RandomRegularConnected(128, 4, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +46,16 @@ func TestLockstepWorkersHasTeeth(t *testing.T) {
 		if cfg.KernelWorkers == 8 {
 			cfg.Branching = process.Branching{K: 3}
 		}
-		return nativeFactory(t, process.CobraPar)(g, cfg)
+		return nativeFactory(t, process.Cobra)(g, cfg)
 	}
-	err = LockstepWorkers(g, process.Config{Branching: process.Branching{K: 2}}, skewed, 1, 8, 11, 1<<14, 0)
+	cfg := process.Config{Branching: process.Branching{K: 2}, KernelWorkers: 1}
+	if err := Lockstep(g, cfg, skewed, NewReferenceCobra, 11, 1<<14, 0); err != nil {
+		t.Fatalf("unskewed width failed: %v", err)
+	}
+	cfg.KernelWorkers = 8
+	err = Lockstep(g, cfg, skewed, NewReferenceCobra, 11, 1<<14, 0)
 	var mm *Mismatch
 	if !errors.As(err, &mm) {
-		t.Fatalf("skewed kernel engine passed the lockstep harness: %v", err)
+		t.Fatalf("engine skewed at 8 kernel workers passed the lockstep harness: %v", err)
 	}
 }

@@ -12,8 +12,25 @@ import (
 
 // The reference engines: straightforward stamp-array implementations of
 // COBRA and BIPS, written for clarity rather than speed — the
-// specification the native engines are pinned against. Each implements
+// specification the registry engines are pinned against. Each implements
 // process.Process and process.Reacher directly.
+//
+// Both draw in the round kernel's stream layout: each Step spends one
+// Uint64 of the trial generator as the round seed, then walks its
+// active set (cobra) or candidate list (bips) in process.KernelChunk
+// blocks, drawing block c from rng.NewStream(roundSeed, c). The layout
+// is independent of any worker count, so the references ignore
+// Config.KernelWorkers.
+
+// chunkStream returns the generator the i-th entry of a round's active
+// set or candidate list draws from: cur, reseeded to the next block's
+// stream whenever i starts a new process.KernelChunk block.
+func chunkStream(cur *rng.Rand, roundSeed uint64, i int) *rng.Rand {
+	if i%process.KernelChunk == 0 {
+		return rng.NewStream(roundSeed, uint64(i/process.KernelChunk))
+	}
+	return cur
+}
 
 // newReferenceConfig validates what the registry factories validate and
 // resolves the branching default.
@@ -110,14 +127,17 @@ func (c *refCobra) Step(r *rng.Rand) {
 		c.stepEpoch = 1
 	}
 	var sent int64
-	for _, v := range c.cur {
+	roundSeed := r.Uint64()
+	var cr *rng.Rand
+	for j, v := range c.cur {
+		cr = chunkStream(cr, roundSeed, j)
 		deg := g.Degree(v)
 		pushes := k
-		if rho > 0 && r.Bernoulli(rho) {
+		if rho > 0 && cr.Bernoulli(rho) {
 			pushes++
 		}
 		for i := 0; i < pushes; i++ {
-			u := g.Neighbor(v, r.Intn(deg))
+			u := g.Neighbor(v, cr.Intn(deg))
 			sent++
 			if c.nextStamp[u] == c.stepEpoch {
 				continue // coalesce: u already chosen this round
@@ -159,9 +179,9 @@ func (c *refCobra) AppendReached(dst []int32) []int32 {
 // vertex samples K random neighbours uniformly with replacement (plus one
 // with probability Rho) and belongs to A_{t+1} iff at least one sample
 // lies in A_t. Only vertices with an infected neighbour can become
-// infected, so a Step visits just the candidates Γ(A_t). With
-// cfg.FastSampling each candidate is infected with its closed-form
-// probability instead.
+// infected, so a Step visits just the candidates Γ(A_t) minus the
+// source, in discovery order. With cfg.FastSampling each candidate is
+// infected with its closed-form probability instead.
 func NewReferenceBips(g *graph.Graph, cfg process.Config) (process.Process, error) {
 	br, err := newReferenceConfig(g, cfg)
 	if err != nil {
@@ -239,11 +259,15 @@ func (b *refBips) Step(r *rng.Rand) {
 		clear(b.candStamp)
 		b.stepEpoch = 1
 	}
-	// Collect candidates: the inclusive neighbourhood Γ(A_t). While
-	// scanning, accumulate d_A(u) for the fast path.
+	// Collect candidates: the neighbourhood Γ(A_t) minus the source,
+	// which stays infected without drawing. While scanning, accumulate
+	// d_A(u) for the fast path.
 	b.cands = b.cands[:0]
 	for _, v := range b.infected {
 		for _, u := range g.Neighbors(v) {
+			if u == b.source {
+				continue
+			}
 			if b.candStamp[u] != b.stepEpoch {
 				b.candStamp[u] = b.stepEpoch
 				b.cands = append(b.cands, u)
@@ -259,30 +283,30 @@ func (b *refBips) Step(r *rng.Rand) {
 	k := b.branching.K
 	rho := b.branching.Rho
 	var sent int64
-	for _, u := range b.cands {
-		if u == b.source {
-			continue
-		}
+	roundSeed := r.Uint64()
+	var cr *rng.Rand
+	for j, u := range b.cands {
+		cr = chunkStream(cr, roundSeed, j)
 		var hit bool
 		if b.fast {
 			p := float64(b.infCount[u]) / float64(g.Degree(u))
 			prob := 1 - missProb(p, k)*(1-rho*p)
 			sent += int64(k) // expected-equivalent accounting
-			if rho > 0 && r.Bernoulli(rho) {
+			if rho > 0 && cr.Bernoulli(rho) {
 				sent++
 			}
-			hit = r.Bernoulli(prob)
+			hit = cr.Bernoulli(prob)
 		} else {
 			deg := g.Degree(u)
 			samples := k
-			if rho > 0 && r.Bernoulli(rho) {
+			if rho > 0 && cr.Bernoulli(rho) {
 				samples++
 			}
 			// Draw every sample (no short-circuit) so transmission counts
 			// reflect the protocol as defined.
 			for i := 0; i < samples; i++ {
 				sent++
-				w := g.Neighbor(u, r.Intn(deg))
+				w := g.Neighbor(u, cr.Intn(deg))
 				if b.curStamp[w] == b.epoch {
 					hit = true
 				}
@@ -327,9 +351,9 @@ func (b *refBips) AppendReached(dst []int32) []int32 {
 }
 
 // missProb returns (1-p)^k, with the small integer exponents of practical
-// branching factors multiplied out. The native bips engine keeps its own
-// copy with the identical operations, so the fast path's probabilities
-// agree bit for bit.
+// branching factors multiplied out. The registry bips engine keeps its
+// own copy with the identical operations, so the fast path's
+// probabilities agree bit for bit.
 func missProb(p float64, k int) float64 {
 	q := 1 - p
 	switch k {

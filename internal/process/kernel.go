@@ -7,26 +7,28 @@ import (
 	"cobrawalk/internal/rng"
 )
 
-// kernelChunk is the chunk grain of the parallel round kernels: the
-// number of frontier entries (cobra-par) or candidates (bips-par) one
-// work chunk covers. The grain is part of the determinism contract —
-// chunk boundaries, and therefore the per-chunk RNG streams, depend
-// only on the data (frontier length), never on the worker count — so
-// changing it changes results the same way changing a seed would.
+// KernelChunk is the chunk grain of the round kernel: the number of
+// active-set entries (cobra) or candidates (bips) one work chunk covers.
+// The grain is part of the stream layout — chunk boundaries, and
+// therefore the per-chunk RNG streams, depend only on the data (the
+// active-set or candidate count), never on the worker count — so
+// changing it changes results the same way changing a seed would. Code
+// that reproduces the engines' draws (the difftest reference engines,
+// E14's load-counting loop) cuts its rounds with this constant.
 //
 // 2048 entries × K pushes ≈ 4k random CSR gathers per chunk: coarse
 // enough that chunk-claim traffic (one atomic add) and the per-chunk
 // reseed are noise, fine enough that a 10^5-vertex frontier splits into
 // ~50 chunks for dynamic load balancing across 8 workers.
-const kernelChunk = 2048
+const KernelChunk = 2048
 
-// chunksFor returns the number of kernelChunk-sized chunks covering
+// chunksFor returns the number of KernelChunk-sized chunks covering
 // items entries.
 func chunksFor(items int) int {
-	return (items + kernelChunk - 1) / kernelChunk
+	return (items + KernelChunk - 1) / KernelChunk
 }
 
-// chunkRunner is the per-round work a parallel engine hands the pool:
+// chunkRunner is the per-round work an engine hands the pool:
 // execute chunk `chunk` using the pool's worker-private generator
 // rands[worker]. Implementations must touch only chunk-owned staging
 // regions (plus read-only shared state) — the pool provides the
@@ -68,8 +70,8 @@ type kernelPool struct {
 }
 
 // newKernelPool returns a pool with the given total worker count
-// (including the calling goroutine); workers-1 helper goroutines are
-// started immediately.
+// (including the calling goroutine; values below 1 mean 1); workers-1
+// helper goroutines are started immediately.
 func newKernelPool(workers int) *kernelPool {
 	if workers < 1 {
 		workers = 1

@@ -17,7 +17,7 @@ import (
 // staging writes all reuse construction-time buffers.
 func TestKernelStepZeroAlloc(t *testing.T) {
 	g := expander(t, 1<<12, 8)
-	for _, name := range []string{CobraPar, BIPSPar} {
+	for _, name := range []string{Cobra, BIPS} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			p, err := New(name, g, Config{KernelWorkers: 4})
@@ -66,9 +66,9 @@ func TestKernelHammerSharedMmapGraph(t *testing.T) {
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines)
 	for i := 0; i < goroutines; i++ {
-		name := CobraPar
+		name := Cobra
 		if i%2 == 1 {
-			name = BIPSPar
+			name = BIPS
 		}
 		p, err := New(name, shared, Config{KernelWorkers: 3})
 		if err != nil {

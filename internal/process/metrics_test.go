@@ -9,12 +9,12 @@ import (
 	"cobrawalk/internal/rng"
 )
 
-// collected constructs the named process with a fresh collector attached
+// collected constructs an engine with build, attaches a fresh collector
 // and runs one collected trial from vertex 0.
-func collected(t *testing.T, name string, g *graph.Graph, seed uint64) (*Collector, Result) {
+func collected(t *testing.T, build Factory, g *graph.Graph, seed uint64) (*Collector, Result) {
 	t.Helper()
 	c := NewCollector(g.N())
-	p, err := New(name, g, Config{Observer: c.Observe})
+	p, err := build(g, Config{Observer: c.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func collected(t *testing.T, name string, g *graph.Graph, seed uint64) (*Collect
 		t.Fatal(err)
 	}
 	if !res.Done {
-		t.Fatalf("%s did not finish", name)
+		t.Fatal("run did not finish")
 	}
 	return c, res
 }
@@ -38,9 +38,9 @@ func TestCollectorContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, info := range All() {
-		t.Run(info.Name, func(t *testing.T) {
-			c, res := collected(t, info.Name, g, 11)
+	for _, info := range engineCases() {
+		t.Run(info.name, func(t *testing.T) {
+			c, res := collected(t, info.build, g, 11)
 			if c.Rounds() != res.Rounds {
 				t.Fatalf("collector saw %d rounds, result has %d — observer did not fire once per Step", c.Rounds(), res.Rounds)
 			}
@@ -100,8 +100,7 @@ func TestCollectorContract(t *testing.T) {
 // the only non-monotone process, and on an unfavourable instance its
 // reached series actually dips (the flag is not vacuous).
 func TestMonotoneRegistryTruthful(t *testing.T) {
-	want := map[string]bool{Cobra: true, BIPS: false, Push: true, PushPull: true, Flood: true, KWalk: true,
-		CobraPar: true, BIPSPar: false}
+	want := map[string]bool{Cobra: true, BIPS: false, Push: true, PushPull: true, Flood: true, KWalk: true}
 	for _, info := range All() {
 		if info.Monotone != want[info.Name] {
 			t.Errorf("%s: Monotone = %v, want %v", info.Name, info.Monotone, want[info.Name])
@@ -115,7 +114,7 @@ func TestMonotoneRegistryTruthful(t *testing.T) {
 	}
 	dipped := false
 	for seed := uint64(1); seed <= 20 && !dipped; seed++ {
-		c, _ := collected(t, BIPS, g, seed)
+		c, _ := collected(t, newBipsProc, g, seed)
 		r := c.Reached()
 		for i := 1; i < len(r); i++ {
 			if r[i] < r[i-1] {
@@ -173,10 +172,10 @@ func TestCollectorZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	starts := []int32{0}
-	for _, info := range All() {
-		t.Run(info.Name, func(t *testing.T) {
+	for _, info := range engineCases() {
+		t.Run(info.name, func(t *testing.T) {
 			c := NewCollector(g.N())
-			p, err := info.New(g, Config{Observer: c.Observe})
+			p, err := info.build(g, Config{Observer: c.Observe})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/rng"
@@ -75,20 +74,21 @@ type Config struct {
 	// DefaultBranching (the paper's k = 2). Unbranched processes ignore
 	// it.
 	Branching Branching
-	// FastSampling switches bips (and bips-par) to the closed-form
-	// Bernoulli sampling path: each candidate u is infected with its
-	// exact probability 1-(1-d_A(u)/d(u))^K·(1-Rho·d_A(u)/d(u)) instead
-	// of drawing the K individual neighbour samples. The two paths are
-	// identical in distribution. Ignored by every other process.
+	// FastSampling switches bips to the closed-form Bernoulli sampling
+	// path: each candidate u is infected with its exact probability
+	// 1-(1-d_A(u)/d(u))^K·(1-Rho·d_A(u)/d(u)) instead of drawing the K
+	// individual neighbour samples. The two paths are identical in
+	// distribution. Ignored by every other process.
 	FastSampling bool
 	// Observer, when non-nil, receives a RoundStat after every Step.
 	Observer RoundObserver
 	// KernelWorkers is the worker count (calling goroutine included) of
-	// the parallel round kernels (cobra-par, bips-par; Info.Kernel).
-	// It is a scheduling knob only: per-chunk counter-derived RNG
-	// streams make results byte-identical for every value, pinned by
-	// difftest.LockstepWorkers. <= 0 means GOMAXPROCS. Non-kernel
-	// processes ignore it.
+	// the round kernel that cobra and bips run on (Info.Kernel). It is a
+	// scheduling knob only: per-chunk counter-derived RNG streams make
+	// results byte-identical for every value, pinned by the difftest
+	// lockstep grid. <= 0 means 1, so callers that already run engines
+	// on a trial worker pool never oversubscribe the machine by default.
+	// Non-kernel processes ignore it.
 	KernelWorkers int
 }
 
@@ -99,18 +99,6 @@ func (c Config) branching() Branching {
 		return DefaultBranching
 	}
 	return c.Branching
-}
-
-// kernelWorkers resolves the kernel worker count, defaulting to
-// GOMAXPROCS — "one trial, whole machine". Callers running many trials
-// concurrently (the sweep ensemble reducer) set it explicitly to their
-// share of the CPU budget.
-func (c Config) kernelWorkers() int {
-	w := c.KernelWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return w
 }
 
 // DefaultMaxRounds caps driven runs that pass maxRounds <= 0 to Run.
@@ -207,9 +195,9 @@ func checkStartsN(n int, starts []int32) error {
 }
 
 // Reacher is the optional Process extension for engines that expose their
-// reached set: cobra, bips, cobra-par, bips-par and the difftest reference
-// engines implement it. The differential test harness diffs reached sets
-// through it, and the duality estimator reads single-vertex membership.
+// reached set: cobra, bips and the difftest reference engines implement
+// it. The differential test harness diffs reached sets through it, and
+// the duality estimator reads single-vertex membership.
 type Reacher interface {
 	// AppendReached appends the reached vertices to dst in ascending id
 	// order and returns the extended slice.

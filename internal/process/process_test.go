@@ -2,6 +2,7 @@ package process
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -30,8 +31,39 @@ func expander(t *testing.T, n, deg int) *graph.Graph {
 	return g
 }
 
+// engineCase is one registry engine configuration under test: a
+// registry entry plus the kernel worker count it runs at.
+type engineCase struct {
+	Info
+	name    string // subtest name: the process, plus /wN for kernel processes
+	workers int    // Config.KernelWorkers
+}
+
+// build constructs the engine with the case's kernel worker count.
+func (ec engineCase) build(g *graph.Graph, cfg Config) (Process, error) {
+	cfg.KernelWorkers = ec.workers
+	return ec.New(g, cfg)
+}
+
+// engineCases expands the registry for the registry-wide tests: every
+// process once, and kernel processes once per width in kernelWidths, so
+// each contract is checked on the inline kernel path and on a pool.
+func engineCases() []engineCase {
+	var out []engineCase
+	for _, info := range All() {
+		if !info.Kernel {
+			out = append(out, engineCase{Info: info, name: info.Name})
+			continue
+		}
+		for _, w := range kernelWidths {
+			out = append(out, engineCase{Info: info, name: fmt.Sprintf("%s/w%d", info.Name, w), workers: w})
+		}
+	}
+	return out
+}
+
 func TestRegistry(t *testing.T) {
-	want := []string{Cobra, BIPS, Push, PushPull, Flood, KWalk, CobraPar, BIPSPar}
+	want := []string{Cobra, BIPS, Push, PushPull, Flood, KWalk}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -50,9 +82,8 @@ func TestRegistry(t *testing.T) {
 	if _, err := New("gossip", expander(t, 16, 3), Config{}); err == nil {
 		t.Fatal("New with unknown name should fail")
 	}
-	branchedWant := map[string]bool{Cobra: true, BIPS: true, Push: false, PushPull: false, Flood: false, KWalk: true,
-		CobraPar: true, BIPSPar: true}
-	kernelWant := map[string]bool{CobraPar: true, BIPSPar: true}
+	branchedWant := map[string]bool{Cobra: true, BIPS: true, Push: false, PushPull: false, Flood: false, KWalk: true}
+	kernelWant := map[string]bool{Cobra: true, BIPS: true}
 	for _, info := range All() {
 		if info.Branched != branchedWant[info.Name] {
 			t.Errorf("%s: Branched = %v, want %v", info.Name, info.Branched, branchedWant[info.Name])
@@ -69,9 +100,9 @@ func TestRegistry(t *testing.T) {
 // the identical random stream — the reusability contract.
 func TestAllProcessesCoverAndRepeat(t *testing.T) {
 	g := expander(t, 64, 4)
-	for _, info := range All() {
-		t.Run(info.Name, func(t *testing.T) {
-			p, err := info.New(g, Config{})
+	for _, info := range engineCases() {
+		t.Run(info.name, func(t *testing.T) {
+			p, err := info.build(g, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,9 +288,9 @@ func TestTransmissionAccounting(t *testing.T) {
 // and reports not done — for every registered process, on a long cycle.
 func TestMaxRoundsCap(t *testing.T) {
 	g := mk(t)(graph.Cycle(1000))
-	for _, info := range All() {
-		t.Run(info.Name, func(t *testing.T) {
-			p, err := info.New(g, Config{})
+	for _, info := range engineCases() {
+		t.Run(info.name, func(t *testing.T) {
+			p, err := info.build(g, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -450,10 +481,10 @@ func TestResetValidation(t *testing.T) {
 // sum to the total, and a final Reached matching the process state.
 func TestObserver(t *testing.T) {
 	g := expander(t, 48, 4)
-	for _, info := range All() {
-		t.Run(info.Name, func(t *testing.T) {
+	for _, info := range engineCases() {
+		t.Run(info.name, func(t *testing.T) {
 			var stats []RoundStat
-			p, err := info.New(g, Config{Observer: func(rs RoundStat) { stats = append(stats, rs) }})
+			p, err := info.build(g, Config{Observer: func(rs RoundStat) { stats = append(stats, rs) }})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -503,9 +534,9 @@ func TestObserver(t *testing.T) {
 func TestZeroAllocTrials(t *testing.T) {
 	g := expander(t, 512, 8)
 	starts := []int32{0}
-	for _, info := range All() {
-		t.Run(info.Name, func(t *testing.T) {
-			p, err := info.New(g, Config{})
+	for _, info := range engineCases() {
+		t.Run(info.name, func(t *testing.T) {
+			p, err := info.build(g, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

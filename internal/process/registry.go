@@ -17,8 +17,6 @@ const (
 	PushPull = "push-pull" // push-pull rumour spreading
 	Flood    = "flood"     // flooding (deterministic; Rounds = start eccentricity)
 	KWalk    = "kwalk"     // k independent random walks; K = walker count
-	CobraPar = "cobra-par" // cobra on the parallel intra-trial round kernel
-	BIPSPar  = "bips-par"  // bips on the parallel intra-trial round kernel
 )
 
 // Factory constructs a Process on g with the given configuration.
@@ -43,13 +41,11 @@ type Info struct {
 	// |A_t| and can dip when vertices recover. Trajectory consumers use
 	// this to decide which invariants a reached series satisfies.
 	Monotone bool
-	// Kernel reports whether the process runs on the parallel
-	// intra-trial round kernel: Config.KernelWorkers applies, and the
+	// Kernel reports whether the process runs on the intra-trial round
+	// kernel (cobra and bips): Config.KernelWorkers applies, and the
 	// sweep layer budgets trial-level against kernel-level parallelism
 	// (trialWorkers × kernelWorkers ≤ GOMAXPROCS). Results are
-	// byte-identical for every worker count; kernel processes are
-	// engine variants, not stream-compatible with their sequential
-	// references.
+	// byte-identical for every worker count.
 	Kernel bool
 	// Summary is a one-line description for listings and flag help.
 	Summary string
@@ -74,12 +70,12 @@ func register(info Info) {
 
 func init() {
 	register(Info{
-		Name: Cobra, Branched: true, AcceptsRho: true, Monotone: true,
+		Name: Cobra, Branched: true, AcceptsRho: true, Monotone: true, Kernel: true,
 		Summary: "coalescing-branching random walk (cover runs)",
 		New:     newCobraProc,
 	})
 	register(Info{
-		Name: BIPS, Branched: true, AcceptsRho: true, Monotone: false,
+		Name: BIPS, Branched: true, AcceptsRho: true, Monotone: false, Kernel: true,
 		Summary: "biased infection with persistent source (dual epidemic)",
 		New:     newBipsProc,
 	})
@@ -102,16 +98,6 @@ func init() {
 		Name: KWalk, Branched: true, AcceptsRho: false, Monotone: true,
 		Summary: "K independent random walks from the start set",
 		New:     newKWalkProc,
-	})
-	register(Info{
-		Name: CobraPar, Branched: true, AcceptsRho: true, Monotone: true, Kernel: true,
-		Summary: "COBRA on the parallel round kernel (one trial, many cores)",
-		New:     newCobraParProc,
-	})
-	register(Info{
-		Name: BIPSPar, Branched: true, AcceptsRho: true, Monotone: false, Kernel: true,
-		Summary: "BIPS on the parallel round kernel (one trial, many cores)",
-		New:     newBipsParProc,
 	})
 }
 

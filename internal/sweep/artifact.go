@@ -31,7 +31,9 @@ const (
 	// v2: points carry graph_seed (graphs keyed on topology, not point).
 	// v3: pluggable metrics — specs carry a metric set, records hold
 	// per-metric summaries plus optional trajectory blocks.
-	manifestVersion = 3
+	// v4: cobra and bips draw in the round kernel's per-(round, chunk)
+	// stream layout, so v3 records came from different draws.
+	manifestVersion = 4
 )
 
 // Hash returns a short stable fingerprint of the normalised spec plus

@@ -45,21 +45,33 @@ func TestWorkerBudgetResolve(t *testing.T) {
 	}
 }
 
-// kernelSpec sweeps both kernel processes over a regular and an
-// irregular family with every registered metric, so the golden diff
-// below covers trajectory digests and snapshots too.
-func kernelSpec() Spec {
-	return Spec{
+// kernelSpecs sweep both kernel processes with every registered metric,
+// so the golden diff below covers trajectory digests and snapshots too:
+// a regular and an irregular family at a size whose rounds fit in one
+// kernel chunk, and an expander whose rounds span several chunks, so
+// one round is split across workers.
+func kernelSpecs() []Spec {
+	return []Spec{{
 		Name:      "kernel-golden",
 		Families:  []string{"rand-reg", "complete"},
 		Sizes:     []int{24},
 		Degrees:   []int{4},
-		Processes: []string{ProcCobraPar, ProcBIPSPar},
+		Processes: []string{ProcCobra, ProcBIPS},
 		Metrics:   MetricNames(),
 		Trials:    6,
 		Seed:      23,
 		MaxRounds: 1 << 14,
-	}
+	}, {
+		Name:      "kernel-golden-multichunk",
+		Families:  []string{"rand-reg"},
+		Sizes:     []int{8192},
+		Degrees:   []int{8},
+		Processes: []string{ProcCobra, ProcBIPS},
+		Metrics:   MetricNames(),
+		Trials:    3,
+		Seed:      23,
+		MaxRounds: 1 << 14,
+	}}
 }
 
 // TestKernelGoldenDiffWorkers is the sweep-level half of the kernel
@@ -68,36 +80,40 @@ func kernelSpec() Spec {
 // byte-identical artifact trees — manifest, per-point records and
 // results.ndjson — and identical in-memory reports.
 func TestKernelGoldenDiffWorkers(t *testing.T) {
-	run := func(dir string, trialWorkers, kernelWorkers int) *Report {
-		t.Helper()
-		rep, err := Run(context.Background(), kernelSpec(), Options{
-			Dir:              dir,
-			TrialWorkers:     trialWorkers,
-			KernelWorkers:    kernelWorkers,
-			Snapshot:         func(Snapshot) {},
-			SnapshotInterval: time.Nanosecond, // force deliveries every fold
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	dirA, dirB := t.TempDir(), t.TempDir()
-	repA := run(dirA, 2, 1)
-	repB := run(dirB, 1, 4)
-	if reportJSON(t, repA) != reportJSON(t, repB) {
-		t.Fatal("kernel sweep report depends on kernel worker count")
-	}
-	treeA, treeB := readTree(t, dirA), readTree(t, dirB)
-	if !reflect.DeepEqual(treeA, treeB) {
-		for rel, want := range treeA {
-			if got, ok := treeB[rel]; !ok || got != want {
-				t.Fatalf("artifact %s differs between kernel workers 1 and 4", rel)
+	for _, spec := range kernelSpecs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			run := func(dir string, trialWorkers, kernelWorkers int) *Report {
+				t.Helper()
+				rep, err := Run(context.Background(), spec, Options{
+					Dir:              dir,
+					TrialWorkers:     trialWorkers,
+					KernelWorkers:    kernelWorkers,
+					Snapshot:         func(Snapshot) {},
+					SnapshotInterval: time.Nanosecond, // force deliveries every fold
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
 			}
-		}
-		t.Fatal("artifact trees differ between kernel workers 1 and 4")
-	}
-	if _, ok := treeA["results.ndjson"]; !ok {
-		t.Fatal("results.ndjson missing from kernel sweep artifacts")
+			dirA, dirB := t.TempDir(), t.TempDir()
+			repA := run(dirA, 2, 1)
+			repB := run(dirB, 1, 4)
+			if reportJSON(t, repA) != reportJSON(t, repB) {
+				t.Fatal("kernel sweep report depends on kernel worker count")
+			}
+			treeA, treeB := readTree(t, dirA), readTree(t, dirB)
+			if !reflect.DeepEqual(treeA, treeB) {
+				for rel, want := range treeA {
+					if got, ok := treeB[rel]; !ok || got != want {
+						t.Fatalf("artifact %s differs between kernel workers 1 and 4", rel)
+					}
+				}
+				t.Fatal("artifact trees differ between kernel workers 1 and 4")
+			}
+			if _, ok := treeA["results.ndjson"]; !ok {
+				t.Fatal("results.ndjson missing from kernel sweep artifacts")
+			}
+		})
 	}
 }

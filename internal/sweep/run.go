@@ -41,7 +41,7 @@ type Options struct {
 	// (default: the MaxProcs budget).
 	TrialWorkers int
 	// KernelWorkers bounds the intra-trial worker count of kernel
-	// processes (cobra-par, bips-par; process.Info.Kernel). Defaults to
+	// processes (cobra, bips; process.Info.Kernel). Defaults to
 	// the budget slack: MaxProcs / effective trial workers, so a
 	// single-trial point gets the whole budget and a wide ensemble gets
 	// one kernel worker per trial — trialWorkers × kernelWorkers never

@@ -36,8 +36,6 @@ const (
 	ProcPushPull = process.PushPull // push-pull rumour spreading
 	ProcFlood    = process.Flood    // flooding (deterministic)
 	ProcKWalk    = process.KWalk    // k independent random walks; Branching.K = walker count
-	ProcCobraPar = process.CobraPar // cobra on the parallel intra-trial round kernel
-	ProcBIPSPar  = process.BIPSPar  // bips on the parallel intra-trial round kernel
 )
 
 // Processes returns the registered process names in canonical order,

@@ -210,7 +210,7 @@ func TestProcessesDelegateToRegistry(t *testing.T) {
 	if got := Processes(); !reflect.DeepEqual(got, process.Names()) {
 		t.Fatalf("Processes() = %v, registry has %v", got, process.Names())
 	}
-	want := []string{ProcCobra, ProcBIPS, ProcPush, ProcPushPull, ProcFlood, ProcKWalk, ProcCobraPar, ProcBIPSPar}
+	want := []string{ProcCobra, ProcBIPS, ProcPush, ProcPushPull, ProcFlood, ProcKWalk}
 	if got := Processes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("canonical order = %v, want %v", got, want)
 	}
