@@ -23,9 +23,8 @@
 //	GET    /v1/processes          process registry
 //	GET    /v1/families           graph family registry
 //	GET    /v1/metrics            sweep metric registry
-//	GET    /v1/cachestats         graph cache hit/miss/eviction counters
 //	GET    /v1/healthz            liveness, uptime, build, job counts,
-//	                              queue depth, cache counters
+//	                              queue depth, graph cache counters
 //	GET    /v1/version            build identity
 //	GET    /metrics               Prometheus text metrics (HTTP, jobs,
 //	                              sweep throughput, graph cache, runtime)

@@ -1,7 +1,8 @@
 // Command experiments runs the paper-reproduction experiment suite E1-E15
 // (one experiment per quantitative claim; see DESIGN.md §3) and prints the
 // tables recorded in EXPERIMENTS.md. Ensemble experiments stream trials
-// through sim.Reduce, so -scale full runs in constant memory.
+// into digests, most through sweep.Ensemble (the computation behind every
+// sweep record), so -scale full runs in constant memory.
 //
 // Usage:
 //

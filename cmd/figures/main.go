@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +29,7 @@ import (
 	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/spectral"
-	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 func main() {
@@ -88,25 +89,18 @@ func run(args []string, w io.Writer) error {
 }
 
 // meanCover is the mean cover time of trials k = 2 COBRA runs from
-// vertex 0 on the registry cobra engine.
+// vertex 0, run as a sweep ensemble on g: trial i draws from its own
+// stream rng.NewStream(seed^0xf16, i).
 func meanCover(g *graph.Graph, trials int, seed uint64) (float64, error) {
-	c, err := process.New(process.Cobra, g, process.Config{})
+	res, err := sweep.Ensemble(context.Background(), g, sweep.Point{
+		Process: process.Cobra, Branching: process.DefaultBranching, Trials: trials,
+		Seed: seed ^ 0xf16, MaxRounds: process.DefaultMaxRounds,
+		Metrics: []string{sweep.MetricRounds},
+	}, sweep.Options{})
 	if err != nil {
 		return 0, err
 	}
-	r := rng.NewStream(seed, 0xf16)
-	var acc stats.Welford
-	for i := 0; i < trials; i++ {
-		res, err := process.Run(c, r, process.DefaultMaxRounds, 0)
-		if err != nil {
-			return 0, err
-		}
-		if !res.Done {
-			return 0, fmt.Errorf("uncovered run on %s", g.Name())
-		}
-		acc.Add(float64(res.Rounds))
-	}
-	return acc.Mean(), nil
+	return res.Metric(sweep.MetricRounds).Mean, nil
 }
 
 // figureCoverVsN is Theorem 1 as a picture: with a log-x axis, O(log n)

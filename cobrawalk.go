@@ -141,8 +141,9 @@ type Summary = stats.Summary
 var Summarize = stats.Summarize
 
 // Streaming statistics: constant-memory accumulators for Monte-Carlo
-// ensembles too large to materialise (see internal/sim.Reduce for the
-// harness that folds trials into them in parallel, deterministically).
+// ensembles too large to materialise (internal/sim.Reduce folds trials
+// into them in parallel, deterministically; sweep points and most
+// experiment ensembles reach it through internal/sweep.Ensemble).
 type (
 	// Stream accumulates count/mean/variance/min/max online (Welford).
 	Stream = stats.Stream

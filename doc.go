@@ -30,10 +30,11 @@
 //     subset-space verifier for graphs up to 13 vertices;
 //   - Lemma 1 growth bounds, three-phase trajectory analysis (Lemmas 2-4);
 //   - a deterministic parallel Monte-Carlo harness with two aggregation
-//     modes — materialise every trial (sim.Run) or stream trials into
-//     constant-memory mergeable accumulators (sim.Reduce), so ensembles
-//     of 10⁵+ trials run in O(1) memory with bit-identical results for
-//     any worker count;
+//     modes on one worker pool — materialise every trial (sim.Run) or
+//     stream trials into constant-memory mergeable accumulators
+//     (sim.Reduce), so ensembles of 10⁵+ trials run in O(1) memory with
+//     bit-identical results for any worker count; sweep points and most
+//     experiment ensembles reach it through one path (sweep.Ensemble);
 //   - batch and streaming statistics: summaries, confidence intervals,
 //     scaling-law fits, Welford streams, quantile sketches, histograms
 //     (re-exported here as Stream, QuantileSketch, Digest, Histogram);

@@ -7,7 +7,9 @@ import (
 
 	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 // e10Experiment probes the scope boundary of Theorems 1-3: they require
@@ -55,18 +57,14 @@ func runE10(ctx context.Context, w io.Writer, p Params) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lambda, err := measureLambda(g)
+		res, err := sweep.Ensemble(ctx, g, sweep.Point{
+			Process: process.Cobra, Branching: core.DefaultBranching, Trials: trials,
+			Seed: p.Seed, MaxRounds: 1 << 18, Metrics: roundsOnly, MeasureLambda: true,
+		}, sweep.Options{TrialWorkers: p.Workers})
 		if err != nil {
 			return err
 		}
-		dg, err := coverDigest(ctx, g, core.DefaultBranching, trials, p, 1<<18)
-		if err != nil {
-			return err
-		}
-		s, err := digestOrErr(dg, "cover times")
-		if err != nil {
-			return err
-		}
+		lambda, s := res.Lambda, res.Metric(sweep.MetricRounds)
 		theoremT := "∞ (gap 0)"
 		if 1-lambda > 1e-9 {
 			theoremT = f1(math.Log(float64(g.N())) / math.Pow(1-lambda, 3))

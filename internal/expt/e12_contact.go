@@ -8,9 +8,11 @@ import (
 	"cobrawalk/internal/contact"
 	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/sim"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 // e12Experiment situates COBRA/BIPS against the continuous-time contact
@@ -99,14 +101,14 @@ func runE12(ctx context.Context, w io.Writer, p Params) error {
 	// COBRA.
 	tbl2 := NewTable("E12b: persistent-source contact process vs BIPS k=2 (the paper's duality-side process)",
 		"model", "parameter", "mean time (coverage / full infection)", "p95")
-	bipsTimes, err := infectionTimes(ctx, g, core.DefaultBranching, trials, p, 1<<16)
+	bips, err := sweep.Ensemble(ctx, g, sweep.Point{
+		Process: process.BIPS, Branching: core.DefaultBranching, Trials: trials,
+		Seed: p.Seed ^ 0xb195, MaxRounds: 1 << 16, Metrics: roundsOnly,
+	}, sweep.Options{TrialWorkers: p.Workers})
 	if err != nil {
 		return err
 	}
-	bs, err := summarizeOrErr(bipsTimes, "BIPS times")
-	if err != nil {
-		return err
-	}
+	bs := bips.Metric(sweep.MetricRounds)
 	tbl2.AddRow("BIPS (discrete rounds, reaches A_t = V)", "k=2", f2(bs.Mean), f1(bs.P95))
 	for _, mu := range []float64{0.4, 0.8, 1.6} {
 		cfg := contact.Config{Mu: mu, PersistentSource: true, StopOnCoverage: true, MaxEvents: 20_000_000}

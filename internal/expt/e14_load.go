@@ -10,6 +10,7 @@ import (
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/sim"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 // e14Experiment quantifies the per-vertex transmission budget that
@@ -84,24 +85,20 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 	tbl.AddRow("COBRA k=2", f2(cRounds), f1(cTotal), f2(cMean), f2(cMax), f2(cDuty))
 	cMaxRecv := stats.Mean(sim.Floats(cres, func(o loadOut) float64 { return o.maxRecv }))
 
-	// Push: per-vertex sends = rounds since the vertex was informed, which
-	// we can compute from the protocol's structure: a vertex informed at
-	// round t sends exactly (rounds - t) messages. Like COBRA's, the push
-	// loop runs here with a per-vertex counter.
-	pres, err := sim.Run(ctx, sim.Spec{Trials: trials, Seed: p.Seed ^ 0x41, Workers: p.Workers},
-		func(trial int, r *rng.Rand) (loadOut, error) {
-			rounds, total, maxSend, err := pushWithLoad(g, 0, r)
-			if err != nil {
-				return loadOut{}, err
-			}
-			return loadOut{rounds: float64(rounds), total: float64(total), maxSend: float64(maxSend)}, nil
-		})
+	// Push: a vertex informed at round t sends exactly (rounds - t)
+	// messages, so the busiest vertex is the start vertex, which pushes
+	// every round: its send count is the run's round count. The
+	// registry push therefore needs no per-vertex counter.
+	push, err := sweep.Ensemble(ctx, g, sweep.Point{
+		Process: process.Push, Trials: trials, Seed: p.Seed ^ 0x41, MaxRounds: 1 << 22,
+		Metrics: []string{sweep.MetricRounds, sweep.MetricTransmissions},
+	}, sweep.Options{TrialWorkers: p.Workers})
 	if err != nil {
 		return err
 	}
-	pRounds := stats.Mean(sim.Floats(pres, func(o loadOut) float64 { return o.rounds }))
-	pTotal := stats.Mean(sim.Floats(pres, func(o loadOut) float64 { return o.total }))
-	pMax := stats.Mean(sim.Floats(pres, func(o loadOut) float64 { return o.maxSend }))
+	pRounds := push.Metric(sweep.MetricRounds).Mean
+	pTotal := push.Metric(sweep.MetricTransmissions).Mean
+	pMax := pRounds
 	pMean := pTotal / float64(n)
 	pDuty := pMax / pRounds // push's per-round cap is 1 send
 	tbl.AddRow("push", f2(pRounds), f1(pTotal), f2(pMean), f2(pMax), f2(pDuty))
@@ -175,40 +172,4 @@ func cobraWithLoad(g *graph.Graph, start int32, r *rng.Rand) (cobraLoad, error) 
 		out.rounds++
 	}
 	return out, nil
-}
-
-// pushWithLoad runs the push protocol recording per-vertex send counts
-// (the process-layer push tracks only totals, so this mirrors its loop
-// with a per-vertex counter).
-func pushWithLoad(g *graph.Graph, start int32, r *rng.Rand) (rounds int, total int64, maxSend int64, err error) {
-	n := g.N()
-	informed := make([]bool, n)
-	informed[start] = true
-	frontier := []int32{start}
-	sends := make([]int64, n)
-	count := 1
-	for count < n {
-		rounds++
-		if rounds > 1<<22 {
-			return 0, 0, 0, fmt.Errorf("push exceeded the round cap")
-		}
-		var newly []int32
-		for _, v := range frontier {
-			u := g.Neighbor(v, r.Intn(g.Degree(v)))
-			sends[v]++
-			total++
-			if !informed[u] {
-				informed[u] = true
-				count++
-				newly = append(newly, u)
-			}
-		}
-		frontier = append(frontier, newly...)
-	}
-	for _, s := range sends {
-		if s > maxSend {
-			maxSend = s
-		}
-	}
-	return rounds, total, maxSend, nil
 }

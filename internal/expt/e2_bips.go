@@ -6,8 +6,10 @@ import (
 	"math"
 
 	"cobrawalk/internal/core"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 // e2Experiment reproduces Theorem 2: the BIPS infection time with k = 2 on
@@ -47,19 +49,15 @@ func runE2(ctx context.Context, w io.Writer, p Params) error {
 			if err != nil {
 				return err
 			}
-			lambda, err := measureLambda(g)
+			res, err := sweep.Ensemble(ctx, g, sweep.Point{
+				Process: process.BIPS, Branching: core.DefaultBranching, Trials: trials,
+				Seed: p.Seed ^ 0xb195, MaxRounds: 1 << 16, Metrics: roundsOnly, MeasureLambda: true,
+			}, sweep.Options{TrialWorkers: p.Workers})
 			if err != nil {
 				return err
 			}
-			dg, err := infectionDigest(ctx, g, core.DefaultBranching, trials, p, 1<<16)
-			if err != nil {
-				return err
-			}
-			s, err := digestOrErr(dg, "infection times")
-			if err != nil {
-				return err
-			}
-			tbl.AddRow(fam.name, d(g.N()), f4(lambda), d(trials),
+			s := res.Metric(sweep.MetricRounds)
+			tbl.AddRow(fam.name, d(g.N()), f4(res.Lambda), d(trials),
 				f2(s.Mean), f1(s.P95), f1(s.Max), f2(s.Max/s.Mean),
 				f2(s.Mean/math.Log2(float64(g.N()))))
 			ns = append(ns, float64(g.N()))

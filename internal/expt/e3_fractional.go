@@ -6,8 +6,10 @@ import (
 	"math"
 
 	"cobrawalk/internal/core"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 // e3Experiment reproduces Theorem 3 / Corollary 1: COBRA with fractional
@@ -51,19 +53,15 @@ func runE3(ctx context.Context, w io.Writer, p Params) error {
 			if err != nil {
 				return err
 			}
-			lambda, err := measureLambda(g)
+			res, err := sweep.Ensemble(ctx, g, sweep.Point{
+				Process: process.Cobra, Branching: branch, Trials: trials,
+				Seed: p.Seed, MaxRounds: 1 << 18, Metrics: roundsOnly, MeasureLambda: true,
+			}, sweep.Options{TrialWorkers: p.Workers})
 			if err != nil {
 				return err
 			}
-			dg, err := coverDigest(ctx, g, branch, trials, p, 1<<18)
-			if err != nil {
-				return err
-			}
-			s, err := digestOrErr(dg, "cover times")
-			if err != nil {
-				return err
-			}
-			tbl.AddRow(f2(rho), d(g.N()), f4(lambda), f2(s.Mean), f1(s.P95),
+			s := res.Metric(sweep.MetricRounds)
+			tbl.AddRow(f2(rho), d(g.N()), f4(res.Lambda), f2(s.Mean), f1(s.P95),
 				f2(s.Mean/math.Log2(float64(g.N()))))
 			ns = append(ns, float64(g.N()))
 			means = append(means, s.Mean)

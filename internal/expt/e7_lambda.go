@@ -6,7 +6,9 @@ import (
 
 	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 // e7Experiment probes the (1-λ) dependence of Theorems 1-2. The bound is
@@ -90,14 +92,14 @@ func runE7(ctx context.Context, w io.Writer, p Params) error {
 		if gap <= 1e-9 {
 			continue // bipartite/disconnected instances are out of scope here
 		}
-		dg, err := coverDigest(ctx, g, core.DefaultBranching, trials, p, 1<<20)
+		res, err := sweep.Ensemble(ctx, g, sweep.Point{
+			Process: process.Cobra, Branching: core.DefaultBranching, Trials: trials,
+			Seed: p.Seed, MaxRounds: 1 << 20, Metrics: roundsOnly,
+		}, sweep.Options{TrialWorkers: p.Workers})
 		if err != nil {
 			return err
 		}
-		s, err := digestOrErr(dg, "cover times")
-		if err != nil {
-			return err
-		}
+		s := res.Metric(sweep.MetricRounds)
 		tbl.AddRow(g.Name(), d(g.N()), f4(lambda), f2(1/gap), f2(s.Mean), f1(s.P95))
 		invGaps = append(invGaps, 1/gap)
 		means = append(means, s.Mean)

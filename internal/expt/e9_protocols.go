@@ -9,8 +9,7 @@ import (
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
-	"cobrawalk/internal/sim"
-	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 // e9Experiment reproduces the paper's motivation (§1): COBRA propagates
@@ -38,23 +37,12 @@ func runE9(ctx context.Context, w io.Writer, p Params) error {
 		return err
 	}
 
-	type outcome struct{ rounds, msgs float64 }
 	tbl := NewTable(fmt.Sprintf("E9: broadcast protocols on %s", g.Name()),
 		"protocol", "mean rounds", "p95 rounds", "mean msgs", "msgs/n", "per-vertex/round cap")
 
-	addRows := func(name, cap string, rounds, msgs []float64) error {
-		rs, err := summarizeOrErr(rounds, name+" rounds")
-		if err != nil {
-			return err
-		}
-		ms := stats.Mean(msgs)
-		tbl.AddRow(name, f2(rs.Mean), f1(rs.P95), f1(ms), f2(ms/float64(n)), cap)
-		return nil
-	}
-
-	// Every protocol rides the unified process layer: one reusable
-	// Process per trial worker (construct once, Reset per trial), so the
-	// comparison ensemble allocates nothing per trial.
+	// Every protocol rides the unified process layer through
+	// sweep.Ensemble: one reusable Process per trial worker (construct
+	// once, Reset per trial), rounds and messages folded into digests.
 	deg, _ := g.Regularity()
 	rows := []struct {
 		proc      string
@@ -71,39 +59,17 @@ func runE9(ctx context.Context, w io.Writer, p Params) error {
 		{process.KWalk, core.Branching{K: 1}, "random-walk", "1 walker total", p.Seed ^ 0x99, 1 << 22},
 		{process.KWalk, core.Branching{K: 2}, "2-walks", "2 walkers total", p.Seed ^ 0x99, 1 << 22},
 	}
-	start := []int32{0}
 	for _, row := range rows {
-		row := row
-		cfg := process.Config{Branching: row.branching}
-		if _, err := process.New(row.proc, g, cfg); err != nil {
-			return err
-		}
-		res, err := sim.RunWithState(ctx, sim.Spec{Trials: trials, Seed: row.seed, Workers: p.Workers},
-			func() process.Process {
-				proc, err := process.New(row.proc, g, cfg)
-				if err != nil {
-					panic(err) // unreachable: validated above
-				}
-				return proc
-			},
-			func(proc process.Process, trial int, r *rng.Rand) (outcome, error) {
-				out, err := process.Run(proc, r, row.maxRounds, start...)
-				if err != nil {
-					return outcome{}, err
-				}
-				if !out.Done {
-					return outcome{}, fmt.Errorf("%s hit round cap", row.label)
-				}
-				return outcome{float64(out.Rounds), float64(out.Transmissions)}, nil
-			})
+		res, err := sweep.Ensemble(ctx, g, sweep.Point{
+			Process: row.proc, Branching: row.branching, Trials: trials,
+			Seed: row.seed, MaxRounds: row.maxRounds,
+			Metrics: []string{sweep.MetricRounds, sweep.MetricTransmissions},
+		}, sweep.Options{TrialWorkers: p.Workers})
 		if err != nil {
 			return err
 		}
-		if err := addRows(row.label, row.cap,
-			sim.Floats(res, func(o outcome) float64 { return o.rounds }),
-			sim.Floats(res, func(o outcome) float64 { return o.msgs })); err != nil {
-			return err
-		}
+		rs, ms := res.Metric(sweep.MetricRounds), res.Metric(sweep.MetricTransmissions)
+		tbl.AddRow(row.label, f2(rs.Mean), f1(rs.P95), f1(ms.Mean), f2(ms.Mean/float64(n)), row.cap)
 	}
 	tbl.AddNote("COBRA matches the O(log n) round complexity of push/flooding with a hard per-vertex budget of k=2")
 	tbl.AddNote("random walks respect a budget of 1-2 messages/round globally but pay Θ(n log n) rounds")

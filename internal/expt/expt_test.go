@@ -13,6 +13,7 @@ import (
 	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 func TestTableRender(t *testing.T) {
@@ -135,10 +136,11 @@ func TestAnnounce(t *testing.T) {
 	}
 }
 
-// TestStreamingDigestMatchesRawSample pins the tentpole invariant at the
-// workload level: the streaming digest sees exactly the trials the raw
-// path sees (same seeds, same streams), so its exact moments agree with
-// Summarize on the materialised sample, for any worker count.
+// TestStreamingDigestMatchesRawSample pins the ensemble invariant at the
+// workload level: sweep.Ensemble's streaming digest sees exactly the
+// trials the raw path sees (same seeds, same streams), so its exact
+// moments agree with Summarize on the materialised sample, for any
+// worker count.
 func TestStreamingDigestMatchesRawSample(t *testing.T) {
 	g, err := graph.Complete(48)
 	if err != nil {
@@ -154,14 +156,14 @@ func TestStreamingDigestMatchesRawSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dg, err := coverDigest(context.Background(), g, core.DefaultBranching, 120, p, 1<<16)
+		res, err := sweep.Ensemble(context.Background(), g, sweep.Point{
+			Process: process.Cobra, Branching: core.DefaultBranching, Trials: 120,
+			Seed: p.Seed, MaxRounds: 1 << 16, Metrics: []string{sweep.MetricRounds},
+		}, sweep.Options{TrialWorkers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := digestOrErr(dg, "cover times")
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := res.Metric(sweep.MetricRounds)
 		if got.N != want.N || got.Min != want.Min || got.Max != want.Max {
 			t.Fatalf("workers=%d: digest %+v, raw %+v", workers, got, want)
 		}
@@ -172,7 +174,8 @@ func TestStreamingDigestMatchesRawSample(t *testing.T) {
 }
 
 // TestStreamingDigestDeterministicAcrossWorkers pins the acceptance
-// criterion: bit-identical summaries for Workers=1 and Workers=many.
+// criterion: sweep.Ensemble's summaries are bit-identical for
+// Workers=1 and Workers=many.
 func TestStreamingDigestDeterministicAcrossWorkers(t *testing.T) {
 	g, err := graph.Complete(48)
 	if err != nil {
@@ -180,16 +183,14 @@ func TestStreamingDigestDeterministicAcrossWorkers(t *testing.T) {
 	}
 	summaries := make([]stats.DigestSummary, 0, 3)
 	for _, workers := range []int{1, 4, 16} {
-		p := Params{Scale: Smoke, Seed: 5, Workers: workers}
-		dg, err := infectionDigest(context.Background(), g, core.DefaultBranching, 150, p, 1<<16)
+		res, err := sweep.Ensemble(context.Background(), g, sweep.Point{
+			Process: process.BIPS, Branching: core.DefaultBranching, Trials: 150,
+			Seed: 5 ^ 0xb195, MaxRounds: 1 << 16, Metrics: []string{sweep.MetricRounds},
+		}, sweep.Options{TrialWorkers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := dg.Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		summaries = append(summaries, s)
+		summaries = append(summaries, res.Metric(sweep.MetricRounds))
 	}
 	for i := 1; i < len(summaries); i++ {
 		if summaries[i] != summaries[0] {

@@ -8,11 +8,14 @@
 // estimators of internal/core), fits the claimed scaling law with
 // internal/stats, and renders a table.
 //
-// Ensemble experiments stream trial results through sim.Reduce into
-// constant-memory stats.Digest accumulators, so full-scale runs (10⁵+
-// trials) never materialise a per-trial slice; only experiments that need
-// the raw sample (E11's tail plot, bootstrap CIs) use sim.Run. Tables
-// render as aligned ASCII, CSV or NDJSON depending on Params.Format.
+// Ensemble experiments of registry processes run through sweep.Ensemble,
+// the computation behind every sweep record, which streams trial results
+// into constant-memory stats.Digest accumulators, so full-scale runs
+// (10⁵+ trials) never materialise a per-trial slice. Workloads sweep
+// records nothing for stay on internal/sim directly: E6's phase lengths,
+// E11's raw tail sample, E12's contact process, E13's timed paths and
+// E14's per-vertex COBRA loads. Tables render as aligned ASCII, CSV or
+// NDJSON depending on Params.Format.
 //
 // The experiments are exposed through a registry consumed by
 // cmd/experiments and by the repository-level benchmark harness.

@@ -62,96 +62,40 @@ func familyLabel(pt sweep.Point) string {
 	return pt.Family
 }
 
-// workload packages the per-worker factory and per-trial function for
-// runs of the named registry process (cobra cover runs, bips infection
-// runs) from vertex 0 (regular families are vertex-transitive or
-// statistically symmetric, so vertex 0 is representative of the
-// worst-case start). Construction is validated once up front so the
-// factory cannot fail; the same pair feeds both the materialising
-// (sim.RunWithState) and streaming (sim.ReduceWithState) harnesses,
-// guaranteeing the two paths see identical trials. A trial that hits
-// maxRounds is an error.
-func workload(name string, g *graph.Graph, branch process.Branching, maxRounds int) (func() process.Process, func(process.Process, int, *rng.Rand) (float64, error), error) {
-	cfg := process.Config{Branching: branch}
-	if _, err := process.New(name, g, cfg); err != nil {
-		return nil, nil, err
-	}
-	newState := func() process.Process {
-		p, err := process.New(name, g, cfg)
-		if err != nil {
-			panic(err) // unreachable: validated above
-		}
-		return p
-	}
-	trial := func(p process.Process, _ int, r *rng.Rand) (float64, error) {
-		out, err := process.Run(p, r, maxRounds, 0)
-		if err != nil {
-			return 0, err
-		}
-		if !out.Done {
-			return 0, fmt.Errorf("%s run hit round cap %d on %s", name, maxRounds, g.Name())
-		}
-		return float64(out.Rounds), nil
-	}
-	return newState, trial, nil
-}
+// roundsOnly is the metric set of the sweep.Ensemble calls that report
+// only the process's time metric (cover time for cobra, infection time
+// for bips).
+var roundsOnly = []string{sweep.MetricRounds}
 
 // coverTimes runs `trials` COBRA cover runs on g and returns the raw
-// cover times, for experiments that need the materialised sample.
+// cover times, for experiments that need the materialised sample. Trial
+// i draws from rng.NewStream(p.Seed, i) and starts from vertex 0, as in
+// an ensemble with that seed, and a run that reaches maxRounds is an
+// error.
 func coverTimes(ctx context.Context, g *graph.Graph, branch process.Branching, trials int, p Params, maxRounds int) ([]float64, error) {
-	newState, trial, err := workload(process.Cobra, g, branch, maxRounds)
-	if err != nil {
+	cfg := process.Config{Branching: branch}
+	if _, err := process.New(process.Cobra, g, cfg); err != nil {
 		return nil, err
 	}
 	spec := sim.Spec{Trials: trials, Seed: p.Seed, Workers: p.Workers}
-	return sim.RunWithState(ctx, spec, newState, trial)
-}
-
-// infectionTimes runs `trials` BIPS infection runs on g with source 0.
-func infectionTimes(ctx context.Context, g *graph.Graph, branch process.Branching, trials int, p Params, maxRounds int) ([]float64, error) {
-	newState, trial, err := workload(process.BIPS, g, branch, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	spec := sim.Spec{Trials: trials, Seed: p.Seed ^ 0xb195, Workers: p.Workers}
-	return sim.RunWithState(ctx, spec, newState, trial)
-}
-
-// coverDigest is the streaming counterpart of coverTimes: it folds the
-// same trials (same seeds, same per-trial streams) into a constant-memory
-// stats.Digest instead of materialising a []float64, so trial counts are
-// bounded by time, not RAM. The digest is bit-identical for every Workers
-// setting.
-func coverDigest(ctx context.Context, g *graph.Graph, branch process.Branching, trials int, p Params, maxRounds int) (*stats.Digest, error) {
-	newState, trial, err := workload(process.Cobra, g, branch, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	spec := sim.Spec{Trials: trials, Seed: p.Seed, Workers: p.Workers}
-	return sim.ReduceWithState(ctx, spec,
-		sim.DigestReducer(func(x float64) float64 { return x }),
-		newState, trial)
-}
-
-// infectionDigest is the streaming counterpart of infectionTimes.
-func infectionDigest(ctx context.Context, g *graph.Graph, branch process.Branching, trials int, p Params, maxRounds int) (*stats.Digest, error) {
-	newState, trial, err := workload(process.BIPS, g, branch, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	spec := sim.Spec{Trials: trials, Seed: p.Seed ^ 0xb195, Workers: p.Workers}
-	return sim.ReduceWithState(ctx, spec,
-		sim.DigestReducer(func(x float64) float64 { return x }),
-		newState, trial)
-}
-
-// digestOrErr snapshots a digest with the experiment error context.
-func digestOrErr(dg *stats.Digest, what string) (stats.DigestSummary, error) {
-	s, err := dg.Summary()
-	if err != nil {
-		return stats.DigestSummary{}, fmt.Errorf("expt: summarising %s: %w", what, err)
-	}
-	return s, nil
+	return sim.RunWithState(ctx, spec,
+		func() process.Process {
+			c, err := process.New(process.Cobra, g, cfg)
+			if err != nil {
+				panic(err) // unreachable: validated above
+			}
+			return c
+		},
+		func(c process.Process, _ int, r *rng.Rand) (float64, error) {
+			out, err := process.Run(c, r, maxRounds, 0)
+			if err != nil {
+				return 0, err
+			}
+			if !out.Done {
+				return 0, fmt.Errorf("%s run hit round cap %d on %s", process.Cobra, maxRounds, g.Name())
+			}
+			return float64(out.Rounds), nil
+		})
 }
 
 // measureLambda returns λ_max for g, using a reduced-accuracy power

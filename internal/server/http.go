@@ -68,10 +68,9 @@ type trajectoryBand struct {
 //	GET    /v1/processes         the process registry
 //	GET    /v1/families          the graph family registry
 //	GET    /v1/metrics           the sweep metric registry
-//	GET    /v1/cachestats        the shared graph cache counters
 //	GET    /v1/healthz           liveness + uptime + build identity +
-//	                             job counts + queue depth + cache
-//	                             counters
+//	                             job counts + queue depth + the shared
+//	                             graph cache counters ("cache")
 //	GET    /v1/version           build identity of the binary
 //	GET    /metrics              Prometheus text exposition: HTTP
 //	                             request latency/status by route, job
@@ -203,9 +202,6 @@ func NewHandler(m *Manager) http.Handler {
 			out = append(out, metric{m.Name, m.Trajectory, m.Summary})
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"metrics": out})
-	})
-	mux.HandleFunc("GET /v1/cachestats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.CacheStats())
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		counts := m.Counts()

@@ -31,6 +31,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -350,11 +351,24 @@ func jobSeq(id string) int {
 	return n
 }
 
+// errFileFamily refuses "file:<path>" families. A job spec is remote
+// input, and the pseudo-family would make the daemon open any host path
+// its client names; the check runs before validation, whose store-header
+// read would also tell the client whether that path exists. Operators
+// serve pre-built graphs through the disk tier instead.
+var errFileFamily = errors.New(`server: "file:" families are not accepted; ` +
+	"pre-build the graph with cmd/graphbuild into the daemon's -graph-dir and submit its family, size and degree")
+
 // Submit validates spec, persists a new queued job and schedules it.
 // The job is registered in memory only after its record is safely on
 // disk, so a failed persist leaves no phantom job (and no job directory
 // for restore to trip on — an allocated ID is simply skipped).
 func (m *Manager) Submit(spec sweep.Spec) (Status, error) {
+	for _, fam := range spec.Families {
+		if strings.HasPrefix(fam, "file:") {
+			return Status{}, errFileFamily
+		}
+	}
 	pts, err := spec.Points()
 	if err != nil {
 		return Status{}, err

@@ -109,8 +109,8 @@ func newServerMetrics(m *Manager, reg *obs.Registry) *serverMetrics {
 		"Configured concurrent job slots (Config.MaxConcurrent).",
 		func() float64 { return float64(m.cfg.MaxConcurrent) })
 
-	// Graph-cache stats adapter: the same counters /v1/cachestats serves,
-	// as scrape-time reads of the shared cache.
+	// Graph-cache stats adapter: the same counters /v1/healthz's cache
+	// block serves, as scrape-time reads of the shared cache.
 	reg.CounterFunc("cobrawalkd_graphcache_hits_total",
 		"Graph cache builds served from cache (waiters on in-flight builds included).",
 		func() float64 { return float64(m.CacheStats().Hits) })

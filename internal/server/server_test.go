@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"cobrawalk/internal/core"
+	"cobrawalk/internal/graph"
+	"cobrawalk/internal/graphstore"
 	"cobrawalk/internal/sweep"
 )
 
@@ -440,6 +442,69 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsFileFamilies pins that a job spec cannot make the
+// daemon open a host path: a valid store file outside the data dir is
+// refused with 400, and the refusal reads the same whether the path
+// holds a store file, some other file or nothing, so it reveals nothing
+// about the host's files.
+func TestSubmitRejectsFileFamilies(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Config{})
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+
+	outside := t.TempDir()
+	g, err := graph.Complete(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(outside, "k16.csrg")
+	if err := graphstore.Write(store, g); err != nil {
+		t.Fatal(err)
+	}
+	junk := filepath.Join(outside, "junk.csrg")
+	if err := os.WriteFile(junk, []byte("not a graph store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(outside, "missing.csrg")
+	fileSpec := func(families ...string) sweep.Spec {
+		return sweep.Spec{Families: families, Sizes: []int{16}, Trials: 1, Seed: 1}
+	}
+	// The store file is a valid sweep family: cmd/sweep still takes it.
+	if _, err := fileSpec("file:" + store).Points(); err != nil {
+		t.Fatalf("store file is not a valid sweep family: %v", err)
+	}
+
+	var msgs []string
+	for _, families := range [][]string{
+		{"file:" + store},
+		{"complete", "file:" + store},
+		{"file:" + junk},
+		{"file:" + missing},
+	} {
+		blob, _ := json.Marshal(fileSpec(families...))
+		var errResp struct {
+			Error string `json:"error"`
+		}
+		code := httpJSON(t, http.MethodPost, ts.URL+"/v1/jobs", blob, &errResp)
+		msg := errResp.Error
+		if code != http.StatusBadRequest {
+			t.Fatalf("families %v: status %d (%q), want 400", families, code, msg)
+		}
+		if !strings.Contains(msg, "-graph-dir") || !strings.Contains(msg, "graphbuild") {
+			t.Fatalf("families %v: error %q should point to -graph-dir and cmd/graphbuild", families, msg)
+		}
+		msgs = append(msgs, msg)
+	}
+	for _, msg := range msgs[1:] {
+		if msg != msgs[0] {
+			t.Fatalf("refusals differ by path, leaking host file state: %q", msgs)
+		}
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("refused specs created jobs: %+v", jobs)
+	}
+}
+
 // TestRestoredHistoryIsServable: terminal jobs survive a restart as
 // queryable history, including their results.
 func TestRestoredHistoryIsServable(t *testing.T) {
@@ -677,9 +742,10 @@ func TestTrajectoriesEndpointGolden(t *testing.T) {
 	}
 }
 
-// TestMetricsAndCacheStatsEndpoints pins the two new registry/observability
-// endpoints: /v1/metrics lists the sweep metric registry and
-// /v1/cachestats serves the shared graph cache counters.
+// TestMetricsAndCacheStatsEndpoints pins the registry/observability
+// reads: /v1/metrics lists the sweep metric registry and /v1/healthz's
+// "cache" block serves the shared graph cache counters, which have no
+// endpoint of their own: GET /v1/cachestats answers 404.
 func TestMetricsAndCacheStatsEndpoints(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), Config{})
 	ts := httptest.NewServer(NewHandler(m))
@@ -700,14 +766,19 @@ func TestMetricsAndCacheStatsEndpoints(t *testing.T) {
 		t.Fatalf("first metric = %+v, want scalar rounds", metrics.Metrics[0])
 	}
 
-	var stBefore struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-		Budget int    `json:"budget"`
+	var before struct {
+		Cache struct {
+			Hits   uint64 `json:"hits"`
+			Misses uint64 `json:"misses"`
+			Budget int    `json:"budget"`
+		} `json:"cache"`
 	}
-	httpJSON(t, http.MethodGet, ts.URL+"/v1/cachestats", nil, &stBefore)
-	if stBefore.Hits != 0 || stBefore.Misses != 0 || stBefore.Budget <= 0 {
-		t.Fatalf("fresh cache stats = %+v", stBefore)
+	httpJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, &before)
+	if st := before.Cache; st.Hits != 0 || st.Misses != 0 || st.Budget <= 0 {
+		t.Fatalf("fresh cache stats = %+v", st)
+	}
+	if code := httpJSON(t, http.MethodGet, ts.URL+"/v1/cachestats", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("/v1/cachestats: status %d, want 404 (the counters live in /v1/healthz)", code)
 	}
 
 	specBlob, _ := json.Marshal(smokeSpec())
@@ -715,13 +786,15 @@ func TestMetricsAndCacheStatsEndpoints(t *testing.T) {
 	httpJSON(t, http.MethodPost, ts.URL+"/v1/jobs", specBlob, &st)
 	pollUntil(t, ts.URL, st.ID, terminal)
 
-	var stAfter struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
+	var after struct {
+		Cache struct {
+			Hits   uint64 `json:"hits"`
+			Misses uint64 `json:"misses"`
+		} `json:"cache"`
 	}
-	httpJSON(t, http.MethodGet, ts.URL+"/v1/cachestats", nil, &stAfter)
+	httpJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, &after)
 	// 2 points, 1 topology: one build, one hit.
-	if stAfter.Misses != 1 || stAfter.Hits != 1 {
-		t.Fatalf("cache stats after job = %+v, want 1 miss / 1 hit", stAfter)
+	if st := after.Cache; st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("cache stats after job = %+v, want 1 miss / 1 hit", st)
 	}
 }

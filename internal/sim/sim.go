@@ -14,16 +14,16 @@
 //     limited by time, not RAM. DigestReducer covers the common case of
 //     streaming a scalar metric into a stats.Digest.
 //
-// Both modes derive trial i's randomness from rng.NewStream(Seed, i) and
-// produce results that do not depend on the Workers setting.
+// Both modes run on one worker pool (RunWithState is a ReduceWithState
+// whose fold stores each result at its trial index), derive trial i's
+// randomness from rng.NewStream(Seed, i) and produce results that do not
+// depend on the Workers setting.
 package sim
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cobrawalk/internal/rng"
 )
@@ -67,57 +67,26 @@ func Run[T any](ctx context.Context, spec Spec, fn func(trial int, r *rng.Rand) 
 // once per worker, and the returned state is passed to every trial that
 // worker executes. This lets expensive per-run allocations (process
 // objects, buffers) be reused safely without sharing across goroutines.
+// It is ReduceWithState with a fold that stores each result at its trial
+// index, so both modes share one worker pool, one error and cancel path
+// and one shard schedule.
 func RunWithState[S any, T any](ctx context.Context, spec Spec, newState func() S, fn func(state S, trial int, r *rng.Rand) (T, error)) ([]T, error) {
 	if spec.Trials < 1 {
 		return nil, fmt.Errorf("sim: trials = %d, need >= 1", spec.Trials)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	results := make([]T, spec.Trials)
-	workers := spec.workers()
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			state := newState()
-			for {
-				if cctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= spec.Trials {
-					return
-				}
-				r := rng.NewStream(spec.Seed, uint64(i))
-				out, err := fn(state, i, r)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("sim: trial %d: %w", i, err)
-						cancel()
-					})
-					return
-				}
-				results[i] = out
-			}
-		}()
+	// Every trial index is folded exactly once, so the slot writes never
+	// overlap; the accumulator carries nothing.
+	store := Reducer[T, struct{}]{
+		New: func() struct{} { return struct{}{} },
+		Fold: func(acc struct{}, trial int, v T) struct{} {
+			results[trial] = v
+			return acc
+		},
+		Merge: func(into, _ struct{}) (struct{}, error) { return into, nil },
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sim: cancelled: %w", err)
+	if _, err := ReduceWithState(ctx, spec, store, newState, fn); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -412,10 +412,10 @@ func (b workerBudget) resolve(trials int, kernel bool) (tw, kw int) {
 }
 
 // runPoint builds the point's graph deterministically from the point's
-// GraphSeed and streams its ensemble. It depends on nothing but pt and
-// the worker budget and cache (which cannot affect the result: the
-// graph is a pure function of family/size/degree/GraphSeed, so a cache
-// hit returns exactly the graph a rebuild would).
+// GraphSeed and runs the point's ensemble on it. It depends on nothing
+// but pt and the worker budget and cache (which cannot affect the
+// result: the graph is a pure function of family/size/degree/GraphSeed,
+// so a cache hit returns exactly the graph a rebuild would).
 func runPoint(ctx context.Context, pt Point, workers workerBudget, cache *graphcache.Cache, snap func(Snapshot), snapInterval time.Duration) (Result, error) {
 	fam, err := LookupFamily(pt.Family)
 	if err != nil {
@@ -435,10 +435,30 @@ func runPoint(ctx context.Context, pt Point, workers workerBudget, cache *graphc
 	if err != nil {
 		return Result{}, fmt.Errorf("building graph: %w", err)
 	}
+	return ensemble(ctx, g, pt, workers, snap, snapInterval)
+}
+
+// Ensemble computes pt's Result on the given graph: λ_max when
+// pt.MeasureLambda is set, then pt.Trials runs of pt.Process with
+// pt.Branching from vertex 0, trial i on rng.NewStream(pt.Seed, i),
+// folded into one summary per metric in pt.Metrics. A trial that
+// reaches pt.MaxRounds fails the ensemble. This is exactly what Run
+// records for a point once its graph is built, so a caller holding its
+// own graph gets sweep's ensemble — seeds, folds and shard-order
+// merges — without a Spec. Of opts only the worker budget is read
+// (TrialWorkers, KernelWorkers, MaxProcs); like every Options field it
+// cannot affect the result.
+func Ensemble(ctx context.Context, g *graph.Graph, pt Point, opts Options) (Result, error) {
+	return ensemble(ctx, g, pt, opts.budget(), nil, 0)
+}
+
+// ensemble is Ensemble with runPoint's snapshot hook.
+func ensemble(ctx context.Context, g *graph.Graph, pt Point, workers workerBudget, snap func(Snapshot), snapInterval time.Duration) (Result, error) {
 	res := Result{Point: pt, GraphN: g.N()}
 	if deg, err := g.Regularity(); err == nil {
 		res.GraphDegree = deg
 	}
+	var err error
 	if pt.MeasureLambda {
 		res.Lambda, err = spectral.LambdaMax(g, spectral.Options{Tol: 1e-9, MaxIter: 20000})
 		if err != nil {

@@ -332,6 +332,58 @@ func TestRunMeasureLambda(t *testing.T) {
 	}
 }
 
+// TestEnsembleMatchesRun pins that a point's record is graph acquisition
+// plus Ensemble: on the graph BuildTopology realises for each point,
+// Ensemble returns the Result Run records, byte for byte as JSON, at a
+// different trial worker count.
+func TestEnsembleMatchesRun(t *testing.T) {
+	spec := Spec{
+		Families:      []string{"rand-reg", "complete"},
+		Sizes:         []int{64},
+		Degrees:       []int{4},
+		Processes:     []string{ProcCobra, ProcBIPS, ProcPush},
+		Metrics:       []string{MetricRounds, MetricTransmissions, MetricCoverage},
+		Trials:        12,
+		Seed:          3,
+		MeasureLambda: true,
+	}
+	rep, err := Run(context.Background(), spec, Options{TrialWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := spec.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 6 {
+		t.Fatalf("grid has %d points, want 6", len(pts))
+	}
+	for i, pt := range pts {
+		g, _, err := BuildTopology(pt.Family, pt.Size, pt.Degree, spec.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Ensemble(context.Background(), g, pt, Options{TrialWorkers: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", pt.ID, err)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(rep.Results[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s: Ensemble\n%s\nRun\n%s", pt.ID, got, want)
+		}
+		if res.Lambda == 0 || len(res.Trajectories) != 1 {
+			t.Fatalf("%s: record lacks λ or the coverage band: %s", pt.ID, got)
+		}
+	}
+}
+
 func TestRunBips(t *testing.T) {
 	spec := Spec{Families: []string{"complete"}, Sizes: []int{16}, Processes: []string{ProcBIPS, ProcPushPull, ProcFlood}, Trials: 3, Seed: 5}
 	rep, err := Run(context.Background(), spec, Options{})
