@@ -15,11 +15,11 @@
 //	    store it under -out with the disk-tier file name, so a daemon
 //	    started with -graph-dir runs/graphs disk-hits its first job
 //
-//	graphbuild -edges edges.txt -workers 8 -out g.csrg
-//	    pack a text edge list (the internal/graph format: "graph NAME" /
-//	    "n N" header lines then one "u v" pair per line) through the
-//	    parallel CSR packer — degree count, scatter and per-vertex sort
-//	    all fan out across -workers cores
+//	graphbuild -edges edges.txt -out g.csrg
+//	    read a text edge list (the internal/graph format: "graph NAME" /
+//	    "n N" header lines then one "u v" pair per line) through
+//	    graph.Read, which collapses repeated edges in either orientation;
+//	    a list with no "graph" line is named after its file
 //
 // -force overwrites an existing store file (default: keep it — store
 // files are content-addressed by their name in -family mode, so an
@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -36,7 +35,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -67,7 +65,6 @@ func run(args []string, out, errw io.Writer) error {
 		degree    = fs.Int("degree", 0, "sweep degree axis value for -family (degreed families)")
 		sweepSeed = fs.Uint64("sweep-seed", 0, "sweep master seed the graph derives from (-family mode)")
 		edges     = fs.String("edges", "", "text edge-list file to pack (internal/graph format)")
-		workers   = fs.Int("workers", 0, "parallel packer workers for -edges (0 = GOMAXPROCS)")
 		outPath   = fs.String("out", "", "output store file, or directory in -family mode (required)")
 		madvise   = fs.String("graph-madvise", "", "madvise hints for the post-write read-back verify: comma-separated willneed,hugepage, or off")
 		force     = fs.Bool("force", false, "overwrite an existing store file")
@@ -126,7 +123,7 @@ func run(args []string, out, errw io.Writer) error {
 		}
 		g, path = built, filepath.Join(*outPath, graphcache.StoreFileName(key))
 	case *edges != "":
-		built, err := packEdgeList(*edges, *workers)
+		built, err := readEdgeList(*edges)
 		if err != nil {
 			return err
 		}
@@ -192,55 +189,21 @@ func run(args []string, out, errw io.Writer) error {
 	return nil
 }
 
-// packEdgeList reads a text edge list (the internal/graph format) and
-// packs it through the parallel CSR builder. Unlike graph.Read — which
-// feeds the serial Builder — this path exists for big inputs: parsing
-// streams line by line, and packing fans out across workers.
-func packEdgeList(path string, workers int) (*graph.Graph, error) {
+// readEdgeList reads a text edge list (the internal/graph format),
+// naming the graph after the file when the list has no "graph" line.
+func readEdgeList(path string) (*graph.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	name, n := "", -1
-	var pairs [][2]int32
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "" || strings.HasPrefix(line, "#"):
-		case strings.HasPrefix(line, "graph "):
-			name = strings.TrimSpace(strings.TrimPrefix(line, "graph "))
-		case strings.HasPrefix(line, "n "):
-			v, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "n ")))
-			if err != nil {
-				return nil, fmt.Errorf("%s:%d: bad vertex count: %w", path, lineNo, err)
-			}
-			n = v
-		default:
-			uStr, vStr, ok := strings.Cut(line, " ")
-			if !ok {
-				return nil, fmt.Errorf("%s:%d: want \"u v\", got %q", path, lineNo, line)
-			}
-			u, err1 := strconv.ParseInt(strings.TrimSpace(uStr), 10, 32)
-			v, err2 := strconv.ParseInt(strings.TrimSpace(vStr), 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("%s:%d: bad edge %q", path, lineNo, line)
-			}
-			pairs = append(pairs, [2]int32{int32(u), int32(v)})
-		}
+	g, err := graph.Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if g.Name() != "" {
+		return g, nil
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("%s: missing \"n <count>\" header line", path)
-	}
-	if name == "" {
-		name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	}
-	return graph.ParallelFromEdges(name, n, pairs, workers)
+	offsets, neighbors := g.CSR()
+	return graph.FromCSRTrusted(strings.TrimSuffix(filepath.Base(path), filepath.Ext(path)), offsets, neighbors)
 }

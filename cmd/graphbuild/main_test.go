@@ -83,26 +83,55 @@ func TestFamilyMode(t *testing.T) {
 	}
 }
 
+// TestEdgesMode packs text edge lists through graph.Read: a repeated edge,
+// in either orientation, collapses to one, and a list without a "graph"
+// line takes its file name.
 func TestEdgesMode(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "square.edges")
-	edges := "# a 4-cycle\ngraph square\nn 4\n0 1\n1 2\n2 3\n3 0\n"
-	if err := os.WriteFile(src, []byte(edges), 0o644); err != nil {
-		t.Fatal(err)
+	cycle := func(n int) [][2]int32 {
+		var pairs [][2]int32
+		for v := range n {
+			pairs = append(pairs, [2]int32{int32(v), int32((v + 1) % n)})
+		}
+		return pairs
 	}
-	path := filepath.Join(dir, "square.csrg")
-	if _, err := runCLI(t, "-edges", src, "-workers", "3", "-out", path); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, file, edges string
+		wantName          string
+		n                 int
+		want              [][2]int32
+	}{
+		{"named", "square.edges", "# a 4-cycle\ngraph square\nn 4\n0 1\n1 2\n2 3\n3 0\n", "square", 4, cycle(4)},
+		{"repeated-edge", "rep.edges", "graph rep\nn 4\n0 1\n1 0\n0 1\n1 2\n2 1\n2 3\n", "rep", 4, [][2]int32{{0, 1}, {1, 2}, {2, 3}}},
+		{"unnamed", "ring5.edges", "n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", "ring5", 5, cycle(5)},
 	}
-	g, err := graphstore.Mmap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Name() != "square" || g.N() != 4 || g.M() != 4 {
-		t.Fatalf("got %v", g)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			src := filepath.Join(dir, tc.file)
+			if err := os.WriteFile(src, []byte(tc.edges), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "g.csrg")
+			if _, err := runCLI(t, "-edges", src, "-out", path); err != nil {
+				t.Fatal(err)
+			}
+			g, err := graphstore.Mmap(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Name() != tc.wantName {
+				t.Fatalf("name %q, want %q", g.Name(), tc.wantName)
+			}
+			want, err := graph.FromEdges(tc.wantName, tc.n, tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wo, wn := want.CSR()
+			go_, gn := g.CSR()
+			if !slices.Equal(wo, go_) || !slices.Equal(wn, gn) {
+				t.Fatalf("stored %v, want %v", g, want)
+			}
+		})
 	}
 }
 

@@ -3,12 +3,12 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates undirected edges and produces a validated Graph.
-// Duplicate edge insertions are tolerated and collapsed at Build time;
-// self-loops are rejected immediately.
+// Duplicate edge insertions, in either orientation, are tolerated and
+// collapsed at Build time; self-loops are rejected immediately.
 //
 // The zero value is ready to use, but NewBuilder pre-sizes internal storage
 // and fixes the vertex count up front, which generators prefer.
@@ -48,61 +48,51 @@ func (b *Builder) AddEdge(u, v int32) {
 		b.err = fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
 		return
 	}
-	if u > v {
-		u, v = v, u
-	}
 	b.edges = append(b.edges, edge{u, v})
 }
 
-// Build assembles the CSR graph, deduplicating edges. name labels the graph
-// for diagnostics and experiment tables.
+// Build packs the edges into CSR form by count and scatter: count every
+// vertex's degree, prefix-sum the counts into offsets, write both
+// directions of every edge, then sort each adjacency list and drop
+// repeated neighbours in place. The result depends only on the edge set,
+// not on insertion order or orientation. name labels the graph for
+// diagnostics and experiment tables.
 func (b *Builder) Build(name string) (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
-		}
-		return b.edges[i].v < b.edges[j].v
-	})
-	// Deduplicate in place.
-	dedup := b.edges[:0]
-	for i, e := range b.edges {
-		if i > 0 && e == b.edges[i-1] {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
-	b.edges = dedup
-
-	degrees := make([]int64, b.n+1)
-	for _, e := range b.edges {
-		degrees[e.u+1]++
-		degrees[e.v+1]++
-	}
 	offsets := make([]int64, b.n+1)
-	for i := 1; i <= b.n; i++ {
-		offsets[i] = offsets[i-1] + degrees[i]
-	}
-	neighbors := make([]int32, offsets[b.n])
-	cursor := make([]int64, b.n)
-	copy(cursor, offsets[:b.n])
 	for _, e := range b.edges {
-		neighbors[cursor[e.u]] = e.v
-		cursor[e.u]++
-		neighbors[cursor[e.v]] = e.u
-		cursor[e.v]++
+		offsets[e.u+1]++
+		offsets[e.v+1]++
 	}
-	g := &Graph{name: name, offsets: offsets, neighbors: neighbors}
-	// Edges were inserted in global (u,v) order, so each adjacency list is
-	// sorted for the u-side but interleaved for the v-side; sort per vertex
-	// to restore the strict ordering invariant.
-	for v := int32(0); v < int32(b.n); v++ {
-		adj := g.neighbors[offsets[v]:offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+	for v := 1; v <= b.n; v++ {
+		offsets[v] += offsets[v-1]
 	}
-	return g, nil
+	// offsets[v] is v's write cursor; afterwards it holds the end of v's
+	// list, which is where v+1's list starts.
+	neighbors := make([]int32, offsets[b.n])
+	for _, e := range b.edges {
+		neighbors[offsets[e.u]] = e.v
+		offsets[e.u]++
+		neighbors[offsets[e.v]] = e.u
+		offsets[e.v]++
+	}
+	// Sort and deduplicate each list, compacting the lists leftwards and
+	// setting offsets[v] back to the start of v's list.
+	start, end := int64(0), int64(0)
+	for v := 0; v < b.n; v++ {
+		adj := neighbors[start:offsets[v]]
+		start = offsets[v]
+		slices.Sort(adj)
+		offsets[v] = end
+		end += int64(copy(neighbors[end:], slices.Compact(adj)))
+	}
+	offsets[b.n] = end
+	if end < int64(len(neighbors)) {
+		neighbors = slices.Clone(neighbors[:end]) // release the duplicates' slots
+	}
+	return &Graph{name: name, offsets: offsets, neighbors: neighbors}, nil
 }
 
 // FromAdjacency builds a graph from an adjacency list description. The

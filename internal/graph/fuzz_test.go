@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -109,19 +110,24 @@ func FuzzFromCSR(f *testing.F) {
 }
 
 // FuzzBuilder asserts arbitrary edge insertions either error or produce a
-// valid graph — never a panic or a corrupt structure.
+// valid graph whose edge set is exactly the inserted pairs with repeats
+// and orientation collapsed — never a panic or a corrupt structure.
 func FuzzBuilder(f *testing.F) {
 	f.Add(5, []byte{0, 1, 1, 2, 2, 3})
 	f.Add(2, []byte{0, 0})
 	f.Add(0, []byte{})
 	f.Add(3, []byte{255, 1})
+	f.Add(4, []byte{0, 1, 1, 0, 0, 1, 3, 2})
 	f.Fuzz(func(t *testing.T, n int, pairs []byte) {
 		if n < 0 || n > 300 {
 			return
 		}
 		b := NewBuilder(n, len(pairs)/2)
+		want := map[[2]int32]bool{}
 		for i := 0; i+1 < len(pairs); i += 2 {
-			b.AddEdge(int32(int8(pairs[i])), int32(int8(pairs[i+1])))
+			u, v := int32(int8(pairs[i])), int32(int8(pairs[i+1]))
+			b.AddEdge(u, v)
+			want[[2]int32{min(u, v), max(u, v)}] = true
 		}
 		g, err := b.Build("fuzz")
 		if err != nil {
@@ -130,5 +136,22 @@ func FuzzBuilder(f *testing.F) {
 		if verr := g.Validate(); verr != nil {
 			t.Fatalf("built graph violates invariants: %v", verr)
 		}
+		got := map[[2]int32]bool{}
+		g.Edges(func(u, v int32) bool {
+			got[[2]int32{u, v}] = true
+			return true
+		})
+		if !maps.Equal(got, want) {
+			t.Fatalf("edge set %v, want %v", got, want)
+		}
 	})
+}
+
+// FuzzParseEdge holds the allocation-free edge-line parse to the
+// strings.Fields parse on arbitrary lines.
+func FuzzParseEdge(f *testing.F) {
+	for _, s := range []string{"0 1", "0\t 1", "0\u00a01", "+1 -2", "1 2 3", "2147483648 0"} {
+		f.Add(s)
+	}
+	f.Fuzz(checkParseEdge)
 }

@@ -2,8 +2,12 @@ package graph
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
+
+	"cobrawalk/internal/rng"
 )
 
 // must returns a checker that accepts any (graph, error) constructor result
@@ -103,6 +107,96 @@ func TestBuilderErrors(t *testing.T) {
 			t.Fatal("latched error lost")
 		}
 	})
+}
+
+// referenceGraph packs pairs the obvious way: one neighbour set per vertex,
+// each sorted into its CSR row, validated by FromCSR.
+func referenceGraph(t *testing.T, name string, n int, pairs [][2]int32) *Graph {
+	t.Helper()
+	sets := make([]map[int32]bool, n)
+	for v := range sets {
+		sets[v] = map[int32]bool{}
+	}
+	for _, p := range pairs {
+		sets[p[0]][p[1]] = true
+		sets[p[1]][p[0]] = true
+	}
+	offsets := make([]int64, n+1)
+	var neighbors []int32
+	for v, set := range sets {
+		neighbors = append(neighbors, slices.Sorted(maps.Keys(set))...)
+		offsets[v+1] = int64(len(neighbors))
+	}
+	g, err := FromCSR(name, offsets, neighbors)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	return g
+}
+
+// TestBuilderMatchesReference holds Build's count-and-scatter packing to
+// referenceGraph: the CSR arrays must not depend on insertion order,
+// orientation or repeats, and isolated and trailing vertices keep empty
+// rows.
+func TestBuilderMatchesReference(t *testing.T) {
+	// The inputs come from pairStubs, not a generator, so that no case
+	// depends on the packer under test.
+	r := rng.NewStream(99, 2)
+	stubPairs := func(n, d int) [][2]int32 {
+		for {
+			if pairs, ok := pairStubs(n, d, r); ok {
+				return pairs
+			}
+		}
+	}
+	shuffled := stubPairs(600, 6)
+	for i := len(shuffled) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	var reversed, repeated [][2]int32
+	for _, e := range shuffled {
+		flip := [2]int32{e[1], e[0]}
+		reversed = append(reversed, flip)
+		repeated = append(repeated, e, flip, e)
+	}
+	// Offsets 7 ≡ −1 and 4 ≡ −4 (mod 8) repeat every edge of offsets 1
+	// and 4, in both orientations.
+	var circulant [][2]int32
+	for _, d := range []int32{1, 7, 4} {
+		for v := range int32(8) {
+			circulant = append(circulant, [2]int32{v, (v + d) % 8})
+		}
+	}
+
+	cases := []struct {
+		name  string
+		n     int
+		pairs [][2]int32
+	}{
+		{"shuffled", 600, shuffled},
+		{"reversed", 600, reversed},
+		{"repeated-both-orientations", 600, repeated},
+		{"isolated-vertices", 12, [][2]int32{{7, 0}, {1, 2}, {5, 7}, {0, 1}}},
+		{"n0", 0, nil},
+		{"n1", 1, nil},
+		{"circulant-coinciding-offsets", 8, circulant},
+		{"pair-stubs-16384x8", 1 << 14, stubPairs(1<<14, 8)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := FromEdges(tc.name, tc.n, tc.pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceGraph(t, tc.name, tc.n, tc.pairs)
+			wo, wn := want.CSR()
+			gotOff, gotNbr := got.CSR()
+			if !slices.Equal(wo, gotOff) || !slices.Equal(wn, gotNbr) {
+				t.Fatalf("Build packed %v, reference %v", got, want)
+			}
+		})
+	}
 }
 
 func TestNeighborsSortedAndShared(t *testing.T) {

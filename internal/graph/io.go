@@ -2,10 +2,14 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The text format is a simple self-describing edge list:
@@ -45,61 +49,104 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Read parses a graph in the text edge-list format produced by Write.
+// Read parses a graph in the text edge-list format produced by Write. Edge
+// lines are parsed without allocating, so big lists read at the speed of
+// the scan.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	name := ""
-	n := -1
 	var b *Builder
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		switch {
-		case strings.HasPrefix(line, "graph "):
-			name = strings.TrimSpace(strings.TrimPrefix(line, "graph "))
-		case strings.HasPrefix(line, "n "):
-			v, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "n ")))
+		case bytes.HasPrefix(line, []byte("graph ")):
+			name = string(bytes.TrimSpace(line[len("graph "):]))
+		case bytes.HasPrefix(line, []byte("n ")):
+			n, err := strconv.Atoi(string(bytes.TrimSpace(line[len("n "):])))
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count: %w", lineNo, err)
 			}
-			if v < 0 {
-				return nil, fmt.Errorf("graph: line %d: negative vertex count %d", lineNo, v)
+			if n < 0 {
+				return nil, fmt.Errorf("graph: line %d: negative vertex count %d", lineNo, n)
 			}
-			n = v
 			b = NewBuilder(n, 0)
 		default:
 			if b == nil {
-				return nil, fmt.Errorf("graph: line %d: edge before 'n' header", lineNo)
+				return nil, fmt.Errorf("graph: line %d: edge before the \"n <count>\" header", lineNo)
 			}
-			fields := strings.Fields(line)
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("graph: line %d: want 'u v', got %q", lineNo, line)
-			}
-			u, err := strconv.ParseInt(fields[0], 10, 32)
+			u, v, err := parseEdge(line)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad vertex id: %w", lineNo, err)
+				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 			}
-			v, err := strconv.ParseInt(fields[1], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad vertex id: %w", lineNo, err)
-			}
-			b.AddEdge(int32(u), int32(v))
+			b.AddEdge(u, v)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: read: %w", err)
 	}
 	if b == nil {
-		return nil, fmt.Errorf("graph: missing 'n' header")
+		return nil, errors.New("graph: missing \"n <count>\" header")
 	}
-	g, err := b.Build(name)
+	return b.Build(name)
+}
+
+// parseEdge parses a trimmed "u v" edge line: two int32 ids separated by
+// any run of whitespace.
+func parseEdge(line []byte) (u, v int32, err error) {
+	i := indexSpace(line)
+	if i < 0 {
+		return 0, 0, fmt.Errorf("want 'u v', got %q", line)
+	}
+	first, second := line[:i], line[i+1:]
+	if line[i] >= utf8.RuneSelf || indexSpace(second) >= 0 {
+		// A multi-byte or repeated separator, or a third field.
+		second = bytes.TrimLeftFunc(line[i:], unicode.IsSpace)
+		if indexSpace(second) >= 0 {
+			return 0, 0, fmt.Errorf("want 'u v', got %q", line)
+		}
+	}
+	if u, err = parseID(first); err == nil {
+		v, err = parseID(second)
+	}
+	return u, v, err
+}
+
+// parseID parses a decimal int32 vertex id with an optional sign, the
+// strings strconv.ParseInt(s, 10, 32) accepts. strconv.Atoi's fast path
+// for short strings makes it the cheaper parse, and the string conversion
+// does not allocate, because strconv copies its input before keeping it
+// in an error.
+func parseID(b []byte) (int32, error) {
+	x, err := strconv.Atoi(string(b))
+	if err == nil && x != int(int32(x)) {
+		err = fmt.Errorf("%s is out of int32 range", b)
+	}
 	if err != nil {
-		return nil, err
+		return 0, fmt.Errorf("bad vertex id: %w", err)
 	}
-	return g, nil
+	return int32(x), nil
+}
+
+// indexSpace is bytes.IndexFunc(b, unicode.IsSpace) with an inline test
+// for ASCII bytes, which edge lines are made of.
+func indexSpace(b []byte) int {
+	for i, c := range b {
+		switch {
+		case c > ' ' && c < utf8.RuneSelf:
+		case c == ' ', '\t' <= c && c <= '\r':
+			return i
+		case c >= utf8.RuneSelf:
+			if j := bytes.IndexFunc(b[i:], unicode.IsSpace); j >= 0 {
+				return i + j
+			}
+			return -1
+		}
+	}
+	return -1
 }

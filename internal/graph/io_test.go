@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -119,5 +120,64 @@ func TestWriteRejectsNewlineName(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, g); err == nil {
 		t.Fatal("Write should reject names containing newlines")
+	}
+}
+
+// TestReadEdgeLinesAllocFree pins the reader's per-line cost: a read
+// allocates for the builder's growth and the packed graph, never once per
+// edge line.
+func TestReadEdgeLinesAllocFree(t *testing.T) {
+	g := must(t)(RandomRegular(4096, 8, rng.New(3)))
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.Bytes()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Read(bytes.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(g.M())/100 {
+		t.Fatalf("Read of %d edge lines made %.0f allocations", g.M(), allocs)
+	}
+}
+
+// fieldsEdge is the reference edge-line parse: strings.Fields, then
+// strconv.ParseInt(s, 10, 32) on each of exactly two fields.
+func fieldsEdge(line string) (u, v int32, ok bool) {
+	f := strings.Fields(line)
+	if len(f) != 2 {
+		return 0, 0, false
+	}
+	x, err1 := strconv.ParseInt(f[0], 10, 32)
+	y, err2 := strconv.ParseInt(f[1], 10, 32)
+	return int32(x), int32(y), err1 == nil && err2 == nil
+}
+
+// checkParseEdge fails when parseEdge and fieldsEdge disagree on a line.
+func checkParseEdge(t *testing.T, line string) {
+	t.Helper()
+	trimmed := strings.TrimSpace(line)
+	if trimmed == "" {
+		return
+	}
+	u, v, err := parseEdge([]byte(trimmed))
+	wu, wv, ok := fieldsEdge(trimmed)
+	if (err == nil) != ok || ok && (u != wu || v != wv) {
+		t.Fatalf("parseEdge(%q) = %d, %d, %v; strings.Fields parse = %d, %d, ok %v", trimmed, u, v, err, wu, wv, ok)
+	}
+}
+
+// TestParseEdgeMatchesFields pins the allocation-free edge-line parse to
+// the strings.Fields reference on every separator and id form.
+func TestParseEdgeMatchesFields(t *testing.T) {
+	for _, line := range []string{
+		"0 1", "12 345", "0\t1", "0 \t  1", "0\u00a01", "0\u2002\u20021", "0\u00851",
+		"0\u00a0 1", "+3 -4", "007 08", "-2147483648 2147483647", "2147483648 1",
+		"1 -2147483649", "0 1 2", "0\t1\u00a02", "7", "0 x", "x 0", "0x1 2", "1_0 2",
+		"+ 1", "- 1", "1 +", "1\xa02", "1\xc2 2", "\u00a01 2", "99999999999999999999 1",
+	} {
+		checkParseEdge(t, line)
 	}
 }

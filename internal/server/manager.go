@@ -114,6 +114,10 @@ type job struct {
 	// touched from the sweep's serialised PointStart/PointDone
 	// callbacks, so it needs no lock of its own.
 	pointStarts map[string]time.Time
+	// restoredTerminal marks a job that restore loaded already settled:
+	// it never publishes in this process, so Subscribe seals its topic.
+	// Set before the manager serves and never changed.
+	restoredTerminal bool
 }
 
 func (j *job) artifactsDir() string { return filepath.Join(j.dir, artifactsDirName) }
@@ -324,7 +328,8 @@ func (m *Manager) restore() error {
 		j := m.newJob(rec, dir)
 		m.jobs[id] = j
 		m.order = append(m.order, id)
-		if !rec.State.Terminal() {
+		j.restoredTerminal = rec.State.Terminal()
+		if !j.restoredTerminal {
 			// The previous process died mid-job (or before starting it):
 			// back to the queue; completed points resume from artifacts.
 			j.rec.State = StateQueued
@@ -703,7 +708,8 @@ func (m *Manager) ResultsMeta(id string) (path, etag string, err error) {
 // replayable event history with Seq > after, a channel of subsequent
 // events — closed when the job settles or the manager shuts down — and
 // a cancel func the caller must invoke when done reading. Subscribing
-// to an already-terminal job returns its retained history and an
+// to a settled job — its terminal event published, or the job restored
+// from disk already settled — returns its retained history and an
 // immediately-closed channel.
 func (m *Manager) Subscribe(id string, after uint64) ([]StreamEvent, <-chan StreamEvent, func(), error) {
 	m.mu.Lock()
@@ -712,11 +718,13 @@ func (m *Manager) Subscribe(id string, after uint64) ([]StreamEvent, <-chan Stre
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("server: no job %s", id)
 	}
-	if st := m.snapshot(j); st.State.Terminal() {
-		// Jobs restored from disk already terminal never published to
-		// their topic in this process: seal it around a synthesised
-		// terminal event so late subscribers still see an ending.
-		m.hub.ensureClosed(id, m.terminalEvent(j, st))
+	if j.restoredTerminal {
+		// Seal the topic around a synthesised terminal event so late
+		// subscribers still see an ending. A job that settles in this
+		// process seals its own topic after publishing its terminal
+		// event; sealing it here on its terminal state would drop that
+		// event if settle had flipped the state but not yet published.
+		m.hub.ensureClosed(id, m.terminalEvent(j, m.snapshot(j)))
 	}
 	replay, ch, cancel := m.hub.subscribe(id, after)
 	return replay, ch, cancel, nil

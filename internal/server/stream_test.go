@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -123,6 +124,100 @@ func TestHubCloseAndReplay(t *testing.T) {
 	}
 	if h.subscribers() != 0 {
 		t.Fatalf("subscriber gauge = %d after close, want 0", h.subscribers())
+	}
+}
+
+// streamTypes returns the types of a subscription's replayed events and
+// of everything its channel delivers until it closes.
+func streamTypes(t *testing.T, replay []StreamEvent, ch <-chan StreamEvent) []string {
+	t.Helper()
+	var types []string
+	for _, ev := range replay {
+		types = append(types, ev.Type)
+	}
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case ev, open := <-ch:
+			if !open {
+				return types
+			}
+			types = append(types, ev.Type)
+		case <-timeout:
+			t.Fatalf("stream still open after %v", types)
+		}
+	}
+}
+
+// TestSubscribeInSettleWindow replays settle's two halves around a
+// Subscribe: settle flips the job's state under m.mu, unlocks, and only
+// then publishes the terminal event and seals the topic. A subscriber
+// arriving in between must still receive done, then a closed channel.
+func TestSubscribeInSettleWindow(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Config{})
+	j := m.newJob(Record{ID: "j0001", State: StateRunning}, t.TempDir())
+	m.mu.Lock()
+	m.jobs[j.rec.ID] = j
+	m.mu.Unlock()
+	m.event(j, string(StateRunning), "", nil)
+
+	m.mu.Lock()
+	j.rec.State = StateDone
+	m.mu.Unlock()
+	replay, ch, cancel, err := m.Subscribe(j.rec.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	m.event(j, string(StateDone), "", m.snapshot(j))
+	m.hub.close(j.rec.ID)
+
+	if got := streamTypes(t, replay, ch); !slices.Equal(got, []string{"running", "done"}) {
+		t.Fatalf("stream = %v, want [running done]", got)
+	}
+}
+
+// TestRestoredTerminalStream: a job finished by one Manager and streamed
+// from a second Manager on the same directory replays its persisted done
+// event, then a closed channel.
+func TestRestoredTerminalStream(t *testing.T) {
+	dir := t.TempDir()
+	first, err := NewManager(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := first.Submit(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for cur, _ := first.Get(st.ID); cur.State != StateDone; cur, _ = first.Get(st.ID) {
+		if cur.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job settled as %+v", cur)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	first.Close()
+
+	second := newTestManager(t, dir, Config{})
+	events, err := second.Events(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persisted := events[len(events)-1]
+	if persisted.Name != string(StateDone) {
+		t.Fatalf("last persisted event = %+v, want done", persisted)
+	}
+	replay, ch, cancel, err := second.Subscribe(st.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if got := streamTypes(t, replay, ch); !slices.Equal(got, []string{"done"}) {
+		t.Fatalf("stream = %v, want [done]", got)
+	}
+	if replay[0].Seq != persisted.Seq {
+		t.Fatalf("replayed done has seq %d, persisted %d", replay[0].Seq, persisted.Seq)
 	}
 }
 
