@@ -33,6 +33,52 @@ import (
 	"cobrawalk/internal/rng"
 )
 
+// argKind is the syntax of one colon-separated argument.
+type argKind int
+
+const (
+	num     argKind = iota // decimal integer
+	prob                   // probability (float)
+	sides                  // side lengths S1xS2x...
+	offsets                // circulant offsets D1,D2,...
+)
+
+// arg is one parsed argument: n for num, p for prob, list for sides and
+// offsets.
+type arg struct {
+	n    int
+	p    float64
+	list []int
+}
+
+// families is the grammar of the package doc, file: aside (BuildGraph
+// cuts it off first): each family's argument kinds, and the generator
+// call that consumes them once parsed. A new family is one entry here.
+var families = map[string]struct {
+	args  []argKind
+	build func(a []arg, r *rng.Rand) (*graph.Graph, error)
+}{
+	"complete":           {[]argKind{num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Complete(a[0].n) }},
+	"cycle":              {[]argKind{num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Cycle(a[0].n) }},
+	"path":               {[]argKind{num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Path(a[0].n) }},
+	"star":               {[]argKind{num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Star(a[0].n) }},
+	"hypercube":          {[]argKind{num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Hypercube(a[0].n) }},
+	"torus":              {[]argKind{sides}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Torus(a[0].list...) }},
+	"grid":               {[]argKind{sides}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Grid(a[0].list...) }},
+	"circulant":          {[]argKind{num, offsets}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Circulant(a[0].n, a[1].list) }},
+	"paley":              {[]argKind{num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Paley(a[0].n) }},
+	"margulis":           {[]argKind{num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Margulis(a[0].n) }},
+	"complete-bipartite": {[]argKind{num, num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.CompleteBipartite(a[0].n, a[1].n) }},
+	"ring-of-cliques":    {[]argKind{num, num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.RingOfCliques(a[0].n, a[1].n) }},
+	"barbell":            {[]argKind{num, num}, func(a []arg, _ *rng.Rand) (*graph.Graph, error) { return graph.Barbell(a[0].n, a[1].n) }},
+	"petersen":           {nil, func([]arg, *rng.Rand) (*graph.Graph, error) { return graph.Petersen() }},
+	"prism":              {nil, func([]arg, *rng.Rand) (*graph.Graph, error) { return graph.PrismGraph() }},
+	"erdos-renyi":        {[]argKind{num, prob}, func(a []arg, r *rng.Rand) (*graph.Graph, error) { return graph.ErdosRenyi(a[0].n, a[1].p, r) }},
+	"rand-reg": {[]argKind{num, num}, func(a []arg, r *rng.Rand) (*graph.Graph, error) {
+		return graph.RandomRegularConnected(a[0].n, a[1].n, r)
+	}},
+}
+
 // BuildGraph parses a graph specification and constructs the graph.
 // Random families draw from the provided generator.
 func BuildGraph(spec string, r *rng.Rand) (*graph.Graph, error) {
@@ -45,215 +91,47 @@ func BuildGraph(spec string, r *rng.Rand) (*graph.Graph, error) {
 		return graphstore.Mmap(path)
 	}
 	parts := strings.Split(spec, ":")
-	kind := parts[0]
-	args := parts[1:]
+	name, fields := parts[0], parts[1:]
+	fam, ok := families[name]
+	if !ok {
+		return nil, fmt.Errorf("cli: unknown graph family %q (see package cli docs for the grammar)", name)
+	}
+	if len(fields) != len(fam.args) {
+		return nil, fmt.Errorf("cli: %s takes %d argument(s), got %d", name, len(fam.args), len(fields))
+	}
+	args := make([]arg, len(fields))
+	for i, s := range fields {
+		var err error
+		if args[i], err = parseArg(name, i, fam.args[i], s); err != nil {
+			return nil, err
+		}
+	}
+	return fam.build(args, r)
+}
 
-	num := func(i int) (int, error) {
-		if i >= len(args) {
-			return 0, fmt.Errorf("cli: %s needs at least %d argument(s)", kind, i+1)
-		}
-		v, err := strconv.Atoi(args[i])
-		if err != nil {
-			return 0, fmt.Errorf("cli: %s argument %d: %w", kind, i+1, err)
-		}
-		return v, nil
-	}
-	sides := func(i int) ([]int, error) {
-		if i >= len(args) {
-			return nil, fmt.Errorf("cli: %s needs a size list like 32x32", kind)
-		}
-		var out []int
-		for _, s := range strings.Split(args[i], "x") {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("cli: bad side %q: %w", s, err)
-			}
-			out = append(out, v)
-		}
-		return out, nil
-	}
-	wantArgs := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("cli: %s takes %d argument(s), got %d", kind, n, len(args))
-		}
-		return nil
-	}
-
+// parseArg parses s, argument i of family name, as the given kind.
+func parseArg(name string, i int, kind argKind, s string) (a arg, err error) {
 	switch kind {
-	case "complete":
-		if err := wantArgs(1); err != nil {
-			return nil, err
+	case num:
+		if a.n, err = strconv.Atoi(s); err != nil {
+			return a, fmt.Errorf("cli: %s argument %d: %w", name, i+1, err)
 		}
-		n, err := num(0)
-		if err != nil {
-			return nil, err
+	case prob:
+		if a.p, err = strconv.ParseFloat(s, 64); err != nil {
+			return a, fmt.Errorf("cli: bad probability %q: %w", s, err)
 		}
-		return graph.Complete(n)
-	case "cycle":
-		if err := wantArgs(1); err != nil {
-			return nil, err
-		}
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Cycle(n)
-	case "path":
-		if err := wantArgs(1); err != nil {
-			return nil, err
-		}
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Path(n)
-	case "star":
-		if err := wantArgs(1); err != nil {
-			return nil, err
-		}
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Star(n)
-	case "hypercube":
-		if err := wantArgs(1); err != nil {
-			return nil, err
-		}
-		d, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Hypercube(d)
-	case "torus":
-		if err := wantArgs(1); err != nil {
-			return nil, err
-		}
-		s, err := sides(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Torus(s...)
-	case "grid":
-		if err := wantArgs(1); err != nil {
-			return nil, err
-		}
-		s, err := sides(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Grid(s...)
-	case "rand-reg":
-		if err := wantArgs(2); err != nil {
-			return nil, err
-		}
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		deg, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		return graph.RandomRegularConnected(n, deg, r)
-	case "erdos-renyi":
-		if err := wantArgs(2); err != nil {
-			return nil, err
-		}
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		p, err := strconv.ParseFloat(args[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("cli: bad probability %q: %w", args[1], err)
-		}
-		return graph.ErdosRenyi(n, p, r)
-	case "circulant":
-		if err := wantArgs(2); err != nil {
-			return nil, err
-		}
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		var offs []int
-		for _, s := range strings.Split(args[1], ",") {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("cli: bad offset %q: %w", s, err)
-			}
-			offs = append(offs, v)
-		}
-		return graph.Circulant(n, offs)
-	case "paley":
-		if err := wantArgs(1); err != nil {
-			return nil, err
-		}
-		q, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Paley(q)
-	case "margulis":
-		if err := wantArgs(1); err != nil {
-			return nil, err
-		}
-		m, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Margulis(m)
-	case "complete-bipartite":
-		if err := wantArgs(2); err != nil {
-			return nil, err
-		}
-		a, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		return graph.CompleteBipartite(a, b)
-	case "ring-of-cliques":
-		if err := wantArgs(2); err != nil {
-			return nil, err
-		}
-		k, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		c, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		return graph.RingOfCliques(k, c)
-	case "barbell":
-		if err := wantArgs(2); err != nil {
-			return nil, err
-		}
-		c, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		p, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Barbell(c, p)
-	case "petersen":
-		if err := wantArgs(0); err != nil {
-			return nil, err
-		}
-		return graph.Petersen()
-	case "prism":
-		if err := wantArgs(0); err != nil {
-			return nil, err
-		}
-		return graph.PrismGraph()
 	default:
-		return nil, fmt.Errorf("cli: unknown graph family %q (see package cli docs for the grammar)", kind)
+		sep, item := "x", "side"
+		if kind == offsets {
+			sep, item = ",", "offset"
+		}
+		for _, e := range strings.Split(s, sep) {
+			v, err := strconv.Atoi(e)
+			if err != nil {
+				return a, fmt.Errorf("cli: bad %s %q: %w", item, e, err)
+			}
+			a.list = append(a.list, v)
+		}
 	}
+	return a, nil
 }

@@ -1,6 +1,9 @@
 package cli
 
 import (
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"cobrawalk/internal/rng"
@@ -21,6 +24,7 @@ func TestBuildGraphSpecs(t *testing.T) {
 		{"torus:4x5", 20, 40, 4},
 		{"grid:3x3", 9, 12, -1},
 		{"rand-reg:32:4", 32, 64, 4},
+		{"erdos-renyi:50:0.2", 50, -1, -1},
 		{"circulant:10:1,2", 10, 20, 4},
 		{"paley:13", 13, 39, 6},
 		{"margulis:4", 16, -1, -1},
@@ -29,6 +33,14 @@ func TestBuildGraphSpecs(t *testing.T) {
 		{"barbell:3:2", 8, 9, -1},
 		{"petersen", 10, 15, 3},
 		{"prism", 6, 9, 3},
+	}
+	// Every family of the grammar table has a case here.
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		covered[strings.Split(tc.spec, ":")[0]] = true
+	}
+	if got, want := slices.Sorted(maps.Keys(covered)), slices.Sorted(maps.Keys(families)); !slices.Equal(got, want) {
+		t.Errorf("cases cover families %v, table has %v", got, want)
 	}
 	for _, tc := range cases {
 		t.Run(tc.spec, func(t *testing.T) {
@@ -55,14 +67,28 @@ func TestBuildGraphSpecs(t *testing.T) {
 	}
 }
 
-func TestBuildGraphErdosRenyi(t *testing.T) {
-	r := rng.New(2)
-	g, err := BuildGraph("erdos-renyi:50:0.2", r)
-	if err != nil {
-		t.Fatal(err)
+// TestBuildGraphErrorText pins the error texts the grammar reports: the
+// unknown-family, arity, per-kind parse and file: messages, and a
+// generator's own rejection passed through unchanged.
+func TestBuildGraphErrorText(t *testing.T) {
+	cases := []struct {
+		spec, want string
+	}{
+		{"", `unknown graph family ""`},
+		{"complete", "complete takes 1 argument(s), got 0"},
+		{"complete:x", "complete argument 1:"},
+		{"torus:3xa", `bad side "a"`},
+		{"circulant:10:1,,2", `bad offset ""`},
+		{"erdos-renyi:10:x", `bad probability "x"`},
+		{"file:", "file: needs a store file path"},
+		{"petersen:1", "petersen takes 0 argument(s), got 1"},
+		{"cycle:2", "cycle needs n >= 3"},
 	}
-	if g.N() != 50 {
-		t.Fatalf("N = %d", g.N())
+	for _, tc := range cases {
+		_, err := BuildGraph(tc.spec, rng.New(5))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("BuildGraph(%q) error = %v, want it to contain %q", tc.spec, err, tc.want)
+		}
 	}
 }
 

@@ -44,33 +44,43 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 	tbl := NewTable(fmt.Sprintf("E14: per-vertex send load on %s (means over %d runs)", g.Name(), trials),
 		"protocol", "rounds", "total sends", "mean sends/vertex", "max sends/vertex", "max duty cycle")
 
-	// COBRA k=2 with load tracking.
+	// COBRA k=2 with load tracking, one registry engine per worker.
 	type loadOut struct {
 		rounds, total, maxSend, maxRecv, gini float64
 	}
-	cres, err := sim.Run(ctx, sim.Spec{Trials: trials, Seed: p.Seed ^ 0xe14, Workers: p.Workers},
-		func(trial int, r *rng.Rand) (loadOut, error) {
-			out, err := cobraWithLoad(g, 0, r)
+	if _, err := process.New(process.Cobra, g, process.Config{}); err != nil {
+		return err
+	}
+	cres, err := sim.RunWithState(ctx, sim.Spec{Trials: trials, Seed: p.Seed ^ 0xe14, Workers: p.Workers},
+		func() process.Process {
+			c, err := process.New(process.Cobra, g, process.Config{})
+			if err != nil {
+				panic(err) // unreachable: validated above
+			}
+			return c
+		},
+		func(c process.Process, _ int, r *rng.Rand) (loadOut, error) {
+			activations, deliveries, err := cobraLoads(c, g.N(), r)
 			if err != nil {
 				return loadOut{}, err
 			}
 			var maxSend, maxRecv int64
-			sends := make([]float64, len(out.activations))
-			for v := range out.activations {
-				send := 2 * out.activations[v] // k = 2 messages per activation
+			sends := make([]float64, len(activations))
+			for v := range activations {
+				send := 2 * activations[v] // k = 2 messages per activation
 				sends[v] = float64(send)
 				if send > maxSend {
 					maxSend = send
 				}
-				if out.deliveries[v] > maxRecv {
-					maxRecv = out.deliveries[v]
+				if deliveries[v] > maxRecv {
+					maxRecv = deliveries[v]
 				}
 			}
 			gini, err := stats.Gini(sends)
 			if err != nil {
 				return loadOut{}, err
 			}
-			return loadOut{float64(out.rounds), float64(out.transmissions), float64(maxSend), float64(maxRecv), gini}, nil
+			return loadOut{float64(c.Round()), float64(c.Transmissions()), float64(maxSend), float64(maxRecv), gini}, nil
 		})
 	if err != nil {
 		return err
@@ -111,65 +121,32 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 	return tbl.Emit(w, p)
 }
 
-// cobraLoad is one COBRA run's outcome with its per-vertex load.
-type cobraLoad struct {
-	rounds        int
-	transmissions int64
-	// activations[v] counts the rounds v was active, so v sent
-	// 2·activations[v] messages.
-	activations []int64
-	// deliveries[v] counts messages delivered to v, including coalesced
-	// duplicates.
-	deliveries []int64
-}
-
-// cobraWithLoad runs one COBRA k=2 cover run from start, recording
-// per-vertex activations and deliveries. The registry cobra engine's
-// branch-free push loop carries no per-push hook, so this mirrors its
-// loop with counters. It draws exactly as the engine does: one round
-// seed from r per round, then the active set in process.KernelChunk
-// blocks, block c drawing one bounded draw per push from stream
-// (roundSeed, c), with C_{t+1} in first-push order. A run past 2^18
-// rounds is an error.
-func cobraWithLoad(g *graph.Graph, start int32, r *rng.Rand) (cobraLoad, error) {
-	n := g.N()
-	out := cobraLoad{activations: make([]int64, n), deliveries: make([]int64, n)}
-	visited := make([]bool, n)
-	chosen := make([]int, n) // chosen[u] == round+1: u is already in C_{round+1}
-	visited[start] = true
-	count := 1
-	cur := []int32{start}
-	var next []int32
-	cr := rng.New(0) // the chunk generator, reseeded per block
-	for count < n {
-		if out.rounds >= 1<<18 {
-			return cobraLoad{}, fmt.Errorf("uncovered run")
-		}
-		next = next[:0]
-		roundSeed := r.Uint64()
-		for j, v := range cur {
-			if j%process.KernelChunk == 0 {
-				cr.ReseedStream(roundSeed, uint64(j/process.KernelChunk))
-			}
-			out.activations[v]++
-			deg := g.Degree(v)
-			for i := 0; i < 2; i++ {
-				u := g.Neighbor(v, cr.Intn(deg))
-				out.transmissions++
-				out.deliveries[u]++
-				if chosen[u] == out.rounds+1 {
-					continue // coalesce
-				}
-				chosen[u] = out.rounds + 1
-				next = append(next, u)
-				if !visited[u] {
-					visited[u] = true
-					count++
-				}
-			}
-		}
-		cur, next = next, cur
-		out.rounds++
+// cobraLoads runs one COBRA cover run from vertex 0 on c, a registry
+// cobra engine on an n-vertex graph, and counts per vertex the rounds it
+// was active (it sent k = 2 messages each time) and the messages
+// delivered to it, coalesced duplicates included. Both come from the
+// engine's Pusher view: C_t before each Step, the pushes after it. A run
+// past 2^18 rounds is an error.
+func cobraLoads(c process.Process, n int, r *rng.Rand) (activations, deliveries []int64, err error) {
+	if err := c.Reset(0); err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	pu := c.(process.Pusher)
+	activations, deliveries = make([]int64, n), make([]int64, n)
+	var buf []int32
+	for !c.Done() {
+		if c.Round() >= 1<<18 {
+			return nil, nil, fmt.Errorf("uncovered run")
+		}
+		buf = pu.AppendActive(buf[:0])
+		for _, v := range buf {
+			activations[v]++
+		}
+		c.Step(r)
+		buf = pu.AppendPushes(buf[:0])
+		for _, u := range buf {
+			deliveries[u]++
+		}
+	}
+	return activations, deliveries, nil
 }

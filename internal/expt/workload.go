@@ -45,10 +45,6 @@ func randomRegularFamily(deg int) family {
 
 func completeFamily() family { return sweepFamily("complete", 0, "complete") }
 
-func torus2DFamily() family { return sweepFamily("torus-2d", 0, "torus-2d") }
-
-func hypercubeFamily() family { return sweepFamily("hypercube", 0, "hypercube") }
-
 // intSqrt returns ⌊√n⌋ (torus sizing in E5/E7), delegating to the sweep
 // engine's helper so the rounding rule has one home.
 func intSqrt(n int) int { return sweep.IntSqrt(n) }

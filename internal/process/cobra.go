@@ -76,12 +76,14 @@ type cobraProc struct {
 	// stage[c·stride : c·stride+stageLen[c]] (stride = KernelChunk ×
 	// max pushes per vertex, so regions never overlap). sentC[c] is the
 	// chunk's transmission count. roundSeed is read-only during the
-	// parallel phase.
+	// parallel phase. numChunks is the last Step's chunk count (0 after
+	// Reset), so AppendPushes can read its staged targets back.
 	stage     []int32
 	stageLen  []int32
 	sentC     []int64
 	stride    int
 	roundSeed uint64
+	numChunks int
 
 	round   int
 	reached int
@@ -142,6 +144,7 @@ func (p *cobraProc) Reset(starts ...int32) error {
 	}
 	p.visited.zero()
 	p.curLen = 0
+	p.numChunks = 0
 	p.round = 0
 	p.reached = 0
 	p.sent = 0
@@ -221,6 +224,7 @@ func (p *cobraProc) Step(r *rng.Rand) {
 	p.roundSeed = r.Uint64()
 	numChunks := chunksFor(p.curLen)
 	p.pool.dispatch(p, numChunks)
+	p.numChunks = numChunks
 
 	// Merge in chunk order. The staged targets are L2-resident
 	// sequential reads and the bitset updates are branchless RMWs: the
@@ -273,4 +277,19 @@ func (p *cobraProc) Reached(v int32) bool { return p.visited.test(v) }
 // AppendReached appends the visited set in ascending vertex order.
 func (p *cobraProc) AppendReached(dst []int32) []int32 {
 	return appendBits(dst, p.visited, p.n)
+}
+
+// AppendActive appends C_t, the vertices that push at the next Step.
+func (p *cobraProc) AppendActive(dst []int32) []int32 {
+	return append(dst, p.curBuf[:p.curLen]...)
+}
+
+// AppendPushes appends the last Step's staged push targets chunk by
+// chunk, so in draw order with repeats.
+func (p *cobraProc) AppendPushes(dst []int32) []int32 {
+	for c := 0; c < p.numChunks; c++ {
+		base := c * p.stride
+		dst = append(dst, p.stage[base:base+int(p.stageLen[c])]...)
+	}
+	return dst
 }

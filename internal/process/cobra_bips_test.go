@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cobrawalk/internal/graph"
@@ -748,5 +749,113 @@ func TestBipsFastVsExactDistribution(t *testing.T) {
 	fastMean, fastSE := meanInfection(true)
 	if diff, tol := math.Abs(exactMean-fastMean), 5*math.Hypot(exactSE, fastSE); diff > tol {
 		t.Fatalf("exact mean %.3f vs fast mean %.3f differ by %.3f > %.3f", exactMean, fastMean, diff, tol)
+	}
+}
+
+// TestPusher pins cobra's Pusher view, through which E14 counts
+// per-vertex loads. Every round's AppendPushes holds exactly that
+// round's transmissions, and its distinct targets in first-push order
+// are the next AppendActive. Every run's counts add up: deliveries to
+// the transmissions, K·activations ≤ transmissions ≤ (K+1)·activations
+// (equal for integral branching), and no vertex is active more often
+// than messages reached it, bar the start's round-0 activation. The
+// pushes match at kernel widths 1 and 3, and AppendPushes is empty after
+// every Reset, including one between two runs on one stream. The
+// 8192-vertex cases span several chunks; with Rho > 0 the chunks' push
+// counts vary, so their staging regions are not contiguous.
+func TestPusher(t *testing.T) {
+	r := rng.New(3)
+	cases := []struct {
+		name      string
+		g         *graph.Graph
+		br        Branching
+		start     int32
+		minChunks int // some round's C_t spans at least this many kernel chunks
+	}{
+		{"rand-reg-256x8", mk(t)(graph.RandomRegularConnected(256, 8, r)), DefaultBranching, 0, 1},
+		{"rand-reg-128x3", mk(t)(graph.RandomRegularConnected(128, 3, r)), DefaultBranching, 0, 1},
+		{"complete-48", mk(t)(graph.Complete(48)), DefaultBranching, 0, 1},
+		{"barbell-8-3", mk(t)(graph.Barbell(8, 3)), DefaultBranching, 0, 1},
+		{"rand-reg-8192x8", mk(t)(graph.RandomRegularConnected(8192, 8, r)), DefaultBranching, 0, 3},
+		{"rand-reg-8192x8-k1+0.5", mk(t)(graph.RandomRegularConnected(8192, 8, r)), Branching{K: 1, Rho: 0.5}, 0, 3},
+		{"complete-32-from-5", mk(t)(graph.Complete(32)), DefaultBranching, 5, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.g.N()
+			var widthPushes [][]int32
+			for _, w := range []int{1, 3} {
+				var roundSent int64
+				p, err := New(Cobra, tc.g, Config{Branching: tc.br, KernelWorkers: w,
+					Observer: func(s RoundStat) { roundSent = s.Transmissions }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pu := p.(Pusher)
+				stream := rng.New(7)
+				var all, active, pushes []int32
+				seen := make([]int, n) // seen[u] == round: u already pushed to
+				maxChunks := 0
+				for run := 0; run < 2; run++ {
+					if err := p.Reset(tc.start); err != nil {
+						t.Fatal(err)
+					}
+					if got := pu.AppendPushes(nil); len(got) != 0 {
+						t.Fatalf("w%d run %d: %d pushes after Reset", w, run, len(got))
+					}
+					clear(seen)
+					activations, deliveries := make([]int64, n), make([]int64, n)
+					active = pu.AppendActive(active[:0])
+					for !p.Done() {
+						maxChunks = max(maxChunks, chunksFor(len(active)))
+						for _, v := range active {
+							activations[v]++
+						}
+						p.Step(stream)
+						pushes = pu.AppendPushes(pushes[:0])
+						if int64(len(pushes)) != roundSent {
+							t.Fatalf("w%d run %d round %d: %d pushes, %d transmissions", w, run, p.Round(), len(pushes), roundSent)
+						}
+						var first []int32
+						for _, u := range pushes {
+							deliveries[u]++
+							if seen[u] != p.Round() {
+								seen[u] = p.Round()
+								first = append(first, u)
+							}
+						}
+						active = pu.AppendActive(active[:0])
+						if !slices.Equal(first, active) {
+							t.Fatalf("w%d run %d round %d: distinct pushes are not the next active set", w, run, p.Round())
+						}
+						all = append(all, pushes...)
+					}
+					var sumAct, sumDel int64
+					for v := range n {
+						sumAct += activations[v]
+						sumDel += deliveries[v]
+						limit := deliveries[v]
+						if int32(v) == tc.start {
+							limit++
+						}
+						if activations[v] > limit {
+							t.Fatalf("w%d run %d: vertex %d active %d times from %d deliveries", w, run, v, activations[v], deliveries[v])
+						}
+					}
+					sent := p.Transmissions()
+					k := int64(tc.br.K)
+					if sumDel != sent || k*sumAct > sent || sent > (k+1)*sumAct || (tc.br.Rho == 0 && k*sumAct != sent) {
+						t.Fatalf("w%d run %d: %d deliveries, %d activations, %d transmissions", w, run, sumDel, sumAct, sent)
+					}
+				}
+				if maxChunks < tc.minChunks {
+					t.Fatalf("w%d: widest round spans %d chunks, want >= %d", w, maxChunks, tc.minChunks)
+				}
+				widthPushes = append(widthPushes, all)
+			}
+			if !slices.Equal(widthPushes[0], widthPushes[1]) {
+				t.Fatal("pushes differ between kernel widths 1 and 3")
+			}
+		})
 	}
 }

@@ -13,8 +13,8 @@ import (
 // therefore the per-chunk RNG streams, depend only on the data (the
 // active-set or candidate count), never on the worker count — so
 // changing it changes results the same way changing a seed would. Code
-// that reproduces the engines' draws (the difftest reference engines,
-// E14's load-counting loop) cuts its rounds with this constant.
+// that reproduces the engines' draws (the difftest reference engines)
+// cuts its rounds with this constant.
 //
 // 2048 entries × K pushes ≈ 4k random CSR gathers per chunk: coarse
 // enough that chunk-claim traffic (one atomic add) and the per-chunk

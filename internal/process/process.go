@@ -207,6 +207,19 @@ type Reacher interface {
 	Reached(v int32) bool
 }
 
+// Pusher is the optional Process extension for engines whose rounds are
+// pushes from an active set: cobra implements it. E14 counts per-vertex
+// send and receive loads through it.
+type Pusher interface {
+	// AppendActive appends C_t, the vertices that push at the next Step,
+	// and returns the extended slice.
+	AppendActive(dst []int32) []int32
+	// AppendPushes appends the last Step's push targets in draw order,
+	// repeats included, and returns the extended slice. After Reset it
+	// appends nothing.
+	AppendPushes(dst []int32) []int32
+}
+
 // stampSet is an O(1)-clear membership set over vertex ids: v is a
 // member iff stamp[v] == epoch, so clear is an epoch bump and only the
 // (rare) wrap-around pays an O(n) flush. This is the buffer-reuse

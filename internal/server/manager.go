@@ -595,9 +595,6 @@ func (m *Manager) persist(j *job) error {
 	return writeJSONFile(filepath.Join(j.dir, jobFileName), rec)
 }
 
-// snapshot assembles a Status under the lock. Events are stripped —
-// they have their own endpoint (and job.json) and would bloat every
-// list response otherwise.
 // jobMaxProcs is one job's share of the machine: GOMAXPROCS divided by
 // the concurrent job slots (at least 1). The sweep layer resolves its
 // trial- and kernel-worker defaults against this budget, so a daemon
@@ -611,6 +608,9 @@ func (m *Manager) jobMaxProcs() int {
 	return per
 }
 
+// snapshot assembles a Status under the lock. Events are stripped —
+// they have their own endpoint (and job.json) and would bloat every
+// list response otherwise.
 func (m *Manager) snapshot(j *job) Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()

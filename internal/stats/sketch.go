@@ -261,16 +261,6 @@ func (s *QuantileSketch) quantileWalk(ranks []int64, out []float64) {
 	}
 }
 
-// mustQuantile is Quantile for internal callers that have already checked
-// for emptiness.
-func (s *QuantileSketch) mustQuantile(q float64) float64 {
-	v, err := s.Quantile(q)
-	if err != nil {
-		return math.NaN()
-	}
-	return v
-}
-
 // mustQuantiles is Quantiles for internal callers with pre-sorted inputs;
 // on error the outputs are NaN.
 func (s *QuantileSketch) mustQuantiles(qs []float64, out []float64) {
