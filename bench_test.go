@@ -476,7 +476,7 @@ func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := sweep.Run(context.Background(), spec, sweep.Options{PointWorkers: 2})
+		rep, err := sweep.Run(context.Background(), spec, sweep.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

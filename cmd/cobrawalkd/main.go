@@ -76,14 +76,11 @@ func run(args []string, out, errw io.Writer) error {
 		addr      = fs.String("addr", "127.0.0.1:8321", "listen address")
 		data      = fs.String("data", "", "data directory for jobs and artifacts (required)")
 		maxJobs   = fs.Int("max-jobs", 2, "jobs running concurrently")
-		pointWrk  = fs.Int("point-workers", 1, "points run concurrently within a job")
-		workers   = fs.Int("workers", 0, "trial worker goroutines per point (0 = GOMAXPROCS)")
-		kernelWrk = fs.Int("kernel-workers", 0, "intra-trial kernel workers for cobra/bips trials (0 = fill the per-job CPU budget left by -workers)")
+		workers   = fs.Int("workers", 0, "trial worker goroutines per point (0 = the per-job CPU budget, GOMAXPROCS / -max-jobs; at most the point's trials); each cobra/bips trial gets budget / trial workers (at least 1) kernel workers")
 		cacheCap  = fs.Int("graph-cache", 0, "graph cache vertex budget (0 = default)")
 		graphDir  = fs.String("graph-dir", "", "graph store directory: cache misses mmap .csrg files from here and built graphs spill back (see cmd/graphbuild)")
 		madvise   = fs.String("graph-madvise", "", "madvise hints for -graph-dir mmaps: comma-separated willneed,hugepage, or off")
 		snapEvery = fs.Duration("snapshot-interval", 0, "spacing of in-flight digest snapshots on job streams (0 = default 500ms)")
-		streamBuf = fs.Int("stream-buffer", 0, "per-subscriber SSE buffer; a subscriber that falls behind drops oldest events (0 = default 64)")
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn or error")
 		logFormat = fs.String("log-format", "text", "log format: text or json")
 		pprofOn   = fs.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/")
@@ -115,14 +112,11 @@ func run(args []string, out, errw io.Writer) error {
 	m, err := server.NewManager(server.Config{
 		Dir:              *data,
 		MaxConcurrent:    *maxJobs,
-		PointWorkers:     *pointWrk,
 		TrialWorkers:     *workers,
-		KernelWorkers:    *kernelWrk,
 		CacheBudget:      *cacheCap,
 		GraphDir:         *graphDir,
 		GraphMadvise:     advice,
 		SnapshotInterval: *snapEvery,
-		StreamBuffer:     *streamBuf,
 		Logger:           logger,
 	})
 	if err != nil {

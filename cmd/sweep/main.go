@@ -75,14 +75,12 @@ func run(args []string, out, errw io.Writer) error {
 		maxRounds  = fs.Int("max-rounds", 0, "per-trial round cap (0 = default)")
 		lambda     = fs.Bool("lambda", false, "measure λ_max of every point's graph")
 
-		outDir    = fs.String("out", "", "artifact directory (manifest + per-point records + results.ndjson)")
-		resume    = fs.Bool("resume", false, "skip points whose records already exist in -out")
-		workers   = fs.Int("workers", 0, "trial worker goroutines per point (0 = GOMAXPROCS)")
-		kernelWrk = fs.Int("kernel-workers", 0, "intra-trial kernel workers for cobra/bips trials (0 = fill the CPU budget left by -workers)")
-		pointWrk  = fs.Int("point-workers", 1, "points run concurrently")
-		cacheCap  = fs.Int("graph-cache", 0, "graph cache vertex budget (0 = default, negative = disable)")
-		graphDir  = fs.String("graph-dir", "", "graph store directory: cache misses mmap .csrg files from here and built graphs spill back (see cmd/graphbuild)")
-		madvise   = fs.String("graph-madvise", "", "madvise hints for -graph-dir mmaps: comma-separated willneed,hugepage, or off")
+		outDir   = fs.String("out", "", "artifact directory (manifest + per-point records + results.ndjson)")
+		resume   = fs.Bool("resume", false, "skip points whose records already exist in -out")
+		workers  = fs.Int("workers", 0, "trial worker goroutines per point (0 = GOMAXPROCS; at most -trials); each cobra/bips trial gets GOMAXPROCS / trial workers (at least 1) kernel workers")
+		cacheCap = fs.Int("graph-cache", 0, "graph cache vertex budget (0 = default, negative = disable)")
+		graphDir = fs.String("graph-dir", "", "graph store directory: cache misses mmap .csrg files from here and built graphs spill back (see cmd/graphbuild)")
+		madvise  = fs.String("graph-madvise", "", "madvise hints for -graph-dir mmaps: comma-separated willneed,hugepage, or off")
 
 		format      = fs.String("format", "text", "summary output: text | csv | json")
 		quiet       = fs.Bool("quiet", false, "suppress per-point progress on stderr")
@@ -197,11 +195,9 @@ func run(args []string, out, errw io.Writer) error {
 	}
 
 	opts := sweep.Options{
-		Dir:           *outDir,
-		Resume:        *resume,
-		PointWorkers:  *pointWrk,
-		TrialWorkers:  *workers,
-		KernelWorkers: *kernelWrk,
+		Dir:          *outDir,
+		Resume:       *resume,
+		TrialWorkers: *workers,
 	}
 	advice, err := graphstore.ParseAdvice(*madvise)
 	if err != nil {

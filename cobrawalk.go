@@ -276,7 +276,8 @@ type (
 	SweepFamily = sweep.Family
 )
 
-// RunSweep expands spec and executes every point across a worker pool.
+// RunSweep expands spec and executes its points in expansion order, each
+// across the trial and kernel workers of one CPU budget.
 func RunSweep(ctx context.Context, spec SweepSpec, opts SweepOptions) (*SweepReport, error) {
 	return sweep.Run(ctx, spec, opts)
 }

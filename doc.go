@@ -47,9 +47,9 @@
 //     a grid over family × size × degree × process × branching plus a
 //     metric set (rounds, transmissions, peak-active, half-coverage,
 //     and the coverage/frontier trajectory bands), RunSweep executes
-//     its deterministic points across a worker pool, and artifact
-//     directories make interrupted sweeps resume byte-identically
-//     (see also cmd/sweep);
+//     its deterministic points in order, each on one CPU budget split
+//     between trial and kernel workers, and artifact directories make
+//     interrupted sweeps resume byte-identically (see also cmd/sweep);
 //   - a concurrency-safe graph cache (GraphCache): LRU by vertex budget
 //     with single-flighted builds, shared across sweep points and — in
 //     the cobrawalkd daemon — across jobs, so repeated topologies skip

@@ -49,9 +49,10 @@ type StreamEvent struct {
 }
 
 const (
-	// DefaultStreamBuffer is each subscriber's buffered-event capacity
-	// when Config.StreamBuffer is unset.
-	DefaultStreamBuffer = 64
+	// streamBuffer is each subscriber's buffered-event capacity; a
+	// subscriber that falls behind has its oldest buffered events
+	// dropped rather than stalling the job or other subscribers.
+	streamBuffer = 64
 	// streamHistoryCap bounds each job topic's retained history — the
 	// replay window for Last-Event-ID reconnects and late subscribers.
 	streamHistoryCap = 64
@@ -87,9 +88,6 @@ type hub struct {
 }
 
 func newHub(buffer int, dropped, slow *obs.Counter) *hub {
-	if buffer <= 0 {
-		buffer = DefaultStreamBuffer
-	}
 	return &hub{
 		buffer:  buffer,
 		dropped: dropped,

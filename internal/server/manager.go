@@ -19,6 +19,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -92,9 +93,9 @@ type Status struct {
 	PointsResumed int `json:"points_resumed,omitempty"`
 }
 
-// job is the manager's in-memory view of one job. rec and userCancel are
-// guarded by Manager.mu; the counters are atomics because the sweep's
-// PointDone callback updates them from worker goroutines.
+// job is the manager's in-memory view of one job. rec, userCancel and
+// outcome are guarded by Manager.mu; the counters are atomics because
+// status reads load them while the job's goroutine counts points.
 type job struct {
 	rec        Record
 	dir        string
@@ -110,10 +111,12 @@ type job struct {
 	// lastEventPersist throttles progress-driven job.json writes
 	// (unix nanos of the last write; at most one per second).
 	lastEventPersist atomic.Int64
-	// pointStarts maps in-flight point IDs to their start times. Only
-	// touched from the sweep's serialised PointStart/PointDone
-	// callbacks, so it needs no lock of its own.
-	pointStarts map[string]time.Time
+	// pointStart is the running point's start time; the sweep runs one
+	// point at a time, on the job's goroutine.
+	pointStart time.Time
+	// outcome is the terminal state settle has decided, set before rec
+	// holds it; from then on Cancel refuses the job as terminal.
+	outcome State
 	// restoredTerminal marks a job that restore loaded already settled:
 	// it never publishes in this process, so Subscribe seals its topic.
 	// Set before the manager serves and never changed.
@@ -136,13 +139,11 @@ type Config struct {
 	// MaxConcurrent bounds how many jobs run at once (default 1). Queued
 	// jobs start in submission order as slots free up.
 	MaxConcurrent int
-	// PointWorkers, TrialWorkers and KernelWorkers are passed to every
-	// job's sweep run (defaults: 1 point worker; trial and kernel
-	// workers resolve against the per-job CPU budget — see
-	// sweep.Options). Scheduling knobs only — they never affect results.
-	PointWorkers  int
-	TrialWorkers  int
-	KernelWorkers int
+	// TrialWorkers is passed to every job's sweep run (default: the
+	// per-job CPU budget; kernel processes get the budget's slack as
+	// intra-trial workers — see sweep.Options). A scheduling knob only —
+	// it never affects results.
+	TrialWorkers int
 	// CacheBudget is the shared graph cache's vertex budget
 	// (0 = graphcache.DefaultBudget).
 	CacheBudget int
@@ -169,11 +170,6 @@ type Config struct {
 	// (<= 0 = sweep.DefaultSnapshotInterval). An observability knob
 	// only — per the sweep Options contract it never affects results.
 	SnapshotInterval time.Duration
-	// StreamBuffer is each SSE subscriber's buffered-event capacity
-	// (<= 0 = DefaultStreamBuffer). A subscriber that falls behind has
-	// its oldest buffered events dropped rather than stalling the job
-	// or other subscribers.
-	StreamBuffer int
 }
 
 // Manager owns the job set: submission, the bounded scheduler,
@@ -211,9 +207,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 1
 	}
-	if cfg.PointWorkers <= 0 {
-		cfg.PointWorkers = 1
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
@@ -241,7 +234,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		nextID: 1,
 	}
 	m.met = newServerMetrics(m, cfg.Metrics)
-	m.hub = newHub(cfg.StreamBuffer, m.met.streamDropped, m.met.streamSlow)
+	m.hub = newHub(streamBuffer, m.met.streamDropped, m.met.streamSlow)
 	m.readCache = newReadCache(0, m.met.cacheHits, m.met.cacheMisses)
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	if err := m.restore(); err != nil {
@@ -416,9 +409,9 @@ func (m *Manager) Submit(spec sweep.Spec) (Status, error) {
 
 // newJob wires a job around its record: lifecycle context, span trace
 // (seeded with any persisted events so a restart continues the same
-// history) and the per-point timing map.
+// history).
 func (m *Manager) newJob(rec Record, dir string) *job {
-	j := &job{rec: rec, dir: dir, trace: obs.NewTrace(0), pointStarts: make(map[string]time.Time)}
+	j := &job{rec: rec, dir: dir, trace: obs.NewTrace(0)}
 	if len(rec.Events) > 0 {
 		j.trace.Seed(rec.Events)
 	}
@@ -459,11 +452,9 @@ func (m *Manager) enqueue(j *job) {
 
 		total := j.rec.Points
 		_, err := sweep.Run(j.ctx, j.rec.Spec, sweep.Options{
-			Dir:           j.artifactsDir(),
-			Resume:        true, // no-op on a fresh dir; resumes after a crash
-			PointWorkers:  m.cfg.PointWorkers,
-			TrialWorkers:  m.cfg.TrialWorkers,
-			KernelWorkers: m.cfg.KernelWorkers,
+			Dir:          j.artifactsDir(),
+			Resume:       true, // no-op on a fresh dir; resumes after a crash
+			TrialWorkers: m.cfg.TrialWorkers,
 			// Each job gets its slice of the machine: with MaxConcurrent
 			// slots filled, GOMAXPROCS trial workers per job would run
 			// MaxConcurrent × GOMAXPROCS goroutines hot — the budget keeps
@@ -472,7 +463,7 @@ func (m *Manager) enqueue(j *job) {
 			MaxProcs:   m.jobMaxProcs(),
 			GraphCache: m.cache,
 			PointStart: func(pt sweep.Point) {
-				j.pointStarts[pt.ID] = time.Now()
+				j.pointStart = time.Now()
 				m.event(j, "point-start", pt.ID, pointProgress{Point: pt.ID, Total: total})
 				m.logger.Debug("point start", "job_id", j.rec.ID, "point", pt.ID)
 			},
@@ -485,9 +476,8 @@ func (m *Manager) enqueue(j *job) {
 					j.resumed.Add(1)
 					m.met.pointsResumed.Inc()
 					detail += " resumed"
-				} else if start, ok := j.pointStarts[res.ID]; ok {
-					delete(j.pointStarts, res.ID)
-					m.met.pointSeconds.Observe(time.Since(start).Seconds())
+				} else {
+					m.met.pointSeconds.Observe(time.Since(j.pointStart).Seconds())
 				}
 				m.event(j, "point", detail, pointProgress{
 					Point: res.ID, Done: int(done), Total: total, Resumed: resumed,
@@ -540,47 +530,55 @@ func (m *Manager) persistProgress(j *job) {
 // finish must not hide finished results), cancelled when the user
 // asked, or — when the manager itself is shutting down — no transition
 // at all, so the persisted queued/running state survives for the next
-// process to resume.
+// process to resume. The outcome is decided into a copy of the record;
+// the terminal event, the job metrics and job.json all carry it before
+// the copy becomes the job's record, so a job never reads as settled
+// while its trace, counters or job.json lag behind.
 func (m *Manager) settle(j *job, err error) {
 	m.mu.Lock()
+	rec := j.rec
 	switch {
 	case err == nil:
-		j.rec.State = StateDone
-		j.rec.Error = ""
+		rec.State = StateDone
+		rec.Error = ""
 	case j.userCancel:
-		j.rec.State = StateCancelled
-		j.rec.Error = ""
+		rec.State = StateCancelled
+		rec.Error = ""
 	case m.ctx.Err() != nil:
 		// Shutdown, not an outcome: leave the persisted state alone.
 		m.mu.Unlock()
-		m.logger.Info("job interrupted by shutdown", "job_id", j.rec.ID)
+		m.logger.Info("job interrupted by shutdown", "job_id", rec.ID)
 		return
 	default:
-		j.rec.State = StateFailed
-		j.rec.Error = err.Error()
+		rec.State = StateFailed
+		rec.Error = err.Error()
 	}
 	now := time.Now().UTC()
-	j.rec.Finished = &now
-	state, msg := j.rec.State, j.rec.Error
-	var ran time.Duration
-	if j.rec.Started != nil {
-		ran = now.Sub(*j.rec.Started)
-	}
+	rec.Finished = &now
+	j.outcome = rec.State
 	m.mu.Unlock()
+	var ran time.Duration
+	if rec.Started != nil {
+		ran = now.Sub(*rec.Started)
+	}
 
-	m.event(j, string(state), msg, m.snapshot(j))
-	m.hub.close(j.rec.ID)
-	m.met.jobsTotal.With(string(state)).Inc()
+	m.event(j, string(rec.State), rec.Error, j.status(rec))
+	m.met.jobsTotal.With(string(rec.State)).Inc()
 	if ran > 0 {
 		m.met.jobSeconds.Observe(ran.Seconds())
 	}
-	if err := m.persist(j); err != nil {
-		m.logger.Warn("persisting terminal state", "job_id", j.rec.ID, "err", err)
+	rec.Events = j.trace.Events()
+	if err := writeJSONFile(filepath.Join(j.dir, jobFileName), rec); err != nil {
+		m.logger.Warn("persisting terminal state", "job_id", rec.ID, "err", err)
 	}
-	if msg != "" {
-		m.logger.Info("job settled", "job_id", j.rec.ID, "state", string(state), "err", msg, "ran_seconds", ran.Seconds())
+	m.mu.Lock()
+	j.rec = rec
+	m.mu.Unlock()
+	m.hub.close(rec.ID)
+	if rec.Error != "" {
+		m.logger.Info("job settled", "job_id", rec.ID, "state", string(rec.State), "err", rec.Error, "ran_seconds", ran.Seconds())
 	} else {
-		m.logger.Info("job settled", "job_id", j.rec.ID, "state", string(state), "ran_seconds", ran.Seconds())
+		m.logger.Info("job settled", "job_id", rec.ID, "state", string(rec.State), "ran_seconds", ran.Seconds())
 	}
 }
 
@@ -597,9 +595,9 @@ func (m *Manager) persist(j *job) error {
 
 // jobMaxProcs is one job's share of the machine: GOMAXPROCS divided by
 // the concurrent job slots (at least 1). The sweep layer resolves its
-// trial- and kernel-worker defaults against this budget, so a daemon
-// with MaxConcurrent=4 on 16 cores runs each job 4-wide instead of
-// every job 16-wide.
+// trial and kernel workers against this budget, so a daemon with
+// MaxConcurrent=4 on 16 cores runs each job 4-wide instead of every job
+// 16-wide.
 func (m *Manager) jobMaxProcs() int {
 	per := runtime.GOMAXPROCS(0) / m.cfg.MaxConcurrent
 	if per < 1 {
@@ -614,8 +612,13 @@ func (m *Manager) jobMaxProcs() int {
 func (m *Manager) snapshot(j *job) Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return j.status(j.rec)
+}
+
+// status pairs rec with the job's progress counters, events stripped.
+func (j *job) status(rec Record) Status {
 	st := Status{
-		Record:        j.rec,
+		Record:        rec,
 		PointsDone:    int(j.done.Load()),
 		PointsResumed: int(j.resumed.Load()),
 	}
@@ -659,15 +662,16 @@ func (m *Manager) Cancel(id string) (Status, error) {
 		m.mu.Unlock()
 		return Status{}, fmt.Errorf("server: no job %s", id)
 	}
-	if j.rec.State.Terminal() {
-		state := j.rec.State
+	if state := cmp.Or(j.outcome, j.rec.State); state.Terminal() {
 		m.mu.Unlock()
 		return Status{}, fmt.Errorf("server: job %s already %s", id, state)
 	}
 	j.userCancel = true
+	// Emitted under m.mu, so it lands before any terminal event: settle
+	// decides the outcome under the same lock.
+	m.event(j, "cancel-requested", "", nil)
 	m.mu.Unlock()
 	j.cancel()
-	m.event(j, "cancel-requested", "", nil)
 	m.logger.Info("job cancellation requested", "job_id", id)
 	return m.snapshot(j), nil
 }

@@ -371,6 +371,32 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestCancelAfterOutcomeDecided replays a Cancel that lands after settle
+// has decided a job's outcome but before the job reads as settled: it
+// is refused with the 409 of a terminal job and adds no cancel-requested
+// event after the terminal one.
+func TestCancelAfterOutcomeDecided(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Config{})
+	j := m.newJob(Record{ID: "j0001", State: StateRunning}, t.TempDir())
+	m.mu.Lock()
+	m.jobs[j.rec.ID] = j
+	j.outcome = StateDone
+	m.mu.Unlock()
+	m.event(j, string(StateDone), "", nil)
+
+	_, err := m.Cancel(j.rec.ID)
+	if err == nil || statusFor(err) != http.StatusConflict || !strings.Contains(err.Error(), "already done") {
+		t.Fatalf("Cancel after the outcome was decided: err %v, want a 409 naming done", err)
+	}
+	events, err := m.Events(j.rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := events[len(events)-1]; last.Name != string(StateDone) {
+		t.Fatalf("last event %q, want done", last.Name)
+	}
+}
+
 // TestHTTPValidation sweeps the API's error surface.
 func TestHTTPValidation(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), Config{})

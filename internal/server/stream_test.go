@@ -149,10 +149,10 @@ func streamTypes(t *testing.T, replay []StreamEvent, ch <-chan StreamEvent) []st
 	}
 }
 
-// TestSubscribeInSettleWindow replays settle's two halves around a
-// Subscribe: settle flips the job's state under m.mu, unlocks, and only
-// then publishes the terminal event and seals the topic. A subscriber
-// arriving in between must still receive done, then a closed channel.
+// TestSubscribeInSettleWindow replays a job that reads done before its
+// terminal event is out and its topic sealed, around a Subscribe. The
+// subscriber must still receive done, then a closed channel: Subscribe
+// seals only restored jobs' topics, never on the state alone.
 func TestSubscribeInSettleWindow(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), Config{})
 	j := m.newJob(Record{ID: "j0001", State: StateRunning}, t.TempDir())

@@ -9,9 +9,10 @@ import (
 )
 
 // TestWorkerBudgetResolve pins the anti-oversubscription arithmetic:
-// trialWorkers × kernelWorkers ≤ maxProcs with the defaulted knob
-// shrinking to the slack, explicit knobs respected, and non-kernel
-// processes always resolving to one kernel worker.
+// the trial pool takes its knob (default: the budget) capped at the
+// trial count, kernel processes get the slack maxProcs / trialWorkers
+// and at least 1, and non-kernel processes always resolve to one kernel
+// worker.
 func TestWorkerBudgetResolve(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -24,10 +25,8 @@ func TestWorkerBudgetResolve(t *testing.T) {
 		{"defaults-single-trial", workerBudget{maxProcs: 8}, 1, true, 1, 8},
 		{"defaults-small-ensemble", workerBudget{maxProcs: 8}, 2, true, 2, 4},
 		{"explicit-trials-slack-kernel", workerBudget{trialWorkers: 2, maxProcs: 8}, 100, true, 2, 4},
-		{"explicit-kernel-slack-trials", workerBudget{kernelWorkers: 4, maxProcs: 8}, 100, true, 2, 4},
-		{"explicit-kernel-exceeds-budget", workerBudget{kernelWorkers: 16, maxProcs: 8}, 100, true, 1, 16},
-		{"both-explicit-trusted", workerBudget{trialWorkers: 4, kernelWorkers: 4, maxProcs: 8}, 100, true, 4, 4},
-		{"non-kernel-ignores-kernel-knob", workerBudget{kernelWorkers: 4, maxProcs: 8}, 100, false, 8, 1},
+		{"explicit-trials-exceed-budget", workerBudget{trialWorkers: 16, maxProcs: 8}, 100, true, 16, 1},
+		{"non-kernel-defaults", workerBudget{maxProcs: 8}, 100, false, 8, 1},
 		{"non-kernel-explicit-trials", workerBudget{trialWorkers: 3, maxProcs: 8}, 100, false, 3, 1},
 		{"trials-cap", workerBudget{maxProcs: 8}, 3, true, 3, 2},
 	}
@@ -75,19 +74,20 @@ func kernelSpecs() []Spec {
 }
 
 // TestKernelGoldenDiffWorkers is the sweep-level half of the kernel
-// determinism pin: kernel workers 1 vs 4 (with different trial worker
-// counts and snapshots enabled on both sides) must produce
-// byte-identical artifact trees — manifest, per-point records and
-// results.ndjson — and identical in-memory reports.
+// determinism pin: kernel workers 1 vs 4 (2 trial workers on a budget of
+// 2 against 1 trial worker on a budget of 4, snapshots enabled on both
+// sides) must produce byte-identical artifact trees — manifest,
+// per-point records and results.ndjson — and identical in-memory
+// reports.
 func TestKernelGoldenDiffWorkers(t *testing.T) {
 	for _, spec := range kernelSpecs() {
 		t.Run(spec.Name, func(t *testing.T) {
-			run := func(dir string, trialWorkers, kernelWorkers int) *Report {
+			run := func(dir string, trialWorkers, maxProcs int) *Report {
 				t.Helper()
 				rep, err := Run(context.Background(), spec, Options{
 					Dir:              dir,
 					TrialWorkers:     trialWorkers,
-					KernelWorkers:    kernelWorkers,
+					MaxProcs:         maxProcs,
 					Snapshot:         func(Snapshot) {},
 					SnapshotInterval: time.Nanosecond, // force deliveries every fold
 				})
@@ -97,7 +97,7 @@ func TestKernelGoldenDiffWorkers(t *testing.T) {
 				return rep
 			}
 			dirA, dirB := t.TempDir(), t.TempDir()
-			repA := run(dirA, 2, 1)
+			repA := run(dirA, 2, 2)
 			repB := run(dirB, 1, 4)
 			if reportJSON(t, repA) != reportJSON(t, repB) {
 				t.Fatal("kernel sweep report depends on kernel worker count")

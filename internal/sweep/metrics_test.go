@@ -115,14 +115,14 @@ func TestTrajectoryMetricsRecorded(t *testing.T) {
 }
 
 // TestTrajectoryWorkerIndependence is the acceptance pin: a
-// trajectory-enabled sweep is byte-identical across trial and point
-// worker counts.
+// trajectory-enabled sweep is byte-identical across trial worker
+// counts.
 func TestTrajectoryWorkerIndependence(t *testing.T) {
-	base, err := Run(context.Background(), trajSpec(), Options{PointWorkers: 1, TrialWorkers: 1})
+	base, err := Run(context.Background(), trajSpec(), Options{TrialWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(context.Background(), trajSpec(), Options{PointWorkers: 4, TrialWorkers: 4})
+	parallel, err := Run(context.Background(), trajSpec(), Options{TrialWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTrajectoryResumeByteIdentical(t *testing.T) {
 	spec := trajSpec()
 
 	dirA := t.TempDir()
-	repA, err := Run(context.Background(), spec, Options{Dir: dirA, PointWorkers: 2, TrialWorkers: 2})
+	repA, err := Run(context.Background(), spec, Options{Dir: dirA, TrialWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTrajectoryResumeByteIdentical(t *testing.T) {
 	defer cancel()
 	done := 0
 	if _, err := Run(ctx, spec, Options{
-		Dir: dirB, PointWorkers: 1, TrialWorkers: 1,
+		Dir: dirB, TrialWorkers: 1,
 		PointDone: func(Result, bool) {
 			if done++; done == 2 {
 				cancel()
@@ -184,7 +184,7 @@ func TestTrajectoryResumeByteIdentical(t *testing.T) {
 		t.Fatal("interrupted run should report an error")
 	}
 
-	repB, err := Run(context.Background(), spec, Options{Dir: dirB, Resume: true, PointWorkers: 3, TrialWorkers: 4})
+	repB, err := Run(context.Background(), spec, Options{Dir: dirB, Resume: true, TrialWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

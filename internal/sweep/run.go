@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cobrawalk/internal/graph"
@@ -35,44 +33,33 @@ type Options struct {
 	// already exist are loaded instead of recomputed. The manifest must
 	// match the spec.
 	Resume bool
-	// PointWorkers bounds how many points run concurrently (default 1).
-	PointWorkers int
 	// TrialWorkers bounds the sim worker pool inside each point
-	// (default: the MaxProcs budget).
+	// (default: the MaxProcs budget). Kernel processes (cobra, bips;
+	// process.Info.Kernel) get the slack as intra-trial workers; see
+	// workerBudget.resolve. Like every Options field it cannot affect
+	// results: kernel results are byte-identical for every worker count.
 	TrialWorkers int
-	// KernelWorkers bounds the intra-trial worker count of kernel
-	// processes (cobra, bips; process.Info.Kernel). Defaults to
-	// the budget slack: MaxProcs / effective trial workers, so a
-	// single-trial point gets the whole budget and a wide ensemble gets
-	// one kernel worker per trial — trialWorkers × kernelWorkers never
-	// exceeds MaxProcs unless both knobs are set explicitly. Like every
-	// Options field it cannot affect results: kernel results are
-	// byte-identical for every worker count.
-	KernelWorkers int
-	// MaxProcs is the CPU budget the two worker knobs above are resolved
-	// against (default GOMAXPROCS). The server sets it to its per-job
-	// share (GOMAXPROCS / MaxConcurrent) so co-scheduled jobs don't
-	// oversubscribe the machine.
+	// MaxProcs is the CPU budget the trial and kernel worker counts are
+	// resolved against (default GOMAXPROCS). The server sets it to its
+	// per-job share (GOMAXPROCS / MaxConcurrent) so co-scheduled jobs
+	// don't oversubscribe the machine.
 	MaxProcs int
-	// PointStart, when non-nil, is called as a worker begins computing a
-	// point. Resumed points skip it — they are loaded, not computed.
-	// Calls are serialised with each other and with PointDone, so a
-	// start/done pair for one point never interleaves observably. Like
-	// every Options field it cannot affect results: the hook observes
+	// PointStart, when non-nil, is called as a point begins computing.
+	// Resumed points skip it — they are loaded, not computed. Like every
+	// Options field it cannot affect results: the hook observes
 	// scheduling, the random streams never see it.
 	PointStart func(pt Point)
 	// PointDone, when non-nil, is called once per completed point —
-	// resumed points first, in expansion order, then live points as
-	// they finish. Calls are serialised.
+	// resumed points first, then live points, each in expansion order.
 	PointDone func(res Result, resumed bool)
 	// Snapshot, when non-nil, receives periodic mid-ensemble digest
-	// snapshots of each running point — partial summaries over the
-	// trials folded so far, at most one delivery per SnapshotInterval
-	// per point. Calls are serialised with PointStart and PointDone.
-	// Resumed points deliver no snapshots (they are loaded, not run).
-	// Like every Options field it cannot affect results: snapshots
-	// read shadow accumulators outside the reduction tree and the
-	// random streams never see them (see snapshot.go).
+	// snapshots of the running point — partial summaries over the trials
+	// folded so far, at most one delivery per SnapshotInterval. Calls
+	// are serialised and fall between the point's PointStart and
+	// PointDone. Resumed points deliver no snapshots (they are loaded,
+	// not run). Like every Options field it cannot affect results:
+	// snapshots read shadow accumulators outside the reduction tree and
+	// the random streams never see them (see snapshot.go).
 	Snapshot func(Snapshot)
 	// SnapshotInterval spaces Snapshot deliveries per running point
 	// (<= 0 = DefaultSnapshotInterval).
@@ -155,8 +142,9 @@ type Report struct {
 	Resumed int `json:"resumed,omitempty"`
 }
 
-// Run expands spec and executes every point across a worker pool. With
-// Options.Dir set, completed points persist immediately and
+// Run expands spec and executes its points one at a time in expansion
+// order, each across the trial and kernel workers of the Options CPU
+// budget. With Options.Dir set, completed points persist immediately and
 // Options.Resume skips points already on disk; see Options. The report
 // — and, with Dir set, every artifact byte — is independent of the
 // worker counts and of how a run was split by interruptions.
@@ -178,32 +166,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 		}
 	}
 
-	var cbMu sync.Mutex // serialises PointStart/PointDone across point workers
-	notify := func(res Result, resumed bool) {
-		if opts.PointDone == nil {
-			return
-		}
-		cbMu.Lock()
-		defer cbMu.Unlock()
-		opts.PointDone(res, resumed)
-	}
-	notifyStart := func(pt Point) {
-		if opts.PointStart == nil {
-			return
-		}
-		cbMu.Lock()
-		defer cbMu.Unlock()
-		opts.PointStart(pt)
-	}
-	var snap func(Snapshot)
-	if opts.Snapshot != nil {
-		snap = func(s Snapshot) {
-			cbMu.Lock()
-			defer cbMu.Unlock()
-			opts.Snapshot(s)
-		}
-	}
-
 	results := make([]Result, len(pts))
 	var todo []int
 	resumed := 0
@@ -216,69 +178,35 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 			if ok {
 				results[i] = res
 				resumed++
-				notify(res, true)
+				if opts.PointDone != nil {
+					opts.PointDone(res, true)
+				}
 				continue
 			}
 		}
 		todo = append(todo, i)
 	}
 
-	workers := opts.PointWorkers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if cctx.Err() != nil {
-					return
-				}
-				k := int(next.Add(1) - 1)
-				if k >= len(todo) {
-					return
-				}
-				i := todo[k]
-				notifyStart(pts[i])
-				res, err := runPoint(cctx, pts[i], opts.budget(), opts.GraphCache, snap, opts.SnapshotInterval)
-				if err != nil {
-					fail(fmt.Errorf("sweep: point %s: %w", pts[i].ID, err))
-					return
-				}
-				if art != nil {
-					if err := art.save(res); err != nil {
-						fail(err)
-						return
-					}
-				}
-				results[i] = res
-				notify(res, false)
+	for _, i := range todo {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("sweep: cancelled: %w", err)
+		}
+		if opts.PointStart != nil {
+			opts.PointStart(pts[i])
+		}
+		res, err := runPoint(ctx, pts[i], opts.budget(), opts.GraphCache, opts.Snapshot, opts.SnapshotInterval)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: point %s: %w", pts[i].ID, err)
+		}
+		if art != nil {
+			if err := art.save(res); err != nil {
+				return nil, err
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		}
+		results[i] = res
+		if opts.PointDone != nil {
+			opts.PointDone(res, false)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sweep: cancelled: %w", err)
@@ -356,59 +284,34 @@ func pointReducer(scalars, trajs []MetricInfo) sim.Reducer[trialOut, pointAcc] {
 // resolve for how they become a per-point (trialWorkers, kernelWorkers)
 // pair.
 type workerBudget struct {
-	trialWorkers, kernelWorkers, maxProcs int
+	trialWorkers, maxProcs int
 }
 
 // budget extracts the parallelism knobs from Options.
 func (o Options) budget() workerBudget {
-	return workerBudget{trialWorkers: o.TrialWorkers, kernelWorkers: o.KernelWorkers, maxProcs: o.MaxProcs}
+	return workerBudget{trialWorkers: o.TrialWorkers, maxProcs: o.MaxProcs}
 }
 
-// resolve turns the configured knobs into the effective worker counts
-// for a point with the given trial count, under the anti-oversubscription
-// invariant trialWorkers × kernelWorkers ≤ maxProcs: an explicit knob is
-// respected and the defaulted side shrinks to the remaining slack, so a
-// single-trial point on an idle daemon gets the whole budget as kernel
-// workers while a wide ensemble gets one kernel worker per trial worker.
-// Only an operator setting both knobs explicitly can oversubscribe.
+// resolve turns the knobs into a point's effective worker counts: the
+// trial pool takes trialWorkers (default: the budget) capped at the
+// trial count, and a kernel process gets the slack, maxProcs / trial
+// workers and at least 1. A single-trial point gets the whole budget as
+// kernel workers, a wide ensemble one kernel worker per trial worker.
 // Worker counts are pure scheduling: they cannot affect results.
 func (b workerBudget) resolve(trials int, kernel bool) (tw, kw int) {
 	budget := b.maxProcs
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-	if budget < 1 {
-		budget = 1
+	tw = b.trialWorkers
+	if tw <= 0 {
+		tw = budget
 	}
-	kernelWorkers := b.kernelWorkers
+	tw = max(min(tw, trials), 1)
 	if !kernel {
-		kernelWorkers = 1 // non-kernel processes have no intra-trial workers
+		return tw, 1 // non-kernel processes have no intra-trial workers
 	}
-	clampT := func(w int) int {
-		if w > trials {
-			w = trials
-		}
-		if w < 1 {
-			w = 1
-		}
-		return w
-	}
-	switch {
-	case b.trialWorkers > 0 && kernelWorkers > 0:
-		return clampT(b.trialWorkers), kernelWorkers
-	case kernelWorkers > 0:
-		// Kernel width pinned: the trial pool gets the slack.
-		return clampT(budget / kernelWorkers), kernelWorkers
-	case b.trialWorkers > 0:
-		tw = clampT(b.trialWorkers)
-	default:
-		tw = clampT(budget)
-	}
-	kw = budget / tw
-	if kw < 1 {
-		kw = 1
-	}
-	return tw, kw
+	return tw, max(budget/tw, 1)
 }
 
 // runPoint builds the point's graph deterministically from the point's
@@ -446,8 +349,8 @@ func runPoint(ctx context.Context, pt Point, workers workerBudget, cache *graphc
 // records for a point once its graph is built, so a caller holding its
 // own graph gets sweep's ensemble — seeds, folds and shard-order
 // merges — without a Spec. Of opts only the worker budget is read
-// (TrialWorkers, KernelWorkers, MaxProcs); like every Options field it
-// cannot affect the result.
+// (TrialWorkers, MaxProcs); like every Options field it cannot affect
+// the result.
 func Ensemble(ctx context.Context, g *graph.Graph, pt Point, opts Options) (Result, error) {
 	return ensemble(ctx, g, pt, opts.budget(), nil, 0)
 }

@@ -3,6 +3,10 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,7 +96,7 @@ func TestSnapshotDoesNotChangeResults(t *testing.T) {
 	}
 	base := encode(Options{TrialWorkers: 1})
 	withSnaps := encode(Options{
-		TrialWorkers: 4, PointWorkers: 2,
+		TrialWorkers:     4,
 		Snapshot:         func(Snapshot) {},
 		SnapshotInterval: time.Nanosecond,
 	})
@@ -102,41 +106,93 @@ func TestSnapshotDoesNotChangeResults(t *testing.T) {
 }
 
 // TestSnapshotSerialisedWithLifecycle pins the ordering contract:
-// snapshots for a point arrive only between its PointStart and its
-// PointDone, even with concurrent point workers.
+// points run one at a time in expansion order, so the lifecycle
+// callbacks read start p0, done p0, start p1, … and every snapshot falls
+// inside its own point's start–done window. A resumed run reports its
+// loaded points first, in expansion order, and then runs the rest.
 func TestSnapshotSerialisedWithLifecycle(t *testing.T) {
-	var (
-		mu      sync.Mutex
-		started = make(map[string]bool)
-		done    = make(map[string]bool)
-	)
-	_, err := Run(context.Background(), snapSpec(), Options{
-		PointWorkers: 2,
-		PointStart: func(pt Point) {
-			mu.Lock()
-			started[pt.ID] = true
-			mu.Unlock()
-		},
-		PointDone: func(res Result, resumed bool) {
-			mu.Lock()
-			done[res.ID] = true
-			mu.Unlock()
-		},
-		Snapshot: func(s Snapshot) {
-			mu.Lock()
-			defer mu.Unlock()
-			if !started[s.Point.ID] {
-				t.Errorf("snapshot for %s before its PointStart", s.Point.ID)
-			}
-			if done[s.Point.ID] {
-				t.Errorf("snapshot for %s after its PointDone", s.Point.ID)
-			}
-		},
-		SnapshotInterval: time.Nanosecond,
-	})
+	spec := snapSpec()
+	spec.Sizes = []int{32, 48} // four points
+	pts, err := spec.Points()
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := func(dir string, resume bool) []string {
+		t.Helper()
+		var (
+			mu  sync.Mutex
+			seq []string
+		)
+		record := func(ev string) {
+			mu.Lock()
+			seq = append(seq, ev)
+			mu.Unlock()
+		}
+		_, err := Run(context.Background(), spec, Options{
+			Dir:          dir,
+			Resume:       resume,
+			TrialWorkers: 2,
+			PointStart:   func(pt Point) { record("start " + pt.ID) },
+			PointDone: func(res Result, resumed bool) {
+				if resumed {
+					record("resumed " + res.ID)
+				} else {
+					record("done " + res.ID)
+				}
+			},
+			Snapshot:         func(s Snapshot) { record("snapshot " + s.Point.ID) },
+			SnapshotInterval: time.Nanosecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	// check splits seq into lifecycle calls, which must read want, and
+	// snapshots, each of which must directly follow its own point's start
+	// among the lifecycle calls.
+	check := func(name string, seq, want []string) {
+		t.Helper()
+		var lifecycle []string
+		snaps := 0
+		for _, ev := range seq {
+			id, ok := strings.CutPrefix(ev, "snapshot ")
+			if !ok {
+				lifecycle = append(lifecycle, ev)
+				continue
+			}
+			snaps++
+			if n := len(lifecycle); n == 0 || lifecycle[n-1] != "start "+id {
+				t.Fatalf("%s: snapshot for %s outside its start–done window (calls so far %q)", name, id, lifecycle)
+			}
+		}
+		if !slices.Equal(lifecycle, want) {
+			t.Errorf("%s: lifecycle calls\n%q\nwant\n%q", name, lifecycle, want)
+		}
+		if snaps == 0 {
+			t.Errorf("%s: no snapshots delivered at a 1ns interval", name)
+		}
+	}
+
+	dir := t.TempDir()
+	var want []string
+	for _, pt := range pts {
+		want = append(want, "start "+pt.ID, "done "+pt.ID)
+	}
+	check("fresh", run(dir, false), want)
+
+	// Drop points 0 and 2: the resume loads 1 and 3 first, then runs 0 and 2.
+	for _, i := range []int{0, 2} {
+		if err := os.Remove(filepath.Join(dir, pointsDir, pts[i].ID+".json")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want = []string{
+		"resumed " + pts[1].ID, "resumed " + pts[3].ID,
+		"start " + pts[0].ID, "done " + pts[0].ID,
+		"start " + pts[2].ID, "done " + pts[2].ID,
+	}
+	check("resume", run(dir, true), want)
 }
 
 func TestSpecHash(t *testing.T) {

@@ -42,7 +42,7 @@ func TestDiskTierByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirWarm := t.TempDir()
-	if _, err := Run(context.Background(), spec, Options{Dir: dirWarm, PointWorkers: 3, TrialWorkers: 4, GraphCache: warm}); err != nil {
+	if _, err := Run(context.Background(), spec, Options{Dir: dirWarm, TrialWorkers: 4, GraphCache: warm}); err != nil {
 		t.Fatal(err)
 	}
 	st := warm.Stats()

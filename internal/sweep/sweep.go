@@ -1,8 +1,9 @@
 // Package sweep is the declarative parameter-sweep engine: a Spec names
 // the axes of a grid — graph family, size, degree, process, branching —
 // plus a metric set, and expands into a deterministic, ID-stamped list
-// of Points; Run schedules the points across a worker pool, each point
-// streaming its Monte-Carlo ensemble through sim.Reduce into
+// of Points; Run computes the points one at a time in expansion order,
+// each point streaming its Monte-Carlo ensemble across the trial and
+// kernel workers of one CPU budget through sim.Reduce into
 // constant-memory digests, one per requested metric (see metrics.go:
 // scalar summaries like rounds and transmissions, and per-round
 // trajectory quantile bands like coverage and frontier).
@@ -11,8 +12,8 @@
 // JSON record plus a manifest that pins the spec, which makes interrupted
 // sweeps resumable: re-running with Options.Resume skips points whose
 // records already exist, and a completed resume is byte-identical to an
-// uninterrupted run. Per-point results are independent of both the point
-// and trial worker counts (the determinism contract of DESIGN.md §7):
+// uninterrupted run. Per-point results are independent of the trial and
+// kernel worker counts (the determinism contract of DESIGN.md §7):
 // point seeds derive from the point identity, never from scheduling.
 package sweep
 

@@ -174,7 +174,7 @@ func reportJSON(t *testing.T, rep *Report) string {
 }
 
 func TestRunWorkerCountIndependence(t *testing.T) {
-	base, err := Run(context.Background(), smallSpec(), Options{PointWorkers: 1, TrialWorkers: 1})
+	base, err := Run(context.Background(), smallSpec(), Options{TrialWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRunWorkerCountIndependence(t *testing.T) {
 			t.Fatalf("point %s: graph_n %d below requested %d", res.ID, res.GraphN, res.Size)
 		}
 	}
-	parallel, err := Run(context.Background(), smallSpec(), Options{PointWorkers: 4, TrialWorkers: 3})
+	parallel, err := Run(context.Background(), smallSpec(), Options{TrialWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestAllProcessesWorkerIndependence(t *testing.T) {
 		Seed:       13,
 		MaxRounds:  1 << 14,
 	}
-	base, err := Run(context.Background(), spec, Options{PointWorkers: 1, TrialWorkers: 1})
+	base, err := Run(context.Background(), spec, Options{TrialWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestAllProcessesWorkerIndependence(t *testing.T) {
 			t.Fatalf("point %s: degenerate digests %+v", res.ID, res.Metric(MetricRounds))
 		}
 	}
-	parallel, err := Run(context.Background(), spec, Options{PointWorkers: 3, TrialWorkers: 4})
+	parallel, err := Run(context.Background(), spec, Options{TrialWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +273,14 @@ func TestNativeEnginesWorkerPoolIdentity(t *testing.T) {
 		Seed:       11,
 		MaxRounds:  1 << 14,
 	}
-	base, err := Run(context.Background(), spec, Options{PointWorkers: 1, TrialWorkers: 1})
+	base, err := Run(context.Background(), spec, Options{TrialWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := 2 * 2 * 2; len(base.Results) != want {
 		t.Fatalf("got %d results, want %d", len(base.Results), want)
 	}
-	parallel, err := Run(context.Background(), spec, Options{PointWorkers: 8, TrialWorkers: 8})
+	parallel, err := Run(context.Background(), spec, Options{TrialWorkers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestResumeByteIdentical(t *testing.T) {
 
 	// Reference: uninterrupted run.
 	dirA := t.TempDir()
-	repA, err := Run(context.Background(), spec, Options{Dir: dirA, PointWorkers: 2, TrialWorkers: 2})
+	repA, err := Run(context.Background(), spec, Options{Dir: dirA, TrialWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	defer cancel()
 	done := 0
 	_, err = Run(ctx, spec, Options{
-		Dir: dirB, PointWorkers: 1, TrialWorkers: 1,
+		Dir: dirB, TrialWorkers: 1,
 		PointDone: func(Result, bool) {
 			if done++; done == 2 {
 				cancel()
@@ -475,7 +475,7 @@ func TestResumeByteIdentical(t *testing.T) {
 
 	// Resume with different worker counts; results must not depend on
 	// either the interruption or the scheduling.
-	repB, err := Run(context.Background(), spec, Options{Dir: dirB, Resume: true, PointWorkers: 3, TrialWorkers: 4})
+	repB, err := Run(context.Background(), spec, Options{Dir: dirB, Resume: true, TrialWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +657,7 @@ func TestGraphCacheEffective(t *testing.T) {
 	}
 
 	cache := graphcache.New(0)
-	cached, err := Run(context.Background(), spec, Options{GraphCache: cache, PointWorkers: 4})
+	cached, err := Run(context.Background(), spec, Options{GraphCache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +673,7 @@ func TestGraphCacheEffective(t *testing.T) {
 	}
 
 	// Re-running the same point set rebuilds nothing.
-	again, err := Run(context.Background(), spec, Options{GraphCache: cache, PointWorkers: 2})
+	again, err := Run(context.Background(), spec, Options{GraphCache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
