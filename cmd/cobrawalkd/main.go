@@ -14,7 +14,7 @@
 //	GET    /v1/jobs/{id}/results  results.ndjson once done
 //	GET    /v1/jobs/{id}/trajectories
 //	                              NDJSON per-round quantile bands
-//	GET    /v1/jobs/{id}/events   span-event trace (queued → running →
+//	GET    /v1/jobs/{id}/events   event log (queued → running →
 //	                              per-point progress → terminal);
 //	                              ?after=<seq> polls incrementally
 //	GET    /v1/jobs/{id}/stream   live SSE stream: lifecycle, in-flight

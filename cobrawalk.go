@@ -213,8 +213,8 @@ var (
 
 // The metrics layer: a MetricsCollector rides a process's RoundObserver
 // hook and accumulates one trial's scalars (rounds, transmissions, peak
-// active set, half-coverage round) and per-round series (reached, newly
-// reached, active) into reusable buffers; a TrajectoryDigest folds those
+// active set, half-coverage round) and per-round series (reached,
+// active) into reusable buffers; a TrajectoryDigest folds those
 // series across a Monte-Carlo ensemble into mergeable per-round quantile
 // bands. This is the pipeline behind sweep trajectory metrics, the
 // daemon's /v1/jobs/{id}/trajectories stream and the paper's phase plots.

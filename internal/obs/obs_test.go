@@ -164,64 +164,6 @@ func TestNewLoggerLevelsAndFormats(t *testing.T) {
 	}
 }
 
-func TestTraceBounded(t *testing.T) {
-	tr := NewTrace(4)
-	tr.Add("queued", "")
-	tr.Add("running", "")
-	for i := 0; i < 10; i++ {
-		tr.Add("point", "p")
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("trace grew past cap: %d events", len(evs))
-	}
-	if evs[0].Name != "queued" || evs[1].Name != "running" {
-		t.Errorf("trace lost its head: %+v", evs[:2])
-	}
-	if evs[3].Name != "point" {
-		t.Errorf("tail not the latest event: %+v", evs[3])
-	}
-	tr.Seed([]Event{{Name: "a"}, {Name: "b"}})
-	if got := tr.Len(); got != 2 {
-		t.Errorf("seed: got %d events, want 2", got)
-	}
-}
-
-func TestTraceSequenceNumbers(t *testing.T) {
-	tr := NewTrace(4)
-	if ev := tr.Add("queued", ""); ev.Seq != 1 {
-		t.Fatalf("first event seq = %d, want 1", ev.Seq)
-	}
-	tr.Add("running", "")
-	for i := 0; i < 5; i++ {
-		tr.Add("point", "p")
-	}
-	// Overwritten tail slots keep consuming sequence numbers: the last
-	// stored event carries the latest seq even though earlier tail
-	// events are gone.
-	evs := tr.Events()
-	if got := evs[len(evs)-1].Seq; got != 7 {
-		t.Errorf("tail seq = %d, want 7", got)
-	}
-	if got := len(tr.EventsAfter(2)); got != 2 {
-		t.Errorf("EventsAfter(2) returned %d events, want 2 (stored events 3 and 7)", got)
-	}
-	if got := tr.EventsAfter(0); len(got) != len(evs) {
-		t.Errorf("EventsAfter(0) returned %d events, want %d", len(got), len(evs))
-	}
-	if got := tr.EventsAfter(100); len(got) != 0 {
-		t.Errorf("EventsAfter(100) returned %d events, want 0", len(got))
-	}
-
-	// Seeding resumes the counter past the largest persisted seq, so
-	// post-restart appends never reuse a cursor position.
-	tr2 := NewTrace(8)
-	tr2.Seed(tr.Events())
-	if ev := tr2.Add("done", ""); ev.Seq != 8 {
-		t.Errorf("post-seed seq = %d, want 8", ev.Seq)
-	}
-}
-
 func TestInstrumentMiddleware(t *testing.T) {
 	reg := NewRegistry()
 	hm := NewHTTPMetrics(reg, "test")

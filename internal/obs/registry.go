@@ -1,7 +1,7 @@
 // Package obs is the dependency-free observability subsystem behind the
 // serving layer: a Prometheus-text metrics registry with atomic hot
-// paths, structured logging setup (log/slog), bounded span-event traces
-// for job-lifecycle post-mortems, HTTP middleware that measures and logs
+// paths, structured logging setup (log/slog), the span-event record of
+// job-lifecycle post-mortems, HTTP middleware that measures and logs
 // every request, and a Go runtime stats collector.
 //
 // The package observes computation, it never participates in it: nothing

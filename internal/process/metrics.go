@@ -26,15 +26,13 @@ import (
 //
 // A Collector is not safe for concurrent use; pair one with each Process.
 type Collector struct {
-	graphN  int
-	initial int
+	graphN int
 
 	transmissions int64
 	peakActive    int
 	halfRound     int
 
 	reached []int
-	newly   []int
 	active  []int
 }
 
@@ -49,7 +47,6 @@ func NewCollector(n int) *Collector {
 // Reset. The start state seeds index 0 of every series (Active uses the
 // same value — the driving set at round 0 is the start set).
 func (c *Collector) Begin(initialReached int) {
-	c.initial = initialReached
 	c.transmissions = 0
 	c.peakActive = initialReached
 	c.halfRound = -1
@@ -57,7 +54,6 @@ func (c *Collector) Begin(initialReached int) {
 		c.halfRound = 0
 	}
 	c.reached = append(c.reached[:0], initialReached)
-	c.newly = append(c.newly[:0], initialReached)
 	c.active = append(c.active[:0], initialReached)
 }
 
@@ -68,7 +64,7 @@ func (c *Collector) Begin(initialReached int) {
 // trial rather than amortised-zero.
 func (c *Collector) Reserve(rounds int) {
 	need := rounds + 1 // + the start state
-	for _, s := range []*[]int{&c.reached, &c.newly, &c.active} {
+	for _, s := range []*[]int{&c.reached, &c.active} {
 		if cap(*s) < need {
 			grown := make([]int, len(*s), need)
 			copy(grown, *s)
@@ -86,9 +82,7 @@ func (c *Collector) Observe(rs RoundStat) {
 	if len(c.reached) == 0 {
 		panic("process: Collector.Observe before Begin — drive collected runs with RunCollect, or call Begin(p.ReachedCount()) after every Reset")
 	}
-	prev := c.reached[len(c.reached)-1]
 	c.reached = append(c.reached, rs.Reached)
-	c.newly = append(c.newly, rs.Reached-prev)
 	c.active = append(c.active, rs.Active)
 	c.transmissions += rs.Transmissions
 	if rs.Active > c.peakActive {
@@ -115,18 +109,10 @@ func (c *Collector) PeakActive() int { return c.peakActive }
 // there. Completed runs always have a half-coverage round.
 func (c *Collector) HalfCoverageRound() int { return c.halfRound }
 
-// InitialReached returns the start-state reached count recorded by Begin.
-func (c *Collector) InitialReached() int { return c.initial }
-
 // Reached returns the per-round reached series: Reached()[t] is the
 // reached count after round t, [0] the start state. The slice is reused
 // by the next Begin; copy it to keep it.
 func (c *Collector) Reached() []int { return c.reached }
-
-// NewlyReached returns the per-round newly-reached series: the first
-// differences of Reached, with [0] the start-set size. Negative entries
-// are possible for non-monotone processes (bips recoveries).
-func (c *Collector) NewlyReached() []int { return c.newly }
 
 // Active returns the per-round driving-set series: |C_t| for cobra,
 // |A_t| for bips, the informed count for push/push-pull/flood, the

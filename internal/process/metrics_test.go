@@ -57,7 +57,6 @@ func TestCollectorContract(t *testing.T) {
 			if last := reached[len(reached)-1]; last != g.N() {
 				t.Fatalf("final reached %d, want full coverage %d", last, g.N())
 			}
-			sum := 0
 			for i, v := range reached {
 				if v < 0 || v > g.N() {
 					t.Fatalf("implausible reached[%d] = %d", i, v)
@@ -66,13 +65,8 @@ func TestCollectorContract(t *testing.T) {
 					t.Fatalf("%s is registered monotone but reached dipped %d → %d at round %d",
 						info.Name, reached[i-1], v, i)
 				}
-				sum += c.NewlyReached()[i]
 			}
-			// NewlyReached telescopes back to the final reached count.
-			if sum != reached[len(reached)-1] {
-				t.Fatalf("newly-reached sums to %d, final reached is %d", sum, reached[len(reached)-1])
-			}
-			if len(c.Active()) != len(reached) || len(c.NewlyReached()) != len(reached) {
+			if len(c.Active()) != len(reached) {
 				t.Fatal("series lengths disagree")
 			}
 			if c.PeakActive() < 1 {
@@ -269,8 +263,8 @@ func TestCollectorHalfCoverageStart(t *testing.T) {
 	if _, err := RunCollect(nil, p, c, rng.New(1), 0, 0, 1, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if c.InitialReached() != 4 {
-		t.Fatalf("initial reached %d, want 4", c.InitialReached())
+	if c.Reached()[0] != 4 {
+		t.Fatalf("initial reached %d, want 4", c.Reached()[0])
 	}
 	if c.HalfCoverageRound() != 0 {
 		t.Fatalf("half-coverage round %d, want 0 for a half-covered start set", c.HalfCoverageRound())

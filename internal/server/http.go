@@ -49,13 +49,14 @@ type trajectoryBand struct {
 //	                             rounds, n, mean, p10/p50/p90), derived
 //	                             from the same artifacts as /results and
 //	                             ETag-cached the same way
-//	GET    /v1/jobs/{id}/events  the job's span-event trace
-//	                             (queued → running → per-point progress
-//	                             → terminal), for post-mortems of stuck
-//	                             or slow jobs. ?after=<seq> returns only
-//	                             events past that cursor; the response's
-//	                             "next" is the cursor for the next poll,
-//	                             in the same sequence space as SSE ids
+//	GET    /v1/jobs/{id}/events  the job's event log (queued → running
+//	                             → per-point progress → terminal: its
+//	                             first 192 and last 64 events), for
+//	                             post-mortems of stuck or slow jobs.
+//	                             ?after=<seq> returns only events past
+//	                             that cursor; the response's "next" is
+//	                             the cursor for the next poll, in the
+//	                             same sequence space as SSE ids
 //	GET    /v1/jobs/{id}/stream  live SSE stream (text/event-stream) of
 //	                             the job: lifecycle events, mid-ensemble
 //	                             digest snapshots and completed bands,
@@ -225,7 +226,7 @@ func NewHandler(m *Manager) http.Handler {
 // sseCursor extracts the resume position of a stream request: the SSE
 // standard Last-Event-ID header (sent automatically by EventSource on
 // reconnect) or an explicit ?after= query. Unparseable cursors mean
-// "from the start of the retained history".
+// "from the start of the replay window".
 func sseCursor(r *http.Request) uint64 {
 	s := r.Header.Get("Last-Event-ID")
 	if s == "" {

@@ -1,10 +1,12 @@
 package server
 
-// hub.go is the fan-out layer behind the live-stream endpoints: every
-// job lifecycle event, mid-ensemble snapshot and completed band is
-// published once and broadcast to any number of SSE subscribers — a
-// per-job topic for /v1/jobs/{id}/stream plus one all-jobs watch topic
-// for /v1/watch (the neo-server api/watch.go subscription shape).
+// hub.go keeps each job's event log and fans its events out to the
+// live-stream endpoints. A job's topic is its one event log: publish
+// numbers an event, logs it, renders its wire frames and delivers it —
+// to the job's topic for /v1/jobs/{id}/stream, then to the all-jobs
+// watch topic for /v1/watch (the neo-server api/watch.go subscription
+// shape) — all under the job topic's lock, so /stream, /v1/watch,
+// /events and job.json carry a job's events in one order, the seq order.
 //
 // The policy throughout is that observers must never slow the observed:
 // publishes are non-blocking, each subscriber owns a bounded buffer,
@@ -20,14 +22,16 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cobrawalk/internal/obs"
 )
 
-// StreamEvent is one event on a job's live stream. Seq is the job's
-// trace sequence number — the same cursor space as /v1/jobs/{id}/events
-// — and is rendered as the SSE event id, so Last-Event-ID reconnects
-// and ?after polls resume from the same position.
+// StreamEvent is one entry of a job's event log. Seq numbers the job's
+// events 1, 2, 3, … in publish order and is never reused; it is the SSE
+// event id and the /v1/jobs/{id}/events?after cursor alike, so
+// Last-Event-ID reconnects and ?after polls resume from the same
+// position.
 type StreamEvent struct {
 	Seq uint64 `json:"seq"`
 	Job string `json:"job"`
@@ -37,9 +41,14 @@ type StreamEvent struct {
 	// snapshots ("snapshot") and completed quantile bands ("band").
 	Type string `json:"type"`
 	// Data is the JSON payload: a Status for lifecycle events, a
-	// pointProgress, a snapshotEvent, or a trajectoryBand line.
+	// pointProgress, a snapshotEvent, or a trajectoryBand line. Only
+	// the replay window keeps it.
 	Data json.RawMessage `json:"data,omitempty"`
 
+	// time and detail complete the entry's obs.Event form, listed at
+	// /events and persisted in job.json; the stream envelope omits them.
+	time   time.Time
+	detail string
 	// frame / watchFrame are the pre-rendered SSE wire frames, built
 	// once at publish time and shared by every subscriber's write — at
 	// 10k subscribers the fan-out cost is 10k copies of one buffer, not
@@ -53,9 +62,15 @@ const (
 	// subscriber that falls behind has its oldest buffered events
 	// dropped rather than stalling the job or other subscribers.
 	streamBuffer = 64
-	// streamHistoryCap bounds each job topic's retained history — the
-	// replay window for Last-Event-ID reconnects and late subscribers.
-	streamHistoryCap = 64
+	// logWindow is the replay window: the last logWindow events of a
+	// job's log keep their payloads and frames, and a stream subscriber
+	// replays them. An event leaving the window keeps only its seq,
+	// time, type and detail, so a job holds at most logWindow payloads.
+	logWindow = 64
+	// logHead is how many of a job's first events the log keeps ahead
+	// of the window, so a long job still lists its lifecycle head
+	// (queued, running, the first points) at /events and in job.json.
+	logHead = 192
 )
 
 // subscriber is one attached stream reader: a bounded channel plus its
@@ -65,12 +80,16 @@ type subscriber struct {
 	dropped uint64
 }
 
-// topic is one broadcast domain: a job's stream, or the global watch.
+// topic is one broadcast domain: a job's event log and its stream, or
+// the global watch, which logs nothing.
 type topic struct {
-	mu      sync.Mutex
-	subs    map[*subscriber]struct{}
-	history []StreamEvent
-	closed  bool
+	mu   sync.Mutex
+	subs map[*subscriber]struct{}
+	// seq is the last number handed out. log holds the first logHead
+	// events and the last logWindow, in seq order.
+	seq    uint64
+	log    []StreamEvent
+	closed bool
 }
 
 func newTopic() *topic { return &topic{subs: make(map[*subscriber]struct{})} }
@@ -113,30 +132,44 @@ func (h *hub) topic(job string) *topic {
 	return t
 }
 
-// publish renders ev's wire frames once and broadcasts it to the job's
-// subscribers and to every watch subscriber.
-func (h *hub) publish(ev StreamEvent) {
-	ev.frame = renderSSE(ev, false)
-	ev.watchFrame = renderSSE(ev, true)
-	h.topic(ev.Job).publish(ev, h, true)
-	h.watch.publish(ev, h, false)
-}
-
-func (t *topic) publish(ev StreamEvent, h *hub, keepHistory bool) {
+// publish numbers, logs, renders and delivers one job event: to the
+// job's subscribers, then to every watch subscriber. All of it runs
+// under the job topic's lock, taken before the watch topic's (nothing
+// takes the two the other way), so every reader sees a job's events in
+// seq order even when several goroutines publish at once. data is the
+// stream payload (nil = empty object); detail is the /events text.
+func (h *hub) publish(job, name, detail string, data json.RawMessage) {
+	t := h.topic(job)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	if keepHistory {
-		if len(t.history) >= streamHistoryCap {
-			copy(t.history, t.history[1:])
-			t.history = t.history[:len(t.history)-1]
-		}
-		t.history = append(t.history, ev)
-	}
+	t.seq++
+	ev := StreamEvent{Seq: t.seq, Job: job, Type: name, Data: data, time: time.Now().UTC(), detail: detail}
+	ev.frame = renderSSE(ev, false)
+	ev.watchFrame = renderSSE(ev, true)
+	t.append(ev)
 	for s := range t.subs {
 		t.send(s, ev, h)
+	}
+	h.watch.mu.Lock()
+	defer h.watch.mu.Unlock()
+	for s := range h.watch.subs {
+		h.watch.send(s, ev, h)
+	}
+}
+
+// append logs ev. A full log makes room by dropping the oldest window
+// event, so the head stays and the window slides; the event that
+// leaves the window drops its payload and frames.
+func (t *topic) append(ev StreamEvent) {
+	if len(t.log) == logHead+logWindow {
+		copy(t.log[logHead:], t.log[logHead+1:])
+		t.log[len(t.log)-1] = ev
+	} else {
+		t.log = append(t.log, ev)
+	}
+	if n := len(t.log); n > logWindow {
+		old := &t.log[n-logWindow-1]
+		old.Data, old.frame, old.watchFrame = nil, nil, nil
 	}
 }
 
@@ -168,12 +201,46 @@ func (t *topic) send(s *subscriber, ev StreamEvent, h *hub) {
 	}
 }
 
-// subscribe attaches a reader to job's topic: it returns the retained
-// history with Seq > after (the Last-Event-ID replay), a channel of
-// subsequent events, and a cancel func the caller must invoke when
-// done. On an already-closed topic — the job settled — the replay is
-// returned with an already-closed channel, so late subscribers get the
-// full retained history and an immediate end-of-stream.
+// events lists the job's logged events with Seq > after, in seq order:
+// the /events?after response and job.json's Events.
+func (h *hub) events(job string, after uint64) []obs.Event {
+	t := h.topic(job)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]obs.Event, 0, len(t.log))
+	for _, ev := range t.log {
+		if ev.Seq > after {
+			out = append(out, obs.Event{Seq: ev.Seq, Time: ev.time, Name: ev.Type, Detail: ev.detail})
+		}
+	}
+	return out
+}
+
+// seed loads a restored job's persisted events into its log before
+// anything publishes there. Numbering resumes past the largest
+// persisted seq, so cursors handed out before a restart stay valid;
+// events persisted without a seq (records older than seqs) take the
+// next numbers in order. Seeded events have no payload: their frames
+// render with data {}.
+func (h *hub) seed(job string, events []obs.Event) {
+	t := h.topic(job)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, ev := range events {
+		if ev.Seq == 0 {
+			ev.Seq = t.seq + 1
+		}
+		t.seq = max(t.seq, ev.Seq)
+		t.append(StreamEvent{Seq: ev.Seq, Job: job, Type: ev.Name, time: ev.Time, detail: ev.Detail})
+	}
+}
+
+// subscribe attaches a reader to job's topic: it returns the replay
+// window's events with Seq > after (the Last-Event-ID replay), a
+// channel of subsequent events, and a cancel func the caller must
+// invoke when done. On a sealed topic — the job settled — the replay
+// comes with an already-closed channel, so a late subscriber gets the
+// window and an immediate end-of-stream.
 func (h *hub) subscribe(job string, after uint64) ([]StreamEvent, <-chan StreamEvent, func()) {
 	return h.subscribeTopic(h.topic(job), after)
 }
@@ -182,7 +249,7 @@ func (h *hub) subscribeTopic(t *topic, after uint64) ([]StreamEvent, <-chan Stre
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var replay []StreamEvent
-	for _, ev := range t.history {
+	for _, ev := range t.log[max(0, len(t.log)-logWindow):] {
 		if ev.Seq > after {
 			replay = append(replay, ev)
 		}
@@ -209,9 +276,10 @@ func (h *hub) subscribeTopic(t *topic, after uint64) ([]StreamEvent, <-chan Stre
 	return replay, s.ch, cancel
 }
 
-// close seals a job's topic after its terminal event: subscriber
-// channels close (ending their SSE streams cleanly) while the retained
-// history stays for late subscribers. Idempotent.
+// close seals a job's topic: subscriber channels close (ending their
+// SSE streams cleanly) while the log stays for late subscribers. A job
+// that settles seals its topic after publishing its terminal event;
+// restore seals a job it loads settled. Idempotent.
 func (h *hub) close(job string) { h.topic(job).close(h) }
 
 func (t *topic) close(h *hub) {
@@ -226,22 +294,6 @@ func (t *topic) close(h *hub) {
 		delete(t.subs, s)
 		h.count.Add(-1)
 	}
-}
-
-// ensureClosed makes a terminal job's topic servable even when this
-// process never published to it (a job restored from disk already
-// terminal): an empty topic gets the synthesised terminal event as its
-// whole history, then seals. Idempotent.
-func (h *hub) ensureClosed(job string, terminal StreamEvent) {
-	t := h.topic(job)
-	t.mu.Lock()
-	if !t.closed && len(t.history) == 0 && terminal.Type != "" {
-		terminal.frame = renderSSE(terminal, false)
-		terminal.watchFrame = renderSSE(terminal, true)
-		t.history = append(t.history, terminal)
-	}
-	t.mu.Unlock()
-	t.close(h)
 }
 
 // closeAll seals every topic — manager shutdown. In-flight SSE

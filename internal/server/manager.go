@@ -76,10 +76,12 @@ type Record struct {
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
-	// Events is the job's span-event trace (queued → running →
-	// per-point progress → terminal), bounded by obs.DefaultTraceCap and
+	// Events is the job's event log (queued → running → per-point
+	// progress → terminal): its first 192 events and its last 64,
 	// refreshed on every persist, so a stuck or slow job is diagnosable
-	// from job.json alone. Served live at /v1/jobs/{id}/events.
+	// from job.json alone. Served live at /v1/jobs/{id}/events; restore
+	// seeds the log from it. In memory the log lives in the stream hub,
+	// so a job's own record leaves Events empty.
 	Events []obs.Event `json:"events,omitempty"`
 }
 
@@ -104,10 +106,6 @@ type job struct {
 	userCancel bool
 	done       atomic.Int64
 	resumed    atomic.Int64
-	// trace accumulates span events; rec.Events is its snapshot, taken
-	// at each persist. Trace is internally locked, so events can be
-	// recorded without holding Manager.mu.
-	trace *obs.Trace
 	// lastEventPersist throttles progress-driven job.json writes
 	// (unix nanos of the last write; at most one per second).
 	lastEventPersist atomic.Int64
@@ -117,10 +115,6 @@ type job struct {
 	// outcome is the terminal state settle has decided, set before rec
 	// holds it; from then on Cancel refuses the job as terminal.
 	outcome State
-	// restoredTerminal marks a job that restore loaded already settled:
-	// it never publishes in this process, so Subscribe seals its topic.
-	// Set before the manager serves and never changed.
-	restoredTerminal bool
 }
 
 func (j *job) artifactsDir() string { return filepath.Join(j.dir, artifactsDirName) }
@@ -159,12 +153,6 @@ type Config struct {
 	// Logger receives structured job-lifecycle logs with job_id fields
 	// (nil = discard). Request logs ride the same logger via NewHandler.
 	Logger *slog.Logger
-	// Metrics, when non-nil, is the registry the manager registers its
-	// metric families into; nil means a private registry. Either way the
-	// registry is served at GET /metrics and reachable via
-	// Manager.Registry. One registry serves at most one manager —
-	// family names collide otherwise.
-	Metrics *obs.Registry
 	// SnapshotInterval spaces each running point's mid-ensemble digest
 	// snapshots broadcast to stream subscribers
 	// (<= 0 = sweep.DefaultSnapshotInterval). An observability knob
@@ -210,9 +198,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	if err := os.MkdirAll(filepath.Join(cfg.Dir, jobsDirName), 0o755); err != nil {
 		return nil, fmt.Errorf("server: creating data dir: %w", err)
 	}
@@ -233,7 +218,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		jobs:   make(map[string]*job),
 		nextID: 1,
 	}
-	m.met = newServerMetrics(m, cfg.Metrics)
+	m.met = newServerMetrics(m, obs.NewRegistry())
 	m.hub = newHub(streamBuffer, m.met.streamDropped, m.met.streamSlow)
 	m.readCache = newReadCache(0, m.met.cacheHits, m.met.cacheMisses)
 	m.ctx, m.cancel = context.WithCancel(context.Background())
@@ -264,23 +249,23 @@ type snapshotEvent struct {
 	Trajectories map[string]stats.TrajectorySummary `json:"trajectories,omitempty"`
 }
 
-// event appends one step to the job's span trace and broadcasts it to
-// stream subscribers under the same sequence number, so the
-// /events?after poll cursor and the SSE event ids are one space.
-// payload is marshalled as the stream data (nil = empty object).
+// event publishes one step to the job's event log, which numbers it
+// and streams it (see hub.publish), so the /events?after poll cursor
+// and the SSE event ids are one space. payload is marshalled as the
+// stream data (nil = empty object).
 func (m *Manager) event(j *job, name, detail string, payload any) {
-	ev := j.trace.Add(name, detail)
 	var data json.RawMessage
 	if payload != nil {
 		if blob, err := json.Marshal(payload); err == nil {
 			data = blob
 		}
 	}
-	m.hub.publish(StreamEvent{Seq: ev.Seq, Job: j.rec.ID, Type: name, Data: data})
+	m.hub.publish(j.rec.ID, name, detail, data)
 }
 
-// restore loads every persisted job and re-enqueues the non-terminal
-// ones in ID order (submission order of the previous process).
+// restore loads every persisted job, seeding its event log from
+// job.json, seals the logs of settled jobs and re-enqueues the others
+// in ID order (submission order of the previous process).
 func (m *Manager) restore() error {
 	jobsDir := filepath.Join(m.cfg.Dir, jobsDirName)
 	entries, err := os.ReadDir(jobsDir)
@@ -318,11 +303,14 @@ func (m *Manager) restore() error {
 			m.logger.Warn("skipping job: record names another id", "job_id", id, "record_id", rec.ID)
 			continue
 		}
+		m.hub.seed(id, rec.Events)
+		rec.Events = nil
 		j := m.newJob(rec, dir)
 		m.jobs[id] = j
 		m.order = append(m.order, id)
-		j.restoredTerminal = rec.State.Terminal()
-		if !j.restoredTerminal {
+		if rec.State.Terminal() {
+			m.hub.close(id)
+		} else {
 			// The previous process died mid-job (or before starting it):
 			// back to the queue; completed points resume from artifacts.
 			j.rec.State = StateQueued
@@ -407,14 +395,9 @@ func (m *Manager) Submit(spec sweep.Spec) (Status, error) {
 	return m.snapshot(j), nil
 }
 
-// newJob wires a job around its record: lifecycle context, span trace
-// (seeded with any persisted events so a restart continues the same
-// history).
+// newJob wires a job around its record and lifecycle context.
 func (m *Manager) newJob(rec Record, dir string) *job {
-	j := &job{rec: rec, dir: dir, trace: obs.NewTrace(0)}
-	if len(rec.Events) > 0 {
-		j.trace.Seed(rec.Events)
-	}
+	j := &job{rec: rec, dir: dir}
 	j.ctx, j.cancel = context.WithCancel(m.ctx)
 	return j
 }
@@ -510,9 +493,9 @@ func (m *Manager) enqueue(j *job) {
 	}()
 }
 
-// persistProgress refreshes job.json with the latest span events, at
-// most once per second per job, so a daemon killed mid-sweep leaves a
-// current trace on disk without turning every point into a write.
+// persistProgress refreshes job.json with the latest events, at most
+// once per second per job, so a daemon killed mid-sweep leaves a
+// current event log on disk without turning every point into a write.
 func (m *Manager) persistProgress(j *job) {
 	const every = int64(time.Second)
 	now := time.Now().UnixNano()
@@ -533,7 +516,7 @@ func (m *Manager) persistProgress(j *job) {
 // process to resume. The outcome is decided into a copy of the record;
 // the terminal event, the job metrics and job.json all carry it before
 // the copy becomes the job's record, so a job never reads as settled
-// while its trace, counters or job.json lag behind.
+// while its event log, counters or job.json lag behind.
 func (m *Manager) settle(j *job, err error) {
 	m.mu.Lock()
 	rec := j.rec
@@ -567,8 +550,7 @@ func (m *Manager) settle(j *job, err error) {
 	if ran > 0 {
 		m.met.jobSeconds.Observe(ran.Seconds())
 	}
-	rec.Events = j.trace.Events()
-	if err := writeJSONFile(filepath.Join(j.dir, jobFileName), rec); err != nil {
+	if err := m.writeRecord(j, rec); err != nil {
 		m.logger.Warn("persisting terminal state", "job_id", rec.ID, "err", err)
 	}
 	m.mu.Lock()
@@ -582,14 +564,18 @@ func (m *Manager) settle(j *job, err error) {
 	}
 }
 
-// persist writes the job record atomically, with the span trace's
-// current snapshot as rec.Events.
+// persist writes the job's current record atomically (see writeRecord).
 func (m *Manager) persist(j *job) error {
-	events := j.trace.Events()
 	m.mu.Lock()
-	j.rec.Events = events
 	rec := j.rec
 	m.mu.Unlock()
+	return m.writeRecord(j, rec)
+}
+
+// writeRecord writes rec as the job's job.json, with the job's event
+// log as its Events.
+func (m *Manager) writeRecord(j *job, rec Record) error {
+	rec.Events = m.hub.events(rec.ID, 0)
 	return writeJSONFile(filepath.Join(j.dir, jobFileName), rec)
 }
 
@@ -606,7 +592,7 @@ func (m *Manager) jobMaxProcs() int {
 	return per
 }
 
-// snapshot assembles a Status under the lock. Events are stripped —
+// snapshot assembles a Status under the lock. It carries no events —
 // they have their own endpoint (and job.json) and would bloat every
 // list response otherwise.
 func (m *Manager) snapshot(j *job) Status {
@@ -615,15 +601,13 @@ func (m *Manager) snapshot(j *job) Status {
 	return j.status(j.rec)
 }
 
-// status pairs rec with the job's progress counters, events stripped.
+// status pairs rec with the job's progress counters.
 func (j *job) status(rec Record) Status {
-	st := Status{
+	return Status{
 		Record:        rec,
 		PointsDone:    int(j.done.Load()),
 		PointsResumed: int(j.resumed.Load()),
 	}
-	st.Events = nil
-	return st
 }
 
 // Get returns the live status of one job.
@@ -676,19 +660,13 @@ func (m *Manager) Cancel(id string) (Status, error) {
 	return m.snapshot(j), nil
 }
 
-// ResultsPath returns the job's results.ndjson path once the job is
-// done; before that it reports the current state in the error.
-func (m *Manager) ResultsPath(id string) (string, error) {
-	path, _, err := m.ResultsMeta(id)
-	return path, err
-}
-
 // ResultsMeta returns a done job's results.ndjson path plus the strong
-// ETag for its artifacts. The ETag is the spec hash — shared by every
-// job with the same normalised spec, whose completed artifacts are
-// byte-identical by the determinism contract — so conditional GETs and
-// the read cache dedupe identical reads across jobs, not just across
-// clients of one job.
+// ETag for its artifacts; before the job is done it reports the
+// current state in the error. The ETag is the spec hash — shared by
+// every job with the same normalised spec, whose completed artifacts
+// are byte-identical by the determinism contract — so conditional GETs
+// and the read cache dedupe identical reads across jobs, not just
+// across clients of one job.
 func (m *Manager) ResultsMeta(id string) (path, etag string, err error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -709,48 +687,21 @@ func (m *Manager) ResultsMeta(id string) (path, etag string, err error) {
 }
 
 // Subscribe attaches a live-stream subscriber to a job: it returns the
-// replayable event history with Seq > after, a channel of subsequent
+// replay window's events with Seq > after, a channel of subsequent
 // events — closed when the job settles or the manager shuts down — and
 // a cancel func the caller must invoke when done reading. Subscribing
-// to a settled job — its terminal event published, or the job restored
-// from disk already settled — returns its retained history and an
-// immediately-closed channel.
+// to a settled job returns its replay and an immediately-closed
+// channel: settle seals the topic after publishing the terminal event,
+// and restore seals the topics of jobs it loads settled.
 func (m *Manager) Subscribe(id string, after uint64) ([]StreamEvent, <-chan StreamEvent, func(), error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
+	_, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("server: no job %s", id)
 	}
-	if j.restoredTerminal {
-		// Seal the topic around a synthesised terminal event so late
-		// subscribers still see an ending. A job that settles in this
-		// process seals its own topic after publishing its terminal
-		// event; sealing it here on its terminal state would drop that
-		// event if settle had flipped the state but not yet published.
-		m.hub.ensureClosed(id, m.terminalEvent(j, m.snapshot(j)))
-	}
 	replay, ch, cancel := m.hub.subscribe(id, after)
 	return replay, ch, cancel, nil
-}
-
-// terminalEvent synthesises the terminal stream event for a job that
-// settled before this process started publishing, reusing the largest
-// persisted trace seq so cursors stay monotonic.
-func (m *Manager) terminalEvent(j *job, st Status) StreamEvent {
-	var seq uint64
-	events := j.trace.Events()
-	for _, ev := range events {
-		if ev.Seq > seq {
-			seq = ev.Seq
-		}
-	}
-	if seq == 0 {
-		// Records persisted before events carried seqs.
-		seq = uint64(len(events)) + 1
-	}
-	data, _ := json.Marshal(st)
-	return StreamEvent{Seq: seq, Job: st.ID, Type: string(st.State), Data: data}
 }
 
 // WatchSubscribe attaches a subscriber to the all-jobs watch stream: a
@@ -774,25 +725,20 @@ func (m *Manager) CacheStats() graphcache.Stats { return m.cache.Stats() }
 // Registry is the manager's metrics registry (served at GET /metrics).
 func (m *Manager) Registry() *obs.Registry { return m.met.reg }
 
-// Events returns a job's span-event trace: the live in-memory history
-// for jobs this process has touched, which for restored jobs starts
-// from the events persisted in job.json.
-func (m *Manager) Events(id string) ([]obs.Event, error) {
-	return m.EventsAfter(id, 0)
-}
-
-// EventsAfter returns the stored events with Seq > after — the
-// incremental form behind GET /v1/jobs/{id}/events?after=N. The seqs
-// are the same numbers the SSE stream uses as event ids, so a client
-// can switch between polling and streaming without losing its place.
+// EventsAfter returns the job's logged events with Seq > after — GET
+// /v1/jobs/{id}/events?after=N; after 0 lists the whole log, which for
+// a restored job starts with the events persisted in job.json. The
+// seqs are the same numbers the SSE stream uses as event ids, so a
+// client can switch between polling and streaming without losing its
+// place.
 func (m *Manager) EventsAfter(id string, after uint64) ([]obs.Event, error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
+	_, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("server: no job %s", id)
 	}
-	return j.trace.EventsAfter(after), nil
+	return m.hub.events(id, after), nil
 }
 
 // Counts returns the number of jobs in each state.

@@ -5,11 +5,10 @@ import (
 )
 
 // serverMetrics is the manager's metric family set, registered once per
-// manager on its registry (Config.Metrics or a private one). Counters
-// and histograms are written at job/point transitions — never on the
-// trial hot path — and the gauges are scrape-time reads of manager and
-// graph-cache state, so instrumentation observes the computation without
-// perturbing it.
+// manager on its private registry. Counters and histograms are written
+// at job/point transitions — never on the trial hot path — and the
+// gauges are scrape-time reads of manager and graph-cache state, so
+// instrumentation observes the computation without perturbing it.
 type serverMetrics struct {
 	reg  *obs.Registry
 	http *obs.HTTPMetrics

@@ -272,7 +272,7 @@ func TestRestartResumeByteIdentical(t *testing.T) {
 		t.Fatalf("resumed %d of %d points, want in [1, %d)", final.PointsResumed, final.Points, final.Points)
 	}
 
-	path, err := second.ResultsPath(st.ID)
+	path, _, err := second.ResultsMeta(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestCancelAfterOutcomeDecided(t *testing.T) {
 	if err == nil || statusFor(err) != http.StatusConflict || !strings.Contains(err.Error(), "already done") {
 		t.Fatalf("Cancel after the outcome was decided: err %v, want a 409 naming done", err)
 	}
-	events, err := m.Events(j.rec.ID)
+	events, err := m.EventsAfter(j.rec.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestRestoredHistoryIsServable(t *testing.T) {
 	if !ok || got.State != StateDone {
 		t.Fatalf("restored job = %+v, %v", got, ok)
 	}
-	if _, err := second.ResultsPath(st.ID); err != nil {
+	if _, _, err := second.ResultsMeta(st.ID); err != nil {
 		t.Fatal(err)
 	}
 	// The next submission does not reuse the restored job's ID.

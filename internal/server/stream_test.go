@@ -15,8 +15,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,7 +50,7 @@ func TestHubDropSlowest(t *testing.T) {
 	// subscriber did not stall the publisher.
 	const total = 10
 	for i := 1; i <= total; i++ {
-		h.publish(StreamEvent{Seq: uint64(i), Job: "job", Type: "tick"})
+		h.publish("job", "tick", "", nil)
 	}
 
 	// The fast subscriber also has buffer 4 and wasn't reading, so both
@@ -79,7 +82,7 @@ func TestHubDropSlowest(t *testing.T) {
 	// free — absorbs 4 then drops the remaining 16.
 	before := dropped.Value()
 	for i := total + 1; i <= total+20; i++ {
-		h.publish(StreamEvent{Seq: uint64(i), Job: "job", Type: "tick"})
+		h.publish("job", "tick", "", nil)
 		if ev := <-fastCh; ev.Seq != uint64(i) {
 			t.Fatalf("keeping-up subscriber saw seq %d, want %d", ev.Seq, i)
 		}
@@ -102,7 +105,7 @@ func TestHubCloseAndReplay(t *testing.T) {
 	defer cancel()
 
 	for i := 1; i <= 5; i++ {
-		h.publish(StreamEvent{Seq: uint64(i), Job: "job", Type: "tick"})
+		h.publish("job", "tick", "", nil)
 	}
 	h.close("job")
 
@@ -152,7 +155,7 @@ func streamTypes(t *testing.T, replay []StreamEvent, ch <-chan StreamEvent) []st
 // TestSubscribeInSettleWindow replays a job that reads done before its
 // terminal event is out and its topic sealed, around a Subscribe. The
 // subscriber must still receive done, then a closed channel: Subscribe
-// seals only restored jobs' topics, never on the state alone.
+// never seals a topic.
 func TestSubscribeInSettleWindow(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), Config{})
 	j := m.newJob(Record{ID: "j0001", State: StateRunning}, t.TempDir())
@@ -178,8 +181,8 @@ func TestSubscribeInSettleWindow(t *testing.T) {
 }
 
 // TestRestoredTerminalStream: a job finished by one Manager and streamed
-// from a second Manager on the same directory replays its persisted done
-// event, then a closed channel.
+// from a second Manager on the same directory replays the events
+// persisted in its job.json, by type and seq, then a closed channel.
 func TestRestoredTerminalStream(t *testing.T) {
 	dir := t.TempDir()
 	first, err := NewManager(Config{Dir: dir})
@@ -198,26 +201,214 @@ func TestRestoredTerminalStream(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	first.Close()
-
-	second := newTestManager(t, dir, Config{})
-	events, err := second.Events(st.ID)
-	if err != nil {
+	var rec Record
+	if err := readJSONFile(filepath.Join(dir, jobsDirName, st.ID, jobFileName), &rec); err != nil {
 		t.Fatal(err)
 	}
-	persisted := events[len(events)-1]
-	if persisted.Name != string(StateDone) {
-		t.Fatalf("last persisted event = %+v, want done", persisted)
+	var want []string
+	for _, ev := range rec.Events {
+		want = append(want, fmt.Sprintf("%d %s", ev.Seq, ev.Name))
 	}
+	if len(want) == 0 || rec.Events[len(rec.Events)-1].Name != string(StateDone) {
+		t.Fatalf("persisted events %v do not end in done", want)
+	}
+
+	second := newTestManager(t, dir, Config{})
 	replay, ch, cancel, err := second.Subscribe(st.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
-	if got := streamTypes(t, replay, ch); !slices.Equal(got, []string{"done"}) {
-		t.Fatalf("stream = %v, want [done]", got)
+	if _, open := <-ch; open {
+		t.Fatal("a restored settled job's stream must end after its replay")
 	}
-	if replay[0].Seq != persisted.Seq {
-		t.Fatalf("replayed done has seq %d, persisted %d", replay[0].Seq, persisted.Seq)
+	var got []string
+	for _, ev := range replay {
+		got = append(got, fmt.Sprintf("%d %s", ev.Seq, ev.Type))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("restored stream %v, want the persisted events %v", got, want)
+	}
+}
+
+// TestStreamSeqOrder races two goroutines emitting one job's events —
+// one with a 64 KiB payload — against a live job subscriber and a watch
+// subscriber. Each must see strictly increasing seqs ending at the last
+// event (drop-slowest may skip older ones), and /events must list
+// strictly increasing seqs too.
+func TestStreamSeqOrder(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Config{})
+	j := m.newJob(Record{ID: "j0001", State: StateRunning}, t.TempDir())
+	m.mu.Lock()
+	m.jobs[j.rec.ID] = j
+	m.mu.Unlock()
+	_, jobCh, cancelJob, err := m.Subscribe(j.rec.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancelJob()
+	watchCh, cancelWatch := m.WatchSubscribe()
+	defer cancelWatch()
+
+	drain := func(ch <-chan StreamEvent, seqs *[]uint64, done chan<- struct{}) {
+		for ev := range ch {
+			*seqs = append(*seqs, ev.Seq)
+		}
+		close(done)
+	}
+	var jobSeqs, watchSeqs []uint64
+	jobDone, watchDone := make(chan struct{}), make(chan struct{})
+	go drain(jobCh, &jobSeqs, jobDone)
+	go drain(watchCh, &watchSeqs, watchDone)
+
+	const perEmitter = 200
+	big := map[string]string{"blob": strings.Repeat("x", 64<<10)}
+	var wg sync.WaitGroup
+	for _, payload := range []any{big, nil} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perEmitter {
+				m.event(j, "tick", "", payload)
+			}
+		}()
+	}
+	wg.Wait()
+	m.Close() // seals every topic, ending both subscriptions
+	<-jobDone
+	<-watchDone
+
+	events, err := m.EventsAfter(j.rec.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := make([]uint64, len(events))
+	for i, ev := range events {
+		logged[i] = ev.Seq
+	}
+	for _, c := range []struct {
+		name string
+		seqs []uint64
+	}{{"job stream", jobSeqs}, {"watch stream", watchSeqs}, {"/events", logged}} {
+		if len(c.seqs) == 0 || c.seqs[len(c.seqs)-1] != 2*perEmitter {
+			t.Fatalf("%s does not end at seq %d: %v", c.name, 2*perEmitter, c.seqs)
+		}
+		for i := 1; i < len(c.seqs); i++ {
+			if c.seqs[i] <= c.seqs[i-1] {
+				t.Fatalf("%s delivered seq %d after %d", c.name, c.seqs[i], c.seqs[i-1])
+			}
+		}
+	}
+}
+
+// TestEventLogBounded pins a job log's retention: past 256 events it
+// lists the first 192 and the last 64, only the last 64 (the replay
+// window) keep their payloads and frames, and a subscriber replays
+// exactly the window.
+func TestEventLogBounded(t *testing.T) {
+	h, _, _ := testHub(4)
+	publish := func(from, to int) {
+		for i := from; i <= to; i++ {
+			h.publish("job", "tick", strconv.Itoa(i), json.RawMessage(`{"i":`+strconv.Itoa(i)+`}`))
+		}
+	}
+	payloads := func(total int) {
+		t.Helper()
+		log := h.topic("job").log
+		for i, ev := range log {
+			kept := ev.Data != nil && ev.frame != nil && ev.watchFrame != nil
+			if inWindow := i >= len(log)-logWindow; kept != inWindow {
+				t.Fatalf("after %d events, seq %d (in window: %v) keeps its payload: %v", total, ev.Seq, inWindow, kept)
+			}
+		}
+	}
+	publish(1, 100)
+	if got := len(h.events("job", 0)); got != 100 {
+		t.Fatalf("100 events logged as %d", got)
+	}
+	payloads(100)
+
+	const total = 300
+	publish(101, total)
+	events := h.events("job", 0)
+	if len(events) != logHead+logWindow {
+		t.Fatalf("log holds %d events, want %d", len(events), logHead+logWindow)
+	}
+	for i, ev := range events {
+		want := uint64(i + 1) // the head
+		if i >= logHead {
+			want = uint64(total - logHead - logWindow + i + 1) // the window
+		}
+		if ev.Seq != want || ev.Name != "tick" || ev.Detail != strconv.FormatUint(want, 10) || ev.Time.IsZero() {
+			t.Fatalf("log entry %d = %+v, want seq %d", i, ev, want)
+		}
+	}
+	payloads(total)
+
+	replay, _, cancel := h.subscribe("job", 0)
+	cancel()
+	if len(replay) != logWindow || replay[0].Seq != total-logWindow+1 {
+		t.Fatalf("replay holds %d events, want the %d-event window from seq %d", len(replay), logWindow, total-logWindow+1)
+	}
+	for _, ev := range replay {
+		if want := fmt.Sprintf(`{"i":%d}`, ev.Seq); string(ev.Data) != want {
+			t.Fatalf("replayed seq %d carries %s, want %s", ev.Seq, ev.Data, want)
+		}
+	}
+}
+
+// TestEventLogSeqs pins the log's cursor space: ?after filters by seq,
+// numbering continues past events the log dropped, and seeding a
+// restored log numbers its Seq-0 events (records older than seqs) in
+// order and resumes past the persisted maximum.
+func TestEventLogSeqs(t *testing.T) {
+	h, _, _ := testHub(4)
+	const total = logHead + logWindow + 10 // seqs 193..202 are dropped
+	for range total {
+		h.publish("job", "tick", "", nil)
+	}
+	seqs := func(job string, after uint64) []uint64 {
+		var out []uint64
+		for _, ev := range h.events(job, after) {
+			out = append(out, ev.Seq)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		after      uint64
+		n          int
+		first, end uint64
+	}{
+		{0, logHead + logWindow, 1, total},
+		{logHead - 1, logWindow + 1, logHead, total},
+		{logHead + 5, logWindow, logHead + 11, total},
+		{total - 3, 3, total - 2, total},
+	} {
+		got := seqs("job", c.after)
+		if len(got) != c.n || got[0] != c.first || got[len(got)-1] != c.end {
+			t.Fatalf("after %d: %d events %v, want %d from %d to %d", c.after, len(got), got, c.n, c.first, c.end)
+		}
+	}
+	if got := seqs("job", total); len(got) != 0 {
+		t.Fatalf("after the last seq: %v, want none", got)
+	}
+	h.publish("job", "tick", "", nil)
+	if got := seqs("job", total); !slices.Equal(got, []uint64{total + 1}) {
+		t.Fatalf("next publish got %v, want seq %d", got, total+1)
+	}
+
+	h.seed("restored", []obs.Event{{Name: "queued"}, {Name: "running"}, {Seq: 7, Name: "point"}, {Name: "done"}})
+	h.publish("restored", "recovered", "", nil)
+	if got, want := seqs("restored", 0), []uint64{1, 2, 7, 8, 9}; !slices.Equal(got, want) {
+		t.Fatalf("seeded log seqs %v, want %v", got, want)
+	}
+	replay, _, cancel := h.subscribe("restored", 7)
+	cancel()
+	if len(replay) != 2 {
+		t.Fatalf("replay after 7 = %+v, want done and recovered", replay)
+	}
+	if got, want := string(renderSSE(replay[0], false)), "id: 8\nevent: done\ndata: {}\n\n"; got != want {
+		t.Fatalf("seeded event renders %q, want %q", got, want)
 	}
 }
 
