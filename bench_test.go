@@ -264,7 +264,9 @@ func BenchmarkE11TailDecay(b *testing.B) {
 // BenchmarkProcessStep: the unified process layer's hot loop — one full
 // collected trial (Reset + Begin + Step to completion from vertex 0,
 // default branching) per op for every registered process on a
-// 2^14-vertex random-regular graph, with a metrics Collector attached.
+// 2^14-vertex random-regular graph, with a metrics Collector attached,
+// plus every process that accepts it (cobra, bips) at Theorem 3's
+// fractional branching 1+0.5.
 // allocs/op is the buffer-reuse pin: a warmed Process+Collector pair
 // must run whole trials with zero graph-sized allocations
 // (AllocsPerRun-style zero is asserted in internal/process tests; here
@@ -273,14 +275,26 @@ func BenchmarkE11TailDecay(b *testing.B) {
 func BenchmarkProcessStep(b *testing.B) {
 	g := buildRandomRegular(b, 1<<14, 8)
 	starts := []int32{0}
+	type row struct {
+		name string
+		info process.Info
+		br   process.Branching
+	}
+	var rows []row
 	for _, info := range process.All() {
-		b.Run(info.Name, func(b *testing.B) {
+		rows = append(rows, row{info.Name, info, process.Branching{}})
+		if info.AcceptsRho {
+			rows = append(rows, row{info.Name + "-1+0.5", info, process.Branching{K: 1, Rho: 0.5}})
+		}
+	}
+	for _, rw := range rows {
+		b.Run(rw.name, func(b *testing.B) {
 			col := process.NewCollector(g.N())
 			// Reserve the full round cap so series growth cannot charge a
 			// long-tailed trial (kwalk runs Θ(n log n) rounds) with an
 			// amortised reallocation mid-measurement.
 			col.Reserve(1 << 20)
-			p, err := info.New(g, process.Config{Observer: col.Observe})
+			p, err := rw.info.New(g, process.Config{Branching: rw.br, Observer: col.Observe})
 			if err != nil {
 				b.Fatal(err)
 			}

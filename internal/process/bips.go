@@ -40,10 +40,14 @@ import (
 //     to NewStream(roundSeed, c) and fills the chunk's slice of the
 //     hit-flag buffer (disjoint ranges; infB, infCount and the CSR are
 //     read-only here), recording per-chunk transmission counts. Per
-//     candidate the exact path draws an optional Rho Bernoulli then one
-//     bounded draw per sample; the fast path draws the optional Rho
-//     Bernoulli then one Bernoulli against the closed-form infection
-//     probability.
+//     candidate the exact path draws the ρ coin when Rho > 0 (an
+//     rng.Coin flip, Bernoulli(Rho) on the same draw) then one bounded
+//     draw per sample; the fast path draws the coin then one Bernoulli
+//     against the closed-form infection probability. On a regular graph
+//     of power-of-two degree the exact path takes its draws in bulk from
+//     the worker's buffer (rng.FillUint64, see refillDraws), and under
+//     fractional branching the coin masks the extra sample instead of
+//     branching.
 //  4. Compact (sequential): a branchless index bump over the hit flags
 //     builds A_{t+1}, then the member-wise cleanup runs.
 //
@@ -69,6 +73,7 @@ type bipsProc struct {
 
 	k    int
 	rho  float64
+	coin rng.Coin // Bernoulli(rho) on one draw, when rho > 0
 	fast bool
 	obs  RoundObserver
 
@@ -86,7 +91,7 @@ type bipsProc struct {
 
 	// Per-round kernel state: the candidate count, the round seed (both
 	// frozen during the parallel phase), per-chunk transmission counts,
-	// and one bulk-draw buffer per worker for the pow2 fast loop.
+	// and one bulk-draw buffer per worker for the power-of-two loops.
 	nc        int
 	roundSeed uint64
 	sentC     []int64
@@ -126,20 +131,14 @@ func newBipsProc(g *graph.Graph, cfg Config) (Process, error) {
 	if cfg.FastSampling {
 		p.infCount = make([]int32, g.N())
 	}
+	if br.Rho > 0 {
+		p.coin = rng.NewCoin(br.Rho)
+	}
 	if reg, err := g.Regularity(); err == nil {
 		p.reg = int32(reg)
 		p.samp = rng.NewBounded(uint64(reg))
 		if _, pow2 := p.samp.Mask(); pow2 && !p.fast {
-			// One L1-sized bulk-draw chunk per worker; at least K so a
-			// block always holds one whole candidate.
-			size := 2048
-			if p.k > size {
-				size = p.k
-			}
-			p.drawBufs = make([][]uint64, p.pool.workers())
-			for i := range p.drawBufs {
-				p.drawBufs[i] = make([]uint64, size)
-			}
+			p.drawBufs = newDrawBufs(p.pool.workers(), p.k)
 		}
 	}
 	if len(p.pool.start) > 0 {
@@ -186,6 +185,7 @@ func (p *bipsProc) runChunk(worker, chunk int) {
 	offsets := p.offsets
 	k := p.k
 	rho := p.rho
+	coin := p.coin
 	var sent int64
 	switch {
 	case p.fast:
@@ -195,8 +195,8 @@ func (p *bipsProc) runChunk(worker, chunk int) {
 			pp := float64(infCount[u]) / float64(deg)
 			prob := 1 - missProb(pp, k)*(1-rho*pp)
 			sent += int64(k) // expected-equivalent accounting
-			if rho > 0 && r.Bernoulli(rho) {
-				sent++
+			if rho > 0 {
+				sent += int64(coin.Hit(r.Uint64()))
 			}
 			var h uint8
 			if r.Bernoulli(prob) {
@@ -213,8 +213,8 @@ func (p *bipsProc) runChunk(worker, chunk int) {
 		// loads across candidates. On the power-of-two degree path the
 		// draws are bulk-generated with FillUint64 into the worker's
 		// private L1-sized buffer — the candidate count fixes the draw
-		// count up front, so the chunked stream is identical to per-call
-		// draws, state included — and K = 2 (the paper's default
+		// count up front, so the buffer holds exactly the values per-call
+		// draws would return, in order — and K = 2 (the paper's default
 		// branching) gets a fully unrolled body.
 		reg := int64(p.reg)
 		samp := p.samp
@@ -264,14 +264,47 @@ func (p *bipsProc) runChunk(worker, chunk int) {
 			}
 		}
 		sent = int64(k) * int64(len(cands))
+	case p.drawBufs != nil && rho > 0:
+		// Regular power-of-two degree, fractional branching: the same
+		// bulk draws, read in per-call order. Per candidate, draw 0 is
+		// the ρ coin and draws 1…K the samples; draw K+1, the extra
+		// sample, is loaded every time and its hit masked by the coin,
+		// so no branch depends on the coin, and the read position skips
+		// past it only when the coin fired. The candidate count no
+		// longer fixes the draw count, so refills draw ahead (see
+		// refillDraws).
+		reg := int64(p.reg)
+		mask, _ := p.samp.Mask()
+		infB := p.infB
+		draws := p.drawBufs[worker]
+		need := k + 2
+		pos, end := 0, 0
+		var coins int
+		for i, u := range cands {
+			if end-pos < need {
+				end = refillDraws(r, draws, pos, end, (len(cands)-i)*need)
+				pos = 0
+			}
+			d := draws[pos : pos+need]
+			c := coin.Hit(d[0])
+			base := int64(u) * reg
+			var hits uint8
+			for s := 1; s <= k; s++ {
+				hits |= infB[nb[base+int64(d[s]&mask)]]
+			}
+			hit[i] = hits | infB[nb[base+int64(d[k+1]&mask)]]&uint8(c)
+			pos += 1 + k + int(c)
+			coins += int(c)
+		}
+		sent = int64(k)*int64(len(cands)) + int64(coins)
 	default:
 		infB := p.infB
 		for i, u := range cands {
 			olo, ohi := offsets[u], offsets[u+1]
 			deg := uint64(ohi - olo)
 			samples := k
-			if rho > 0 && r.Bernoulli(rho) {
-				samples++
+			if rho > 0 {
+				samples += int(coin.Hit(r.Uint64()))
 			}
 			var hits uint8
 			for s := 0; s < samples; s++ {

@@ -20,12 +20,13 @@ var DefaultBranching = Branching{K: 2}
 // K + Rho.
 func (b Branching) Expected() float64 { return float64(b.K) + b.Rho }
 
-// Validate checks the branching parameters: K >= 1 and 0 <= Rho < 1.
+// Validate checks the branching parameters: K >= 1 and 0 <= Rho < 1, so
+// a NaN Rho fails too.
 func (b Branching) Validate() error {
 	if b.K < 1 {
 		return fmt.Errorf("process: branching K = %d, need >= 1", b.K)
 	}
-	if b.Rho < 0 || b.Rho >= 1 {
+	if !(b.Rho >= 0 && b.Rho < 1) {
 		return fmt.Errorf("process: branching Rho = %v, need 0 <= Rho < 1", b.Rho)
 	}
 	return nil

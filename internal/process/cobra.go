@@ -28,8 +28,12 @@ import (
 //     worker claiming chunk c reseeds its private generator to
 //     NewStream(roundSeed, c) and writes the chunk's raw push targets
 //     into the chunk's fixed staging region stage[c·stride:], drawing
-//     per active vertex one optional Rho Bernoulli followed by one
-//     bounded draw per push. No shared state is written.
+//     per active vertex one ρ coin when Rho > 0 (an rng.Coin flip,
+//     Bernoulli(Rho) on the same draw) followed by one bounded draw per
+//     push. On a regular graph of power-of-two degree under fractional
+//     branching those draws come from the worker's bulk-draw buffer
+//     (rng.FillUint64, see refillDraws), and the coin masks the extra
+//     push instead of branching. No shared state is written.
 //  3. Merge (sequential): chunks are folded in chunk order, building
 //     C_{t+1} (in first-push order) and the reached count.
 //
@@ -60,9 +64,10 @@ type cobraProc struct {
 	reg       int32       // common degree when the graph is regular, else 0
 	samp      rng.Bounded // sampler over [0, reg) when regular
 
-	k   int
-	rho float64
-	obs RoundObserver
+	k    int
+	rho  float64
+	coin rng.Coin // Bernoulli(rho) on one draw, when rho > 0
+	obs  RoundObserver
 
 	pool *kernelPool
 
@@ -84,6 +89,9 @@ type cobraProc struct {
 	stride    int
 	roundSeed uint64
 	numChunks int
+	// drawBufs holds one bulk-draw buffer per worker, only on a regular
+	// graph of power-of-two degree under fractional branching.
+	drawBufs [][]uint64
 
 	round   int
 	reached int
@@ -126,9 +134,15 @@ func newCobraProc(g *graph.Graph, cfg Config) (Process, error) {
 		sentC:    make([]int64, maxChunks),
 		stride:   KernelChunk * maxPush,
 	}
+	if br.Rho > 0 {
+		p.coin = rng.NewCoin(br.Rho)
+	}
 	if reg, err := g.Regularity(); err == nil {
 		p.reg = int32(reg)
 		p.samp = rng.NewBounded(uint64(reg))
+		if _, pow2 := p.samp.Mask(); pow2 && br.Rho > 0 {
+			p.drawBufs = newDrawBufs(p.pool.workers(), br.K)
+		}
 	}
 	if len(p.pool.start) > 0 {
 		// The pool holds no reference to p between rounds, so once the
@@ -180,7 +194,8 @@ func (p *cobraProc) runChunk(worker, chunk int) {
 	pos := 0
 	nb := p.neighbors
 	k := p.k
-	if p.reg > 0 && p.rho == 0 {
+	switch {
+	case p.reg > 0 && p.rho == 0:
 		// Regular graph, integral branching: the tight loop. No offsets
 		// lookups (neighbour base is v·reg), no per-draw degree test and
 		// no Bernoulli branch.
@@ -200,15 +215,48 @@ func (p *cobraProc) runChunk(worker, chunk int) {
 				pos++
 			}
 		}
-	} else {
+	case p.drawBufs != nil:
+		// Regular power-of-two degree, fractional branching: per active
+		// vertex, draw 0 of the worker's bulk draws is the ρ coin and
+		// draws 1…K the pushes. The extra push, draw K+1, is staged at
+		// out[pos] every time and kept by advancing pos by the coin, so
+		// no branch depends on the coin; the stride's K+1 slots per
+		// vertex leave room for the dead store. The read position skips
+		// the extra draw only when the coin fired, so the staged pushes
+		// are exactly the per-call ones, in draw order.
+		reg := int64(p.reg)
+		mask, _ := p.samp.Mask()
+		coin := p.coin
+		draws := p.drawBufs[worker]
+		need := k + 2
+		rp, end := 0, 0
+		active := p.curBuf[lo:hi]
+		for i, v := range active {
+			if end-rp < need {
+				end = refillDraws(r, draws, rp, end, (len(active)-i)*need)
+				rp = 0
+			}
+			d := draws[rp : rp+need]
+			c := int(coin.Hit(d[0]))
+			base := int64(v) * reg
+			for s := 1; s <= k; s++ {
+				out[pos] = nb[base+int64(d[s]&mask)]
+				pos++
+			}
+			out[pos] = nb[base+int64(d[k+1]&mask)]
+			pos += c
+			rp += 1 + k + c
+		}
+	default:
 		offsets := p.offsets
 		rho := p.rho
+		coin := p.coin
 		for _, v := range p.curBuf[lo:hi] {
 			olo, ohi := offsets[v], offsets[v+1]
 			deg := uint64(ohi - olo)
 			pushes := k
-			if rho > 0 && r.Bernoulli(rho) {
-				pushes++
+			if rho > 0 {
+				pushes += int(coin.Hit(r.Uint64()))
 			}
 			for i := 0; i < pushes; i++ {
 				out[pos] = nb[olo+int64(r.Uint64n(deg))]

@@ -46,7 +46,7 @@ func checkNewValidation(t *testing.T, names ...string) {
 		if _, err := New(name, iso, Config{}); err == nil {
 			t.Errorf("%s: isolated vertex should fail", name)
 		}
-		for _, br := range []Branching{{K: -1}, {K: 0, Rho: 0.5}, {K: 1, Rho: -0.1}, {K: 1, Rho: 1}} {
+		for _, br := range []Branching{{K: -1}, {K: 0, Rho: 0.5}, {K: 1, Rho: -0.1}, {K: 1, Rho: 1}, {K: 1, Rho: math.NaN()}} {
 			if _, err := New(name, g, Config{Branching: br}); err == nil {
 				t.Errorf("%s: branching %+v should fail", name, br)
 			}

@@ -71,14 +71,20 @@ var branchings = []process.Branching{
 	{K: 5},
 	{K: 1, Rho: 0.5},
 	{K: 2, Rho: 0.25},
+	{K: 4, Rho: 0.9},
 }
 
-// multiChunkBranchings run on the multi-chunk graphs: an integral and a
-// fractional branching whose active sets grow to a constant fraction of
-// n (K = 1 keeps cobra's active set at one vertex).
+// multiChunkBranchings run on the multi-chunk graphs: an integral and
+// two fractional branchings whose active sets grow to a constant
+// fraction of n (K = 1 keeps cobra's active set at one vertex). Only a
+// chunk of more than 2048/(K+2) items refills the engines' bulk-draw
+// buffers, so only these graphs refill, and the K = 4 row is the one
+// that fails a refill keeping fewer than K+2 draws, such as a threshold
+// hard-coded to 4, which K ≤ 2 never exposes.
 var multiChunkBranchings = []process.Branching{
 	{K: 2},
 	{K: 1, Rho: 0.5},
+	{K: 4, Rho: 0.9},
 }
 
 // kernelWidths are the kernel worker counts every lockstep case runs

@@ -28,6 +28,35 @@ func chunksFor(items int) int {
 	return (items + KernelChunk - 1) / KernelChunk
 }
 
+// newDrawBufs returns one bulk-draw buffer per kernel worker for the
+// engines' power-of-two sampling loops: L1-sized, and never smaller than
+// the k+2 draws one fractional item reads.
+func newDrawBufs(workers, k int) [][]uint64 {
+	bufs := make([][]uint64, workers)
+	for i := range bufs {
+		bufs[i] = make([]uint64, max(2048, k+2))
+	}
+	return bufs
+}
+
+// refillDraws moves the unconsumed draws buf[pos:end] to the front of buf
+// and fills behind them from r, up to want more draws or the end of buf.
+// It returns the new end; reading resumes at 0. Sizing want to the items
+// left in the chunk keeps a small chunk from paying for a whole buffer of
+// draws it never reads.
+//
+// Drawing ahead of consumption is safe because a worker generator is
+// reseeded with ReseedStream(roundSeed, chunk) before each chunk's first
+// draw and read by nothing after the chunk, so draws generated past the
+// chunk's last consumed one are never observed; the trial generator,
+// whose state difftest.Lockstep compares, draws only the round seed.
+func refillDraws(r *rng.Rand, buf []uint64, pos, end, want int) int {
+	tail := copy(buf, buf[pos:end])
+	end = min(len(buf), tail+want)
+	r.FillUint64(buf[tail:end])
+	return end
+}
+
 // chunkRunner is the per-round work an engine hands the pool:
 // execute chunk `chunk` using the pool's worker-private generator
 // rands[worker]. Implementations must touch only chunk-owned staging

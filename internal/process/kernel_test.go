@@ -13,31 +13,37 @@ import (
 // TestKernelStepZeroAlloc pins the kernel engines' steady-state
 // allocation contract: after construction and one warm-up run, whole
 // trials (Reset + Steps) on a multi-worker kernel perform zero
-// allocations — the pool dispatch, the per-chunk reseeds and the
-// staging writes all reuse construction-time buffers.
+// allocations — the pool dispatch, the per-chunk reseeds, the bulk-draw
+// refills and the staging writes all reuse construction-time buffers —
+// at the default branching and at 1+0.5.
 func TestKernelStepZeroAlloc(t *testing.T) {
 	g := expander(t, 1<<12, 8)
 	for _, name := range []string{Cobra, BIPS} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			p, err := New(name, g, Config{KernelWorkers: 4})
-			if err != nil {
-				t.Fatal(err)
+		for _, br := range []Branching{DefaultBranching, {K: 1, Rho: 0.5}} {
+			label := name
+			if br.Rho > 0 {
+				label += "/" + br.String()
 			}
-			r := rng.New(3)
-			starts := []int32{0}
-			if _, err := Run(p, r, 0, starts...); err != nil {
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(3, func() {
+			t.Run(label, func(t *testing.T) {
+				p, err := New(name, g, Config{Branching: br, KernelWorkers: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rng.New(3)
+				starts := []int32{0}
 				if _, err := Run(p, r, 0, starts...); err != nil {
 					t.Fatal(err)
 				}
+				allocs := testing.AllocsPerRun(3, func() {
+					if _, err := Run(p, r, 0, starts...); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("%s %s steady-state trial allocates %.1f times, want 0", name, br, allocs)
+				}
 			})
-			if allocs != 0 {
-				t.Fatalf("%s steady-state trial allocates %.1f times, want 0", name, allocs)
-			}
-		})
+		}
 	}
 }
 

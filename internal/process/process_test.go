@@ -528,15 +528,28 @@ func TestObserver(t *testing.T) {
 
 // TestZeroAllocTrials pins the buffer-reuse contract: once warmed, a
 // full Reset+Step-to-completion trial performs zero allocations for
-// every registered process. (AllocsPerRun's integer average also
-// tolerates the rare capacity growth when a later run runs longer than
-// any before.)
+// every registered process, and at fractional branching 1+0.5 for those
+// that accept it. (AllocsPerRun's integer average also tolerates the
+// rare capacity growth when a later run runs longer than any before.)
 func TestZeroAllocTrials(t *testing.T) {
 	g := expander(t, 512, 8)
 	starts := []int32{0}
-	for _, info := range engineCases() {
+	type allocCase struct {
+		engineCase
+		br Branching
+	}
+	var cases []allocCase
+	for _, ec := range engineCases() {
+		cases = append(cases, allocCase{ec, Branching{}})
+		if ec.AcceptsRho {
+			br := Branching{K: 1, Rho: 0.5}
+			ec.name += "/" + br.String()
+			cases = append(cases, allocCase{ec, br})
+		}
+	}
+	for _, info := range cases {
 		t.Run(info.name, func(t *testing.T) {
-			p, err := info.build(g, Config{})
+			p, err := info.build(g, Config{Branching: info.br})
 			if err != nil {
 				t.Fatal(err)
 			}

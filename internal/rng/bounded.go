@@ -1,6 +1,10 @@
 package rng
 
-import "math/bits"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Bounded is a precomputed uniform sampler over [0, n) for a bound that is
 // fixed across many draws — the shape of neighbour sampling on a regular
@@ -66,4 +70,44 @@ func (b Bounded) Next(r *Rand) uint64 {
 		hi, lo = bits.Mul64(v, b.n)
 	}
 	return hi
+}
+
+// Coin is a precomputed Bernoulli(p) test for a probability fixed across
+// many flips — the shape of the fractional branching coin, which every
+// active vertex (cobra) or candidate (bips) flips once per round against
+// the same ρ.
+//
+// Hit(x) returns 1 exactly when Bernoulli(p) would return true had its one
+// Uint64 draw been x, and 0 otherwise. That identity is load-bearing in the
+// same way as Bounded's: the native process engines flip Coins on draws
+// they take with Uint64 or bulk-generate with FillUint64, while the
+// differential test harness replays the same seeds through the reference
+// implementations, which call Bernoulli. It rests on how Float64 builds its
+// value: float64(x>>11)·2⁻⁵³, where both the conversion (53 bits) and the
+// scaling (a power of two) are exact, so Float64() < p holds iff
+// x>>11 < p·2⁵³, which for an integer x>>11 holds iff x>>11 < ⌈p·2⁵³⌉. The
+// ceiling is computed exactly too: p·2⁵³ only rescales p's exponent.
+// What Coin removes is the float conversion and the compare's branch: Hit
+// is one subtraction and one shift, so a flip can feed index arithmetic
+// instead of a mispredicting branch.
+type Coin struct {
+	t uint64 // ⌈p·2⁵³⌉, in [1, 2⁵³ − 1] for 0 < p < 1
+}
+
+// NewCoin returns the coin for 0 < p < 1, the range in which Bernoulli
+// draws. It panics for any other p, NaN included: outside that range
+// Bernoulli answers without consuming the generator, which no flip of a
+// drawn value can reproduce.
+func NewCoin(p float64) Coin {
+	if !(p > 0 && p < 1) {
+		panic(fmt.Sprintf("rng: NewCoin(%v), need 0 < p < 1", p))
+	}
+	return Coin{t: uint64(math.Ceil(p * (1 << 53)))}
+}
+
+// Hit returns 1 when Bernoulli(p) would fire on the draw x, else 0. The
+// top 53 bits m = x>>11 lie below 2⁵³ and so does the threshold t, so
+// m − t wraps to a value with its top bit set exactly when m < t.
+func (c Coin) Hit(x uint64) uint64 {
+	return ((x >> 11) - c.t) >> 63
 }

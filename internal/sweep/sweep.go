@@ -154,11 +154,8 @@ func (s Spec) validate() error {
 		}
 	}
 	for _, b := range s.Branchings {
-		if b.K < 1 {
-			return fmt.Errorf("sweep: branching K = %d, need >= 1", b.K)
-		}
-		if b.Rho < 0 || b.Rho >= 1 {
-			return fmt.Errorf("sweep: branching Rho = %v, need 0 <= Rho < 1", b.Rho)
+		if err := b.Validate(); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	seenMetric := make(map[string]bool)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -103,6 +104,7 @@ func TestSpecValidation(t *testing.T) {
 		{"kwalk with rho", func(s *Spec) { s.Processes = []string{ProcKWalk} }, "fractional"},
 		{"bad K", func(s *Spec) { s.Branchings = []core.Branching{{K: 0}} }, "K"},
 		{"bad rho", func(s *Spec) { s.Branchings = []core.Branching{{K: 1, Rho: 1.5}} }, "Rho"},
+		{"NaN rho", func(s *Spec) { s.Branchings = []core.Branching{{K: 1, Rho: math.NaN()}} }, "Rho"},
 		{"no trials", func(s *Spec) { s.Trials = 0 }, "trials"},
 		{"duplicate size", func(s *Spec) { s.Sizes = []int{24, 24} }, "duplicate"},
 	}
