@@ -75,7 +75,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep, err := spectral.Analyze(g, spectral.Options{})
+	rep, err := spectral.Analyze(g)
 	if err != nil {
 		return err
 	}

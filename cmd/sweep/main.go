@@ -53,9 +53,19 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the line main prints for a failed run: the error behind
+// one "sweep: " prefix, which internal/sweep's errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "sweep: ") {
+		return msg
+	}
+	return "sweep: " + msg
 }
 
 func run(args []string, out, errw io.Writer) error {

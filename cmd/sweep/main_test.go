@@ -35,6 +35,33 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// TestErrorLine pins the line main prints for a failed run: one "sweep:"
+// prefix, whether or not internal/sweep already put one on the error.
+func TestErrorLine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"spec-validation", []string{"-families", "complete", "-sizes", "16", "-branchings", "1+NaN"},
+			"sweep: process: branching Rho = NaN, need 0 <= Rho < 1"},
+		{"unknown-family", []string{"-families", "nope", "-sizes", "16"},
+			`sweep: unknown family "nope" (want one of rand-reg, complete, torus-2d, hypercube, cycle, or file:<path.csrg>)`},
+		{"resume-without-out", []string{"-families", "complete", "-sizes", "16", "-resume"},
+			"sweep: -resume requires -out (resume loads records from the artifact dir)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := runQuiet(t, tc.args...)
+			if err == nil {
+				t.Fatalf("args %v should fail", tc.args)
+			}
+			if got := errorLine(err); got != tc.want {
+				t.Fatalf("error line\n got %q\nwant %q", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestListFamiliesAndPoints(t *testing.T) {
 	out, err := runQuiet(t, "-list-families")
 	if err != nil {

@@ -79,12 +79,14 @@ var (
 // quantities for a graph.
 type SpectralReport = spectral.Report
 
-// SpectralOptions tunes the iterative eigensolvers.
+// SpectralOptions tunes the power iteration behind λ_max: its step cap
+// (MaxIter) and convergence tolerance (Tol). LambdaMax here uses the
+// defaults; Analyze and Spectrum take no options.
 type SpectralOptions = spectral.Options
 
 // Analyze computes the spectral report of g with default solver options.
 func Analyze(g *Graph) (SpectralReport, error) {
-	return spectral.Analyze(g, spectral.Options{})
+	return spectral.Analyze(g)
 }
 
 // LambdaMax returns λ = max_{i≥2}|λ_i| of the transition matrix of g — the
@@ -94,7 +96,7 @@ func LambdaMax(g *Graph) (float64, error) {
 }
 
 // Spectrum returns all transition-matrix eigenvalues of g in non-increasing
-// order (dense solver; graphs up to 1500 vertices).
+// order (dense Householder + QL solve; graphs up to 1500 vertices).
 func Spectrum(g *Graph) ([]float64, error) { return spectral.DenseSpectrum(g) }
 
 // Branching describes a process branching factor: K pushes always, plus

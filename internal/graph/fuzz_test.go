@@ -22,6 +22,7 @@ func FuzzRead(f *testing.F) {
 		"garbage\n",
 		"n 9999999999999999999\n",
 		"graph \nn 1\n",
+		"n 4\n0 1\n1 2\nn 4\n2 3\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

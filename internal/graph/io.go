@@ -68,6 +68,9 @@ func Read(r io.Reader) (*Graph, error) {
 		case bytes.HasPrefix(line, []byte("graph ")):
 			name = string(bytes.TrimSpace(line[len("graph "):]))
 		case bytes.HasPrefix(line, []byte("n ")):
+			if b != nil {
+				return nil, fmt.Errorf("graph: line %d: second \"n <count>\" header", lineNo)
+			}
 			n, err := strconv.Atoi(string(bytes.TrimSpace(line[len("n "):])))
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count: %w", lineNo, err)

@@ -93,20 +93,28 @@ func TestReadFormats(t *testing.T) {
 	})
 	errCases := []struct {
 		name, in string
+		want     string // substring of the error, when it names a line
 	}{
-		{"no-header", "0 1\n"},
-		{"bad-n", "n x\n"},
-		{"negative-n", "n -3\n"},
-		{"bad-edge-arity", "n 3\n0 1 2\n"},
-		{"bad-vertex", "n 3\n0 a\n"},
-		{"out-of-range", "n 3\n0 7\n"},
-		{"self-loop", "n 3\n1 1\n"},
-		{"missing-n", "graph g\n"},
+		{"no-header", "0 1\n", "line 1"},
+		{"bad-n", "n x\n", "line 1"},
+		{"negative-n", "n -3\n", "line 1"},
+		{"bad-edge-arity", "n 3\n0 1 2\n", "line 2"},
+		{"bad-vertex", "n 3\n0 a\n", "line 2"},
+		{"out-of-range", "n 3\n0 7\n", ""},
+		{"self-loop", "n 3\n1 1\n", ""},
+		{"missing-n", "graph g\n", ""},
+		// A second header would restart the builder and drop the edges
+		// read before it.
+		{"second-n", "n 4\n0 1\n1 2\nn 4\n2 3\n", "line 4"},
 	}
 	for _, tc := range errCases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Read(strings.NewReader(tc.in)); err == nil {
+			_, err := Read(strings.NewReader(tc.in))
+			if err == nil {
 				t.Fatalf("Read(%q) should fail", tc.in)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Read(%q) error %q does not name %q", tc.in, err, tc.want)
 			}
 		})
 	}

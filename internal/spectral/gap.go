@@ -76,11 +76,11 @@ func snapToZero(x float64) float64 {
 	return x
 }
 
-// Analyze computes the full spectral report for a graph. Graphs small
-// enough for the dense path get exact eigenvalues; larger graphs use
-// Lanczos for the signed extremes. Cost is O(n³) below the dense cutoff
-// and O(Steps·m) above it.
-func Analyze(g *graph.Graph, opt Options) (Report, error) {
+// Analyze computes the full spectral report for a graph. Graphs of up to
+// 256 vertices get exact eigenvalues from the dense path; larger graphs
+// use Lanczos for the signed extremes. Cost is O(n³) up to 256 vertices
+// and O(lanczosSteps·(m + lanczosSteps·n)) above.
+func Analyze(g *graph.Graph) (Report, error) {
 	rep := Report{
 		N:         g.N(),
 		M:         g.M(),
@@ -108,7 +108,7 @@ func Analyze(g *graph.Graph, opt Options) (Report, error) {
 			l2, ln = eig[1], eig[len(eig)-1]
 		}
 	} else {
-		l2, ln, err = Extremes(g, opt)
+		l2, ln, err = extremes(g)
 	}
 	if err != nil {
 		return rep, err

@@ -9,32 +9,14 @@ import (
 	"cobrawalk/internal/rng"
 )
 
-// Options configures the iterative eigensolvers. The zero value selects
-// sensible defaults.
+// Options configures LambdaMax's power iteration. The zero value selects
+// the defaults.
 type Options struct {
-	// Seed initialises the random starting vectors. The default 0 is a
-	// valid seed, so results are deterministic unless callers vary it.
-	Seed uint64
-	// Steps is the Lanczos iteration count (default min(n-1, 96)). Memory
-	// use is O(Steps·n) because the basis is stored for full
-	// reorthogonalization.
-	Steps int
 	// MaxIter bounds power-iteration steps (default 50000).
 	MaxIter int
 	// Tol is the convergence tolerance on eigenvalue estimates
 	// (default 1e-11).
 	Tol float64
-}
-
-func (o Options) steps(n int) int {
-	s := o.Steps
-	if s <= 0 {
-		s = 96
-	}
-	if s > n-1 {
-		s = n - 1
-	}
-	return s
 }
 
 func (o Options) maxIter() int {
@@ -51,11 +33,16 @@ func (o Options) tol() float64 {
 	return o.Tol
 }
 
-// Extremes returns λ_2 (largest eigenvalue of the transition matrix after
+// lanczosSteps caps extremes' Krylov basis (at most n-1 vectors). Memory
+// use is O(lanczosSteps·n) because the basis is stored for full
+// reorthogonalization.
+const lanczosSteps = 96
+
+// extremes returns λ_2 (largest eigenvalue of the transition matrix after
 // the trivial eigenvalue 1) and λ_n (the smallest), computed by Lanczos
 // iteration with full reorthogonalization against both the Krylov basis and
 // the deflated top eigenvector. For n == 1 both are 0 by convention.
-func Extremes(g *graph.Graph, opt Options) (lambda2, lambdaN float64, err error) {
+func extremes(g *graph.Graph) (lambda2, lambdaN float64, err error) {
 	n := g.N()
 	if n == 0 {
 		return 0, 0, errors.New("spectral: empty graph")
@@ -63,20 +50,12 @@ func Extremes(g *graph.Graph, opt Options) (lambda2, lambdaN float64, err error)
 	if n == 1 {
 		return 0, 0, nil
 	}
-	if n <= 64 {
-		// Dense path is exact and cheap at this size.
-		eig, derr := DenseSpectrum(g)
-		if derr != nil {
-			return 0, 0, derr
-		}
-		return eig[1], eig[n-1], nil
-	}
-	op, err := NewOperator(g)
+	op, err := newOperator(g)
 	if err != nil {
 		return 0, 0, err
 	}
-	steps := opt.steps(n)
-	r := rng.New(opt.Seed)
+	steps := min(lanczosSteps, n-1)
+	r := rng.New(0)
 
 	basis := make([][]float64, 0, steps)
 	v := randomUnitDeflated(op, r)
@@ -151,11 +130,11 @@ func LambdaMax(g *graph.Graph, opt Options) (float64, error) {
 	if n == 1 {
 		return 0, nil
 	}
-	op, err := NewOperator(g)
+	op, err := newOperator(g)
 	if err != nil {
 		return 0, err
 	}
-	r := rng.New(opt.Seed)
+	r := rng.New(0)
 	v := randomUnitDeflated(op, r)
 	tmp := make([]float64, n)
 	w := make([]float64, n)
@@ -185,9 +164,8 @@ func LambdaMax(g *graph.Graph, opt Options) (float64, error) {
 	return math.Sqrt(math.Max(prev, 0)), nil
 }
 
-func randomUnitDeflated(op *Operator, r *rng.Rand) []float64 {
-	n := op.N()
-	v := make([]float64, n)
+func randomUnitDeflated(op *operator, r *rng.Rand) []float64 {
+	v := make([]float64, len(op.top))
 	for {
 		for i := range v {
 			v[i] = r.NormFloat64()

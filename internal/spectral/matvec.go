@@ -7,8 +7,12 @@
 // constant vector. For general graphs the package operates on the
 // symmetrically normalised adjacency N = D^{-1/2} A D^{-1/2}, which is
 // similar to P (identical spectrum) and symmetric, with top eigenvector
-// proportional to (√deg(x)). All solvers are matrix-free against the CSR
-// graph except the dense Jacobi path used for exact small-n spectra.
+// proportional to (√deg(x)). There are three solvers: power iteration on
+// N² for λ_max (LambdaMax), Lanczos for λ_2 and λ_n (Analyze above 256
+// vertices), and a dense Householder reduction for the whole spectrum
+// (DenseSpectrum, and Analyze up to 256 vertices). Lanczos and the dense
+// reduction both finish with one tridiagonal QL solve; the first two are
+// matrix-free against the CSR graph.
 package spectral
 
 import (
@@ -23,9 +27,9 @@ import (
 // which the random-walk transition matrix is undefined.
 var ErrIsolatedVertex = errors.New("spectral: graph has an isolated vertex")
 
-// Operator is a matrix-free symmetric linear operator on R^n, precomputed
+// operator is a matrix-free symmetric linear operator on R^n, precomputed
 // from a graph: it applies N = D^{-1/2} A D^{-1/2}.
-type Operator struct {
+type operator struct {
 	g          *graph.Graph
 	invSqrtDeg []float64
 	// top is the unit top eigenvector of N (eigenvalue 1 for connected
@@ -33,13 +37,13 @@ type Operator struct {
 	top []float64
 }
 
-// NewOperator validates the graph and precomputes normalisation vectors.
-func NewOperator(g *graph.Graph) (*Operator, error) {
+// newOperator validates the graph and precomputes normalisation vectors.
+func newOperator(g *graph.Graph) (*operator, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, errors.New("spectral: empty graph")
 	}
-	op := &Operator{
+	op := &operator{
 		g:          g,
 		invSqrtDeg: make([]float64, n),
 		top:        make([]float64, n),
@@ -61,11 +65,8 @@ func NewOperator(g *graph.Graph) (*Operator, error) {
 	return op, nil
 }
 
-// N returns the dimension of the operator.
-func (op *Operator) N() int { return op.g.N() }
-
 // Apply computes y = N·x. x and y must have length N() and must not alias.
-func (op *Operator) Apply(x, y []float64) {
+func (op *operator) Apply(x, y []float64) {
 	g := op.g
 	n := g.N()
 	for v := 0; v < n; v++ {
@@ -80,7 +81,7 @@ func (op *Operator) Apply(x, y []float64) {
 // DeflateTop removes from x its component along the top eigenvector, in
 // place, leaving x in the invariant subspace carrying the eigenvalues
 // λ_2 ≥ ... ≥ λ_n.
-func (op *Operator) DeflateTop(x []float64) {
+func (op *operator) DeflateTop(x []float64) {
 	var dot float64
 	for i, t := range op.top {
 		dot += x[i] * t

@@ -243,7 +243,7 @@ func TestExtremesMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dense: %v", g.Name(), err)
 		}
-		l2, ln, err := Extremes(g, Options{})
+		l2, ln, err := extremes(g)
 		if err != nil {
 			t.Fatalf("%s: lanczos: %v", g.Name(), err)
 		}
@@ -256,9 +256,12 @@ func TestExtremesMatchesDense(t *testing.T) {
 	}
 }
 
+// TestExtremesSmallGraphDensePath: small graphs no longer take a dense
+// branch inside extremes; on Petersen, Lanczos meets an invariant subspace
+// after two steps and its Ritz values are the exact extremes.
 func TestExtremesSmallGraphDensePath(t *testing.T) {
 	g := mustG(t)(graph.Petersen())
-	l2, ln, err := Extremes(g, Options{})
+	l2, ln, err := extremes(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +275,10 @@ func TestExtremesSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Extremes(g, Options{}); err == nil {
-		t.Skip("isolated vertex accepted") // K1 has an isolated vertex
+	// K1's vertex is isolated, but extremes returns the documented n == 1
+	// convention before it builds the operator.
+	if l2, ln, err := extremes(g); err != nil || l2 != 0 || ln != 0 {
+		t.Fatalf("extremes(K1) = (%v, %v, %v), want (0, 0, nil)", l2, ln, err)
 	}
 }
 
@@ -349,14 +354,14 @@ func TestRandomRegularNearRamanujan(t *testing.T) {
 }
 
 func TestOperatorErrors(t *testing.T) {
-	if _, err := NewOperator(&graph.Graph{}); err == nil {
+	if _, err := newOperator(&graph.Graph{}); err == nil {
 		t.Fatal("empty graph should fail")
 	}
 	g, err := graph.FromEdges("iso", 3, [][2]int32{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewOperator(g); err == nil {
+	if _, err := newOperator(g); err == nil {
 		t.Fatal("isolated vertex should fail")
 	}
 	if _, err := DenseSpectrum(g); err == nil {
@@ -377,7 +382,7 @@ func TestDenseLimit(t *testing.T) {
 
 func TestAnalyzePetersen(t *testing.T) {
 	g := mustG(t)(graph.Petersen())
-	rep, err := Analyze(g, Options{})
+	rep, err := Analyze(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +413,7 @@ func TestAnalyzePetersen(t *testing.T) {
 
 func TestAnalyzeBipartiteFlags(t *testing.T) {
 	g := mustG(t)(graph.Hypercube(5))
-	rep, err := Analyze(g, Options{})
+	rep, err := Analyze(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +437,7 @@ func TestAnalyzeLargeUsesLanczos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(g, Options{})
+	rep, err := Analyze(g)
 	if err != nil {
 		t.Fatal(err)
 	}

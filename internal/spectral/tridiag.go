@@ -18,9 +18,16 @@ func tridiagEigenvalues(d, e []float64) error {
 	if len(e) < n {
 		return errors.New("spectral: subdiagonal workspace too short")
 	}
-	// Shift the subdiagonal so e[i] couples d[i] and d[i+1]; e[n-1] = 0
-	// acts as a sentinel.
+	// e[i] couples d[i] and d[i+1]; e[n-1] = 0 acts as a sentinel.
 	e[n-1] = 0
+	// A subdiagonal element is negligible against its two diagonal
+	// neighbours or, as in tql1, against the whole matrix. The first test
+	// alone never passes next to an eigenvalue 0 inside an O(1) block,
+	// where roundoff holds the element near eps·‖T‖.
+	var norm float64
+	for i := range d {
+		norm = max(norm, math.Abs(d[i])+math.Abs(e[i]))
+	}
 	for l := 0; l < n; l++ {
 		iter := 0
 		for {
@@ -28,7 +35,7 @@ func tridiagEigenvalues(d, e []float64) error {
 			m := l
 			for ; m < n-1; m++ {
 				dd := math.Abs(d[m]) + math.Abs(d[m+1])
-				if math.Abs(e[m]) <= math.SmallestNonzeroFloat64+2.3e-16*dd {
+				if math.Abs(e[m]) <= 2.3e-16*max(dd, norm) {
 					break
 				}
 			}
