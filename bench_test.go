@@ -142,7 +142,7 @@ func BenchmarkE4Duality(b *testing.B) {
 // evaluation against the spectral bound.
 func BenchmarkE5GrowthBound(b *testing.B) {
 	g := buildRandomRegular(b, 4096, 8)
-	lambda, err := spectral.LambdaMax(g, spectral.Options{})
+	lambda, err := spectral.LambdaMax(g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func BenchmarkLambdaMax(b *testing.B) {
 	g := buildRandomRegular(b, 16384, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := spectral.LambdaMax(g, spectral.Options{}); err != nil {
+		if _, err := spectral.LambdaMax(g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,10 +41,11 @@ func main() {
 
 // agg is the streaming accumulator one shard folds its trials into: a
 // digest for the infection time and plain streams for the three phase
-// lengths (means are all the report needs).
+// lengths (means are all the report needs). A phase stream holds only
+// the trials that completed that phase.
 type agg struct {
-	infec      *stats.Digest
-	p1, p2, p3 stats.Stream
+	infec  *stats.Digest
+	phases [3]stats.Stream
 }
 
 func newAgg() *agg { return &agg{infec: stats.NewDigest()} }
@@ -53,10 +54,28 @@ func (a *agg) merge(o *agg) (*agg, error) {
 	if err := a.infec.Merge(o.infec); err != nil {
 		return nil, err
 	}
-	a.p1.Merge(o.p1)
-	a.p2.Merge(o.p2)
-	a.p3.Merge(o.p3)
+	for i := range a.phases {
+		a.phases[i].Merge(o.phases[i])
+	}
 	return a, nil
+}
+
+// phaseMean is the mean length of a phase over the trials that completed
+// it, or nil when none did: on graphs of up to 17 vertices the small-set
+// target m = ⌈4·log₂ n⌉ is at least n, so phases 1 and 2 never end.
+func phaseMean(s stats.Stream) any {
+	if s.N() == 0 {
+		return nil
+	}
+	return s.Mean()
+}
+
+// phaseText renders phaseMean for the text report.
+func phaseText(s stats.Stream) string {
+	if s.N() == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2f", s.Mean())
 }
 
 func run(args []string, w io.Writer) error {
@@ -86,7 +105,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	lambda, err := spectral.LambdaMax(g, spectral.Options{})
+	lambda, err := spectral.LambdaMax(g)
 	if err != nil {
 		return err
 	}
@@ -106,14 +125,19 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	smallTarget := int(math.Ceil(4 * math.Log2(float64(g.N()))))
-	type outcome struct{ infec, p1, p2, p3 float64 }
+	type outcome struct {
+		infec  float64
+		phases [3]int // -1 for a phase the trial never completed
+	}
 	red := sim.Reducer[outcome, *agg]{
 		New: newAgg,
 		Fold: func(a *agg, _ int, o outcome) *agg {
 			a.infec.Add(o.infec)
-			a.p1.Add(o.p1)
-			a.p2.Add(o.p2)
-			a.p3.Add(o.p3)
+			for i, l := range o.phases {
+				if l >= 0 {
+					a.phases[i].Add(float64(l))
+				}
+			}
 			return a
 		},
 		Merge: func(into, from *agg) (*agg, error) { return into.merge(from) },
@@ -152,8 +176,9 @@ func run(args []string, w io.Writer) error {
 				return outcome{}, fmt.Errorf("trial hit the %d-round cap", *maxRounds)
 			}
 			ph := core.DetectPhases(st.col.Active(), g.N(), smallTarget)
-			p1, p2, p3 := ph.PhaseLengths()
-			return outcome{float64(out.Rounds), float64(p1), float64(p2), float64(p3)}, nil
+			o := outcome{infec: float64(out.Rounds)}
+			o.phases[0], o.phases[1], o.phases[2] = ph.PhaseLengths()
+			return o, nil
 		})
 	if err != nil {
 		return err
@@ -177,10 +202,10 @@ func run(args []string, w io.Writer) error {
 			"seed":           *seed,
 			"infection_time": s,
 			"ci95":           map[string]float64{"lo": ci.Lo, "hi": ci.Hi},
-			"phase_mean_rounds": map[string]float64{
-				"small":  total.p1.Mean(),
-				"growth": total.p2.Mean(),
-				"finish": total.p3.Mean(),
+			"phase_mean_rounds": map[string]any{
+				"small":  phaseMean(total.phases[0]),
+				"growth": phaseMean(total.phases[1]),
+				"finish": phaseMean(total.phases[2]),
 			},
 			"phase_small_target": smallTarget,
 		})
@@ -194,7 +219,7 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "infection time (%d trials): mean %.2f [%.2f, %.2f]  median %.0f  p95 %.0f  max %.0f\n",
 		*trials, s.Mean, ci.Lo, ci.Hi, s.P50, s.P95, s.Max)
 	fmt.Fprintf(w, "infec/log2(n): %.3f\n", s.Mean/math.Log2(float64(g.N())))
-	fmt.Fprintf(w, "phases (m=%d): 1→m %.2f   m→0.9n %.2f   0.9n→n %.2f (mean rounds)\n",
-		smallTarget, total.p1.Mean(), total.p2.Mean(), total.p3.Mean())
+	fmt.Fprintf(w, "phases (m=%d): 1→m %s   m→0.9n %s   0.9n→n %s (mean rounds)\n",
+		smallTarget, phaseText(total.phases[0]), phaseText(total.phases[1]), phaseText(total.phases[2]))
 	return nil
 }

@@ -77,3 +77,32 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("capped run should fail")
 	}
 }
+
+// TestRunPhaseMeansSkipIncomplete: on Petersen the small-set target
+// m = ⌈4·log₂ 10⌉ = 14 is above n, so no trial completes phase 1 or 2.
+// Their means print n/a, and JSON null, instead of averaging the -1
+// "never completed" sentinel; phase 3 still reports its mean.
+func TestRunPhaseMeansSkipIncomplete(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-graph", "petersen", "-trials", "5"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "phases (m=14): 1→m n/a   m→0.9n n/a   0.9n→n ") ||
+		strings.Contains(out, "-1.00") {
+		t.Fatalf("phase line should read n/a for phases 1 and 2:\n%s", out)
+	}
+	buf.Reset()
+	if err := run([]string{"-graph", "petersen", "-trials", "5", "-json"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Phases map[string]*float64 `json:"phase_mean_rounds"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	}
+	if len(rec.Phases) != 3 || rec.Phases["small"] != nil || rec.Phases["growth"] != nil ||
+		rec.Phases["finish"] == nil || *rec.Phases["finish"] < 1 {
+		t.Fatalf("phase means = %s, want small and growth null, finish >= 1", buf.String())
+	}
+}

@@ -91,7 +91,7 @@ func run(args []string, w io.Writer) error {
 
 	lambda := math.NaN()
 	if !*noSpec {
-		lambda, err = spectral.LambdaMax(g, spectral.Options{})
+		lambda, err = spectral.LambdaMax(g)
 		if err != nil {
 			return err
 		}

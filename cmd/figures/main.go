@@ -188,7 +188,7 @@ func figureCoverVsGap(quick bool, seed uint64) (*plot.Plot, error) {
 		if err != nil {
 			return nil, err
 		}
-		lambda, err := spectral.LambdaMax(g, spectral.Options{})
+		lambda, err := spectral.LambdaMax(g)
 		if err != nil {
 			return nil, err
 		}

@@ -20,10 +20,16 @@
 //
 // -json emits one machine-readable JSON object instead of text, matching
 // the other simulation commands.
+//
+// A graph with an isolated vertex has no random-walk transition matrix.
+// Its structural report still prints, and the spectral lines give way to
+// one line naming the vertex (under -json: null spectral fields and a
+// spectral_error string); -spectrum then prints nothing more.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -75,35 +81,46 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep, err := spectral.Analyze(g)
-	if err != nil {
-		return err
+	// Analyze fills in the structural fields before its spectral solve,
+	// so they print even when an isolated vertex leaves P undefined.
+	rep, specErr := spectral.Analyze(g)
+	if specErr != nil && !errors.Is(specErr, spectral.ErrIsolatedVertex) {
+		return specErr
 	}
 
 	if *jsonOut {
+		obj := map[string]any{
+			"graph":      g.Name(),
+			"n":          rep.N,
+			"m":          rep.M,
+			"degree":     rep.Degree,
+			"min_degree": g.MinDegree(),
+			"max_degree": g.MaxDegree(),
+			"connected":  rep.Connected,
+			"bipartite":  rep.Bipartite,
+		}
 		// Zero-gap graphs (any bipartite family has λ_max = 1) make the
 		// theorem time scale and the mixing bound +Inf, which
 		// encoding/json rejects — render non-finite values as null.
-		obj := map[string]any{
-			"graph":        g.Name(),
-			"n":            rep.N,
-			"m":            rep.M,
-			"degree":       rep.Degree,
-			"min_degree":   g.MinDegree(),
-			"max_degree":   g.MaxDegree(),
-			"connected":    rep.Connected,
-			"bipartite":    rep.Bipartite,
-			"lambda2":      finiteOrNil(rep.Lambda2),
-			"lambda_n":     finiteOrNil(rep.LambdaN),
-			"lambda_max":   finiteOrNil(rep.LambdaMax),
-			"gap":          finiteOrNil(rep.Gap),
-			"theorem_t":    finiteOrNil(rep.TheoremT()),
-			"mixing_ub":    finiteOrNil(rep.MixingTimeUB),
-			"cheeger_lo":   finiteOrNil(rep.CheegerLo),
-			"cheeger_hi":   finiteOrNil(rep.CheegerHi),
-			"gap_constant": finiteOrNil(gapConditionConstant(rep)),
+		for k, v := range map[string]float64{
+			"lambda2":      rep.Lambda2,
+			"lambda_n":     rep.LambdaN,
+			"lambda_max":   rep.LambdaMax,
+			"gap":          rep.Gap,
+			"theorem_t":    rep.TheoremT(),
+			"mixing_ub":    rep.MixingTimeUB,
+			"cheeger_lo":   rep.CheegerLo,
+			"cheeger_hi":   rep.CheegerHi,
+			"gap_constant": gapConditionConstant(rep),
+		} {
+			obj[k] = finiteOrNil(v)
+			if specErr != nil {
+				obj[k] = nil
+			}
 		}
-		if *spectrum {
+		if specErr != nil {
+			obj["spectral_error"] = specErr.Error()
+		} else if *spectrum {
 			eig, err := spectral.DenseSpectrum(g)
 			if err != nil {
 				return fmt.Errorf("spectrum: %w", err)
@@ -130,6 +147,10 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "connected:  %v\n", rep.Connected)
 	fmt.Fprintf(w, "bipartite:  %v\n", rep.Bipartite)
+	if specErr != nil {
+		fmt.Fprintf(w, "spectral:   undefined, %s\n", strings.TrimPrefix(specErr.Error(), "spectral: "))
+		return writeEdgeList(w, g, *writePath, false)
+	}
 	fmt.Fprintf(w, "λ2:         %+.6f\n", rep.Lambda2)
 	fmt.Fprintf(w, "λn:         %+.6f\n", rep.LambdaN)
 	fmt.Fprintf(w, "λmax:       %.6f\n", rep.LambdaMax)

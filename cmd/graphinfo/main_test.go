@@ -143,3 +143,50 @@ func TestRunJSONZeroGap(t *testing.T) {
 		t.Fatalf("non-finite fields should be null, got T=%v mix=%v", rec.TheoremT, rec.MixingUB)
 	}
 }
+
+// TestRunIsolatedVertex: vertex 21 of erdos-renyi:250:0.02 at seed 3 is
+// isolated, so the transition matrix is undefined. The structural report
+// still prints, one line names the vertex in place of the spectral
+// lines, and under -json the spectral fields are null beside a
+// spectral_error string.
+func TestRunIsolatedVertex(t *testing.T) {
+	args := []string{"-graph", "erdos-renyi:250:0.02", "-seed", "3"}
+	var buf bytes.Buffer
+	if err := run(args, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"vertices:   250\n", "edges:      650\n", "degree:     irregular (min 0, max 12)\n",
+		"connected:  false\n", "bipartite:  false\n",
+		"spectral:   undefined, graph has an isolated vertex: vertex 21\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "λ") {
+		t.Fatalf("spectral lines printed for an undefined spectrum:\n%s", out)
+	}
+
+	buf.Reset()
+	if err := run(append(args, "-json"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatalf("unparseable -json output %q: %v", buf.String(), err)
+	}
+	if rec["n"] != 250.0 || rec["m"] != 650.0 || rec["min_degree"] != 0.0 || rec["connected"] != false {
+		t.Fatalf("structural fields = %v", rec)
+	}
+	for _, k := range []string{"lambda2", "lambda_n", "lambda_max", "gap", "theorem_t",
+		"mixing_ub", "cheeger_lo", "cheeger_hi", "gap_constant"} {
+		if v, ok := rec[k]; !ok || v != nil {
+			t.Errorf("%s = %v (present %v), want null", k, v, ok)
+		}
+	}
+	if got := rec["spectral_error"]; got != "spectral: graph has an isolated vertex: vertex 21" {
+		t.Errorf("spectral_error = %v", got)
+	}
+}

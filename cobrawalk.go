@@ -79,20 +79,19 @@ var (
 // quantities for a graph.
 type SpectralReport = spectral.Report
 
-// SpectralOptions tunes the power iteration behind λ_max: its step cap
-// (MaxIter) and convergence tolerance (Tol). LambdaMax here uses the
-// defaults; Analyze and Spectrum take no options.
-type SpectralOptions = spectral.Options
-
-// Analyze computes the spectral report of g with default solver options.
+// Analyze computes the spectral report of g: λ₂ and λ_n from one
+// O(n)-memory Lanczos run that stops on a measured residual, and the
+// structural fields, which are filled in even when the spectral solve
+// fails.
 func Analyze(g *Graph) (SpectralReport, error) {
 	return spectral.Analyze(g)
 }
 
-// LambdaMax returns λ = max_{i≥2}|λ_i| of the transition matrix of g — the
-// quantity the paper's bounds are stated in.
+// LambdaMax returns λ = max(|λ₂|, |λ_n|) of the transition matrix of g —
+// the quantity the paper's bounds are stated in — from the same Lanczos
+// run as Analyze.
 func LambdaMax(g *Graph) (float64, error) {
-	return spectral.LambdaMax(g, spectral.Options{})
+	return spectral.LambdaMax(g)
 }
 
 // Spectrum returns all transition-matrix eigenvalues of g in non-increasing

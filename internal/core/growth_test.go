@@ -81,7 +81,7 @@ func TestLemma1HoldsExactly(t *testing.T) {
 	}
 	rr := rng.New(17)
 	for _, g := range graphs {
-		lambda, err := spectral.LambdaMax(g, spectral.Options{})
+		lambda, err := spectral.LambdaMax(g)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
@@ -114,7 +114,7 @@ func TestLemma1HoldsExactly(t *testing.T) {
 // branching regime of Corollary 1.
 func TestCorollary1HoldsExactly(t *testing.T) {
 	g := mustGraph(t)(graph.Paley(29))
-	lambda, err := spectral.LambdaMax(g, spectral.Options{})
+	lambda, err := spectral.LambdaMax(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestGrowthDrivesCoverOnExpander(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lambda, err := spectral.LambdaMax(g, spectral.Options{})
+	lambda, err := spectral.LambdaMax(g)
 	if err != nil {
 		t.Fatal(err)
 	}

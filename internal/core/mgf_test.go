@@ -32,7 +32,7 @@ func TestEstimateLemma2MGFValidation(t *testing.T) {
 // contraction bound at every horizon.
 func TestLemma2MGFBoundHolds(t *testing.T) {
 	g := mustGraph(t)(graph.Paley(101))
-	lambda, err := spectral.LambdaMax(g, spectral.Options{})
+	lambda, err := spectral.LambdaMax(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/rng"
+	"cobrawalk/internal/spectral"
 )
 
 // e15Experiment validates the *engine* of Lemma 2, not just its
@@ -41,7 +42,7 @@ func runE15(ctx context.Context, w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		lambda, err := measureLambda(g)
+		lambda, err := spectral.LambdaMax(g)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
+	"cobrawalk/internal/spectral"
 )
 
 // e5Experiment reproduces Lemma 1 and Corollary 1: the one-step expected
@@ -76,7 +77,7 @@ func runE5(ctx context.Context, w io.Writer, p Params) error {
 	tbl := NewTable("E5: exact E(|A_{t+1}|) vs spectral lower bound, random sets",
 		"graph", "branching", "λmax", "|A|/n", "exact E", "sampled E", "bound", "margin", "min-margin-ok")
 	for _, g := range graphs {
-		lambda, err := measureLambda(g)
+		lambda, err := spectral.LambdaMax(g)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/process"
+	"cobrawalk/internal/spectral"
 	"cobrawalk/internal/stats"
 	"cobrawalk/internal/sweep"
 )
@@ -84,7 +85,7 @@ func runE7(ctx context.Context, w io.Writer, p Params) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lambda, err := measureLambda(g)
+		lambda, err := spectral.LambdaMax(g)
 		if err != nil {
 			return err
 		}

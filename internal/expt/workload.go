@@ -8,7 +8,6 @@ import (
 	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/sim"
-	"cobrawalk/internal/spectral"
 	"cobrawalk/internal/stats"
 	"cobrawalk/internal/sweep"
 )
@@ -92,12 +91,6 @@ func coverTimes(ctx context.Context, g *graph.Graph, branch process.Branching, t
 			}
 			return float64(out.Rounds), nil
 		})
-}
-
-// measureLambda returns λ_max for g, using a reduced-accuracy power
-// iteration (the experiments only report λ to four digits).
-func measureLambda(g *graph.Graph) (float64, error) {
-	return spectral.LambdaMax(g, spectral.Options{Tol: 1e-9, MaxIter: 20000})
 }
 
 // summarizeOrErr wraps stats.Summarize with the experiment error context.

@@ -32,6 +32,8 @@ func TestDoubleCoverSpectrum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertExtremes(t, g, base)
+		assertExtremes(t, dc, cover)
 		want := make([]float64, 0, 2*len(base))
 		for _, l := range base {
 			want = append(want, l, -l)
@@ -72,6 +74,8 @@ func TestRelabelSpectrumInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertExtremes(t, g, eg)
+	assertExtremes(t, h, eh)
 	for i := range eg {
 		if math.Abs(eg[i]-eh[i]) > 1e-8 {
 			t.Fatalf("relabel changed eigenvalue %d: %v vs %v", i, eg[i], eh[i])
@@ -99,6 +103,8 @@ func TestComplementSpectrumIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertExtremes(t, g, eigG)
+	assertExtremes(t, comp, eigC)
 	// Build expected complement spectrum from the identity.
 	want := []float64{1} // top eigenvalue
 	for _, l := range eigG[1:] {

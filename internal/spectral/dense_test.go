@@ -66,7 +66,7 @@ func repeated(pairs ...float64) []float64 {
 }
 
 // TestDenseSpectrumClosedForm checks every eigenvalue of the Householder
-// + QL path against a closed form, at sizes up to n ≈ 1000 and on the
+// + QL path against a closed form, and the Lanczos extremes against it, at sizes up to n ≈ 1000 and on the
 // inputs that leave the reduction nothing to do: n = 2 and 3, complete
 // bipartite graphs (rank 2, so the reduced rows vanish) and disconnected
 // graphs (a repeated eigenvalue 1), and on spectra with large
@@ -120,6 +120,7 @@ func TestDenseSpectrumClosedForm(t *testing.T) {
 						i, eig[i], tc.want[i], eig[i]-tc.want[i])
 				}
 			}
+			assertExtremes(t, tc.g, eig)
 		})
 	}
 }

@@ -76,10 +76,12 @@ func snapToZero(x float64) float64 {
 	return x
 }
 
-// Analyze computes the full spectral report for a graph. Graphs of up to
-// 256 vertices get exact eigenvalues from the dense path; larger graphs
-// use Lanczos for the signed extremes. Cost is O(n³) up to 256 vertices
-// and O(lanczosSteps·(m + lanczosSteps·n)) above.
+// Analyze computes the full spectral report for a graph. The signed
+// extremes λ_2 and λ_n come from extremes' Lanczos run at every graph
+// size, in O(n) memory and O(k·m + k²) time for its k steps. The
+// structural fields (N, M, Degree, Connected, Bipartite) are filled in
+// before the spectral solve, so they hold even when it fails, as it does
+// with ErrIsolatedVertex on a graph with a degree-0 vertex.
 func Analyze(g *graph.Graph) (Report, error) {
 	rep := Report{
 		N:         g.N(),
@@ -99,17 +101,7 @@ func Analyze(g *graph.Graph) (Report, error) {
 		rep.MixingTimeUB = 0
 		return rep, nil
 	}
-	var l2, ln float64
-	var err error
-	if g.N() <= 256 {
-		var eig []float64
-		eig, err = DenseSpectrum(g)
-		if err == nil {
-			l2, ln = eig[1], eig[len(eig)-1]
-		}
-	} else {
-		l2, ln, err = extremes(g)
-	}
+	l2, ln, _, err := extremes(g)
 	if err != nil {
 		return rep, err
 	}

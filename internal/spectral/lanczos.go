@@ -4,164 +4,137 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/rng"
 )
 
-// Options configures LambdaMax's power iteration. The zero value selects
-// the defaults.
-type Options struct {
-	// MaxIter bounds power-iteration steps (default 50000).
-	MaxIter int
-	// Tol is the convergence tolerance on eigenvalue estimates
-	// (default 1e-11).
-	Tol float64
-}
+// ritzTol is extremes' measured stop. An extreme Ritz value is converged
+// once its residual bound β_k·|s_k| or its distance to the next Ritz
+// value falls below it; N has norm 1, so the bound is absolute.
+const ritzTol = 1e-10
 
-func (o Options) maxIter() int {
-	if o.MaxIter <= 0 {
-		return 50000
-	}
-	return o.MaxIter
-}
-
-func (o Options) tol() float64 {
-	if o.Tol <= 0 {
-		return 1e-11
-	}
-	return o.Tol
-}
-
-// lanczosSteps caps extremes' Krylov basis (at most n-1 vectors). Memory
-// use is O(lanczosSteps·n) because the basis is stored for full
-// reorthogonalization.
-const lanczosSteps = 96
-
-// extremes returns λ_2 (largest eigenvalue of the transition matrix after
-// the trivial eigenvalue 1) and λ_n (the smallest), computed by Lanczos
-// iteration with full reorthogonalization against both the Krylov basis and
-// the deflated top eigenvector. For n == 1 both are 0 by convention.
-func extremes(g *graph.Graph) (lambda2, lambdaN float64, err error) {
+// extremes returns λ_2 (the largest eigenvalue of the transition matrix
+// after the trivial eigenvalue 1) and λ_n (the smallest), and the number
+// of Lanczos steps k it took. It runs the plain Lanczos three-term
+// recurrence on N, re-deflating the top eigenvector from every new vector
+// and keeping no Krylov basis: three n-vectors beside the operator's two,
+// and the coefficients α, β of the tridiagonal T_k. At step counts 1.25×
+// apart it takes T_k's extreme Ritz values from tridiagEigenvalues, and
+// it stops when each of them is converged (see ritz), when β_k vanishes
+// (T_k's eigenvalues are then exact), or at k = n-1. Without
+// reorthogonalisation Lanczos repeats a converged Ritz value, λ = 1 on a
+// disconnected graph for one, and the twin half of ritz's test is what
+// stops it there. Cost is O(k·m) for the recurrence plus O(k²) per check.
+// For n == 1 both extremes are 0 by convention.
+func extremes(g *graph.Graph) (lambda2, lambdaN float64, k int, err error) {
 	n := g.N()
 	if n == 0 {
-		return 0, 0, errors.New("spectral: empty graph")
+		return 0, 0, 0, errors.New("spectral: empty graph")
 	}
 	if n == 1 {
-		return 0, 0, nil
+		return 0, 0, 0, nil
 	}
 	op, err := newOperator(g)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	steps := min(lanczosSteps, n-1)
-	r := rng.New(0)
-
-	basis := make([][]float64, 0, steps)
-	v := randomUnitDeflated(op, r)
+	prev := make([]float64, n)
+	v := randomUnitDeflated(op, rng.New(0))
 	w := make([]float64, n)
-	alphas := make([]float64, 0, steps)
-	betas := make([]float64, 0, steps) // betas[j] couples v_j and v_{j+1}
-
-	for j := 0; j < steps; j++ {
-		basis = append(basis, v)
+	var alphas, betas []float64 // betas[j] couples v_j and v_{j+1}
+	check := 1
+	for k = 1; ; k++ {
+		// w = N·v_k - β_{k-1}·v_{k-1} - α_k·v_k, deflated.
 		op.Apply(v, w)
+		if k > 1 {
+			axpy(-betas[k-2], prev, w)
+		}
 		alpha := dot(w, v)
-		alphas = append(alphas, alpha)
-		// w -= alpha*v_j + beta_{j-1}*v_{j-1}, then full reorthogonalization
-		// (two passes of classical Gram-Schmidt) against the whole basis and
-		// the deflated top vector, which keeps the Krylov space clean of the
-		// trivial eigenvalue.
 		axpy(-alpha, v, w)
-		if j > 0 {
-			axpy(-betas[j-1], basis[j-1], w)
-		}
-		for pass := 0; pass < 2; pass++ {
-			op.DeflateTop(w)
-			for _, b := range basis {
-				axpy(-dot(w, b), b, w)
-			}
-		}
+		op.DeflateTop(w)
 		beta := norm2(w)
-		if beta < 1e-14 {
-			// Invariant subspace exhausted: the Ritz values are exact.
-			break
+		alphas, betas = append(alphas, alpha), append(betas, beta)
+		if exact := beta < 1e-14 || k == n-1; exact || k == check {
+			lo, hi, converged, err := ritz(alphas, betas)
+			if err != nil {
+				return 0, 0, k, fmt.Errorf("spectral: Lanczos Ritz solve: %w", err)
+			}
+			if exact || converged {
+				// Clamp to [-1, 1] to absorb roundoff.
+				return clamp(hi, -1, 1), clamp(lo, -1, 1), k, nil
+			}
+			check = max(k+1, k*5/4)
 		}
-		betas = append(betas, beta)
-		next := make([]float64, n)
-		copy(next, w)
-		scale(next, 1/beta)
-		v = next
+		scale(w, 1/beta)
+		prev, v, w = v, w, prev
 	}
-
-	m := len(alphas)
-	d := make([]float64, m)
-	e := make([]float64, m)
-	copy(d, alphas)
-	copy(e, betas)
-	if err := tridiagEigenvalues(d, e); err != nil {
-		return 0, 0, fmt.Errorf("spectral: Lanczos Ritz solve: %w", err)
-	}
-	lambda2, lambdaN = d[0], d[0]
-	for _, x := range d[1:] {
-		if x > lambda2 {
-			lambda2 = x
-		}
-		if x < lambdaN {
-			lambdaN = x
-		}
-	}
-	// Clamp to the valid range [-1, 1] to absorb roundoff.
-	lambda2 = clamp(lambda2, -1, 1)
-	lambdaN = clamp(lambdaN, -1, 1)
-	return lambda2, lambdaN, nil
 }
 
-// LambdaMax returns λ = max_{i>=2} |λ_i|, the quantity the paper's bounds
-// depend on, via power iteration on N² restricted to the complement of the
-// top eigenvector. Squaring makes the dominant eigenvalue λ² non-negative,
-// which avoids sign oscillation when λ_n = -λ_2. Works at any graph size
-// with O(n) memory.
-func LambdaMax(g *graph.Graph, opt Options) (float64, error) {
-	n := g.N()
-	if n == 0 {
-		return 0, errors.New("spectral: empty graph")
+// ritz returns the extreme eigenvalues lo and hi of T_k (diagonal alphas,
+// off-diagonal betas[:k-1]) and whether both are converged: each has a
+// residual bound β_k·|s_k| below ritzTol, where s_k is the last entry of
+// its unit Ritz vector and β_k = betas[k-1], or a Ritz twin within
+// ritzTol.
+func ritz(alphas, betas []float64) (lo, hi float64, converged bool, err error) {
+	k := len(alphas)
+	d, e := slices.Clone(alphas), make([]float64, k)
+	copy(e, betas[:k-1])
+	if err := tridiagEigenvalues(d, e); err != nil {
+		return 0, 0, false, err
 	}
-	if n == 1 {
-		return 0, nil
+	slices.Sort(d)
+	lo, hi = d[0], d[k-1]
+	resid := betas[k-1]
+	converged = (k > 1 && d[1]-lo < ritzTol || resid*ritzTail(alphas, betas, lo, -1) < ritzTol) &&
+		(k > 1 && hi-d[k-2] < ritzTol || resid*ritzTail(alphas, betas, hi, 1) < ritzTol)
+	return lo, hi, converged, nil
+}
+
+// ritzTail returns |s_k|, the last entry of the unit eigenvector of T_k
+// (diagonal alphas, off-diagonal betas[:k-1]) for its extreme eigenvalue
+// theta, where side is +1 for the largest and -1 for the smallest. It
+// runs three steps of inverse iteration on M = side·(θ'I - T_k), with the
+// shift θ' = theta + side·1e-12 just outside the spectrum: M is then
+// positive definite, so its LDLᵀ factorisation needs no pivoting.
+func ritzTail(alphas, betas []float64, theta, side float64) float64 {
+	k := len(alphas)
+	shift := theta + side*1e-12
+	piv, l, x := make([]float64, k), make([]float64, k), make([]float64, k)
+	piv[0] = side * (shift - alphas[0])
+	for i := 1; i < k; i++ {
+		l[i-1] = -side * betas[i-1] / piv[i-1]
+		piv[i] = side*(shift-alphas[i]) - betas[i-1]*betas[i-1]/piv[i-1]
 	}
-	op, err := newOperator(g)
+	for i := range x {
+		x[i] = 1
+	}
+	for range 3 {
+		// x = M⁻¹x: L·y = x, D·z = y, Lᵀ·x = z.
+		for i := 1; i < k; i++ {
+			x[i] -= l[i-1] * x[i-1]
+		}
+		for i := range x {
+			x[i] /= piv[i]
+		}
+		for i := k - 2; i >= 0; i-- {
+			x[i] -= l[i] * x[i+1]
+		}
+		scale(x, 1/norm2(x))
+	}
+	return math.Abs(x[k-1])
+}
+
+// LambdaMax returns λ = max(|λ_2|, |λ_n|), the quantity the paper's
+// bounds depend on, from the same Lanczos run (extremes) that Analyze
+// uses. It works at any graph size with O(n) memory.
+func LambdaMax(g *graph.Graph) (float64, error) {
+	l2, ln, _, err := extremes(g)
 	if err != nil {
 		return 0, err
 	}
-	r := rng.New(0)
-	v := randomUnitDeflated(op, r)
-	tmp := make([]float64, n)
-	w := make([]float64, n)
-	tol := opt.tol()
-	maxIter := opt.maxIter()
-	prev := math.Inf(1)
-	for iter := 0; iter < maxIter; iter++ {
-		op.Apply(v, tmp)
-		op.Apply(tmp, w)
-		op.DeflateTop(w)
-		lambdaSq := dot(w, v) // Rayleigh quotient of N² at unit v
-		nw := norm2(w)
-		if nw < 1e-300 {
-			// v lies in the kernel of N²: all deflated eigenvalues are 0.
-			return 0, nil
-		}
-		scale(w, 1/nw)
-		v, w = w, v
-		if math.Abs(lambdaSq-prev) < tol {
-			return math.Sqrt(math.Max(lambdaSq, 0)), nil
-		}
-		prev = lambdaSq
-	}
-	// Power iteration converged too slowly (tightly clustered spectrum);
-	// the last Rayleigh quotient still lower-bounds λ² and is accurate to
-	// O(residual²). Report it rather than failing.
-	return math.Sqrt(math.Max(prev, 0)), nil
+	return math.Max(math.Abs(l2), math.Abs(ln)), nil
 }
 
 func randomUnitDeflated(op *operator, r *rng.Rand) []float64 {

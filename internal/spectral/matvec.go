@@ -7,12 +7,11 @@
 // constant vector. For general graphs the package operates on the
 // symmetrically normalised adjacency N = D^{-1/2} A D^{-1/2}, which is
 // similar to P (identical spectrum) and symmetric, with top eigenvector
-// proportional to (√deg(x)). There are three solvers: power iteration on
-// N² for λ_max (LambdaMax), Lanczos for λ_2 and λ_n (Analyze above 256
-// vertices), and a dense Householder reduction for the whole spectrum
-// (DenseSpectrum, and Analyze up to 256 vertices). Lanczos and the dense
-// reduction both finish with one tridiagonal QL solve; the first two are
-// matrix-free against the CSR graph.
+// proportional to (√deg(x)). There are two paths. A matrix-free Lanczos
+// run in O(n) memory, which stops on a measured residual, gives λ_2 and
+// λ_n at any size; LambdaMax and Analyze both read it. A dense
+// Householder reduction gives the whole spectrum (DenseSpectrum, up to
+// 1500 vertices). Both finish with one tridiagonal QL solve.
 package spectral
 
 import (

@@ -44,6 +44,7 @@ func TestDenseSpectrumComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertExtremes(t, g, eig)
 		want := make([]float64, n)
 		want[0] = 1
 		for i := 1; i < n; i++ {
@@ -61,6 +62,7 @@ func TestDenseSpectrumCycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertExtremes(t, g, eig)
 		want := make([]float64, 0, n)
 		for k := 0; k < n; k++ {
 			want = append(want, math.Cos(2*math.Pi*float64(k)/float64(n)))
@@ -78,6 +80,7 @@ func TestDenseSpectrumHypercube(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertExtremes(t, g, eig)
 		var want []float64
 		binom := 1
 		for i := 0; i <= d; i++ {
@@ -97,6 +100,7 @@ func TestDenseSpectrumPetersen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertExtremes(t, g, eig)
 	want := []float64{1}
 	for i := 0; i < 5; i++ {
 		want = append(want, 1.0/3)
@@ -114,6 +118,7 @@ func TestDenseSpectrumCompleteBipartite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertExtremes(t, g, eig)
 	want := make([]float64, 7)
 	want[0], want[6] = 1, -1
 	assertSpectrum(t, eig, want, eigTol)
@@ -127,6 +132,7 @@ func TestDenseSpectrumStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertExtremes(t, g, eig)
 	want := make([]float64, 6)
 	want[0], want[5] = 1, -1
 	assertSpectrum(t, eig, want, eigTol)
@@ -141,6 +147,7 @@ func TestDenseSpectrumPaley(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertExtremes(t, g, eig)
 	deg := float64(q-1) / 2
 	plus := (-1 + math.Sqrt(float64(q))) / 2 / deg
 	minus := (-1 - math.Sqrt(float64(q))) / 2 / deg
@@ -168,6 +175,7 @@ func TestDenseSpectrumTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertExtremes(t, g, eig)
 	var want []float64
 	for i := 0; i < a; i++ {
 		for j := 0; j < b; j++ {
@@ -189,6 +197,7 @@ func TestSpectrumBasicInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertExtremes(t, g, eig)
 		// λ1 = 1; all eigenvalues in [-1, 1]; trace = 0 (no self-loops).
 		if !approxEq(eig[0], 1, eigTol) {
 			t.Fatalf("λ1 = %v, want 1", eig[0])
@@ -214,22 +223,35 @@ func TestSpectrumBasicInvariants(t *testing.T) {
 	}
 }
 
+// TestDisconnectedLambda2IsOne: on a disconnected graph the deflated
+// operator keeps the eigenvalue 1 of a second component, so λ_2 = 1. On
+// the union of two random 4-regular graphs Lanczos reaches it long before
+// the Krylov space is exhausted, and then repeats it.
 func TestDisconnectedLambda2IsOne(t *testing.T) {
-	g, err := graph.FromEdges("2tri", 6, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eig, err := DenseSpectrum(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(eig[1], 1, eigTol) {
-		t.Fatalf("disconnected λ2 = %v, want 1", eig[1])
+	r := rng.New(41)
+	a := mustG(t)(graph.RandomRegularConnected(150, 4, r))
+	b := mustG(t)(graph.RandomRegularConnected(200, 4, r))
+	var union [][2]int32
+	a.Edges(func(u, v int32) bool { union = append(union, [2]int32{u, v}); return true })
+	b.Edges(func(u, v int32) bool { union = append(union, [2]int32{u + 150, v + 150}); return true })
+	for _, g := range []*graph.Graph{
+		mustG(t)(graph.FromEdges("2tri", 6, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})),
+		mustG(t)(graph.FromEdges("two-rand-reg", 350, union)),
+	} {
+		eig, err := DenseSpectrum(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !approxEq(eig[1], 1, eigTol) {
+			t.Fatalf("%s: disconnected λ2 = %v, want 1", g.Name(), eig[1])
+		}
+		assertExtremes(t, g, eig)
 	}
 }
 
 func TestExtremesMatchesDense(t *testing.T) {
-	// Lanczos on mid-size graphs must match the dense solver's extremes.
+	// Lanczos on mid-size graphs must match the dense solver's extremes
+	// to roundoff.
 	r := rng.New(17)
 	graphs := []*graph.Graph{
 		mustG(t)(graph.RandomRegularConnected(200, 6, r)),
@@ -243,16 +265,7 @@ func TestExtremesMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dense: %v", g.Name(), err)
 		}
-		l2, ln, err := extremes(g)
-		if err != nil {
-			t.Fatalf("%s: lanczos: %v", g.Name(), err)
-		}
-		if !approxEq(l2, eig[1], 1e-7) {
-			t.Errorf("%s: λ2 lanczos %.10f vs dense %.10f", g.Name(), l2, eig[1])
-		}
-		if !approxEq(ln, eig[len(eig)-1], 1e-7) {
-			t.Errorf("%s: λn lanczos %.10f vs dense %.10f", g.Name(), ln, eig[len(eig)-1])
-		}
+		assertExtremes(t, g, eig)
 	}
 }
 
@@ -261,7 +274,7 @@ func TestExtremesMatchesDense(t *testing.T) {
 // after two steps and its Ritz values are the exact extremes.
 func TestExtremesSmallGraphDensePath(t *testing.T) {
 	g := mustG(t)(graph.Petersen())
-	l2, ln, err := extremes(g)
+	l2, ln, _, err := extremes(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,32 +290,60 @@ func TestExtremesSingleVertex(t *testing.T) {
 	}
 	// K1's vertex is isolated, but extremes returns the documented n == 1
 	// convention before it builds the operator.
-	if l2, ln, err := extremes(g); err != nil || l2 != 0 || ln != 0 {
+	if l2, ln, _, err := extremes(g); err != nil || l2 != 0 || ln != 0 {
 		t.Fatalf("extremes(K1) = (%v, %v, %v), want (0, 0, nil)", l2, ln, err)
 	}
 }
 
+// TestLambdaMaxKnown runs both λ entry points, LambdaMax and Analyze,
+// on graphs with closed-form spectra: small graphs on which Lanczos meets
+// an invariant subspace, two odd cycles, and E7's quick-scale tori and
+// circulants, whose clustered top eigenvalues a stop on successive
+// estimates or a fixed step cap leaves up to 1e-4 short.
 func TestLambdaMaxKnown(t *testing.T) {
 	cases := []struct {
 		name string
 		g    *graph.Graph
-		want float64
+		want []float64 // the transition spectrum, descending
 	}{
-		{"petersen", mustG(t)(graph.Petersen()), 2.0 / 3},
-		{"K10", mustG(t)(graph.Complete(10)), 1.0 / 9},
-		{"C12", mustG(t)(graph.Cycle(12)), 1}, // bipartite: λn = -1
-		{"C15", mustG(t)(graph.Cycle(15)), math.Abs(math.Cos(2 * math.Pi * 7 / 15))},
-		{"K55", mustG(t)(graph.CompleteBipartite(5, 5)), 1},
-		{"Q4", mustG(t)(graph.Hypercube(4)), 1},
+		{"petersen", mustG(t)(graph.Petersen()), repeated(1, 1, 1.0/3, 5, -2.0/3, 4)},
+		{"K10", mustG(t)(graph.Complete(10)), repeated(1, 1, -1.0/9, 9)},
+		{"C12", mustG(t)(graph.Cycle(12)), circulantSpectrum(12, []int{1})}, // bipartite: λn = -1
+		{"C15", mustG(t)(graph.Cycle(15)), circulantSpectrum(15, []int{1})},
+		{"K55", mustG(t)(graph.CompleteBipartite(5, 5)), repeated(1, 1, 0, 8, -1, 1)},
+		{"Q4", mustG(t)(graph.Hypercube(4)), hypercubeSpectrum(4)},
+		{"C101", mustG(t)(graph.Cycle(101)), circulantSpectrum(101, []int{1})},
+		{"C1001", mustG(t)(graph.Cycle(1001)), circulantSpectrum(1001, []int{1})},
+		{"torus-63x65", mustG(t)(graph.Torus(63, 65)), torusSpectrum(63, 65)},
+		{"torus-127x31", mustG(t)(graph.Torus(127, 31)), torusSpectrum(127, 31)},
+		{"torus-255x15", mustG(t)(graph.Torus(255, 15)), torusSpectrum(255, 15)},
+		{"torus-511x7", mustG(t)(graph.Torus(511, 7)), torusSpectrum(511, 7)},
+		{"torus-1023x3", mustG(t)(graph.Torus(1023, 3)), torusSpectrum(1023, 3)},
+		{"circulant-1024-2", mustG(t)(graph.Circulant(1024, consecutive(2))), circulantSpectrum(1024, consecutive(2))},
+		{"circulant-1024-4", mustG(t)(graph.Circulant(1024, consecutive(4))), circulantSpectrum(1024, consecutive(4))},
+		{"circulant-1024-8", mustG(t)(graph.Circulant(1024, consecutive(8))), circulantSpectrum(1024, consecutive(8))},
+		{"circulant-1024-16", mustG(t)(graph.Circulant(1024, consecutive(16))), circulantSpectrum(1024, consecutive(16))},
+		{"circulant-1024-32", mustG(t)(graph.Circulant(1024, consecutive(32))), circulantSpectrum(1024, consecutive(32))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := LambdaMax(tc.g, Options{})
+			l2, ln := tc.want[1], tc.want[len(tc.want)-1]
+			lmax := math.Max(math.Abs(l2), math.Abs(ln))
+			got, err := LambdaMax(tc.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !approxEq(got, tc.want, 1e-6) {
-				t.Fatalf("λmax = %.10f, want %.10f", got, tc.want)
+			if !approxEq(got, lmax, kernelTol) {
+				t.Errorf("LambdaMax = %.17g, want %.17g (off by %.2g)", got, lmax, got-lmax)
+			}
+			rep, err := Analyze(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !approxEq(rep.Lambda2, l2, kernelTol) || !approxEq(rep.LambdaN, ln, kernelTol) ||
+				!approxEq(rep.LambdaMax, lmax, kernelTol) {
+				t.Errorf("Analyze (λ2, λn, λmax) = (%.17g, %.17g, %.17g), want (%.17g, %.17g, %.17g)",
+					rep.Lambda2, rep.LambdaN, rep.LambdaMax, l2, ln, lmax)
 			}
 		})
 	}
@@ -319,12 +360,13 @@ func TestLambdaMaxMatchesDenseOnRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertExtremes(t, g, eig)
 		want := math.Max(math.Abs(eig[1]), math.Abs(eig[len(eig)-1]))
-		got, err := LambdaMax(g, Options{})
+		got, err := LambdaMax(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !approxEq(got, want, 1e-6) {
+		if !approxEq(got, want, kernelTol) {
 			t.Fatalf("deg %d: λmax power %.10f vs dense %.10f", deg, got, want)
 		}
 	}
@@ -339,7 +381,7 @@ func TestRandomRegularNearRamanujan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lmax, err := LambdaMax(g, Options{})
+		lmax, err := LambdaMax(g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,9 @@ const (
 	// per-metric summaries plus optional trajectory blocks.
 	// v4: cobra and bips draw in the round kernel's per-(round, chunk)
 	// stream layout, so v3 records came from different draws.
-	manifestVersion = 4
+	// v5: λ_max comes from a Lanczos run with a measured residual stop,
+	// so the lambda of v4 measure_lambda records differs.
+	manifestVersion = 5
 )
 
 // Hash returns a short stable fingerprint of the normalised spec plus

@@ -363,7 +363,7 @@ func ensemble(ctx context.Context, g *graph.Graph, pt Point, workers workerBudge
 	}
 	var err error
 	if pt.MeasureLambda {
-		res.Lambda, err = spectral.LambdaMax(g, spectral.Options{Tol: 1e-9, MaxIter: 20000})
+		res.Lambda, err = spectral.LambdaMax(g)
 		if err != nil {
 			return Result{}, fmt.Errorf("measuring lambda: %w", err)
 		}

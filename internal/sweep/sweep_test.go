@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -566,6 +567,31 @@ func TestArtifactGuards(t *testing.T) {
 	if _, err := Run(context.Background(), spec, Options{Dir: dir, Resume: true}); err == nil ||
 		!strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("corrupt-record guard failed: %v", err)
+	}
+}
+
+// TestResumeRefusesV4Manifest: version 5 changed the bytes of
+// measure_lambda records (λ_max now comes from a Lanczos run that stops
+// on a measured residual), so a directory whose manifest a version 4
+// sweep wrote is refused rather than resumed with stale λ records.
+func TestResumeRefusesV4Manifest(t *testing.T) {
+	spec := Spec{Families: []string{"cycle"}, Sizes: []int{101}, Trials: 2, Seed: 2, MeasureLambda: true}
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), spec, Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4 := strings.Replace(string(blob), fmt.Sprintf(`"version": %d,`, manifestVersion), `"version": 4,`, 1)
+	if err := os.WriteFile(path, []byte(v4), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), spec, Options{Dir: dir, Resume: true}); err == nil ||
+		!strings.Contains(err.Error(), "manifest") {
+		t.Fatalf("resuming a version 4 directory: err = %v, want a manifest refusal", err)
 	}
 }
 
