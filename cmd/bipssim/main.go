@@ -89,7 +89,6 @@ func run(args []string, w io.Writer) error {
 		source    = fs.Int("source", 0, "persistent infection source vertex")
 		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		maxRounds = fs.Int("max-rounds", 1<<20, "per-run round cap")
-		fast      = fs.Bool("fast", false, "use the closed-form Bernoulli sampling path")
 		jsonOut   = fs.Bool("json", false, "emit one machine-readable JSON object")
 		version   = fs.Bool("version", false, "print build info and exit")
 	)
@@ -121,7 +120,7 @@ func run(args []string, w io.Writer) error {
 	if *maxRounds < 1 {
 		return fmt.Errorf("max rounds %d, need >= 1", *maxRounds)
 	}
-	if _, err := process.New(process.BIPS, g, process.Config{Branching: branch, FastSampling: *fast}); err != nil {
+	if _, err := process.New(process.BIPS, g, process.Config{Branching: branch}); err != nil {
 		return err
 	}
 	smallTarget := int(math.Ceil(4 * math.Log2(float64(g.N()))))
@@ -157,9 +156,8 @@ func run(args []string, w io.Writer) error {
 		func() *bipsState {
 			col := process.NewCollector(g.N())
 			cfg := process.Config{
-				Branching:    branch,
-				FastSampling: *fast,
-				Observer:     col.Observe,
+				Branching: branch,
+				Observer:  col.Observe,
 			}
 			p, err := process.New(process.BIPS, g, cfg)
 			if err != nil {

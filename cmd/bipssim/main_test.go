@@ -47,9 +47,9 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
-func TestRunFastPathAndFractional(t *testing.T) {
+func TestRunFractional(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-graph", "complete:32", "-trials", "10", "-fast", "-k", "1", "-rho", "0.4"}, &buf)
+	err := run([]string{"-graph", "complete:32", "-trials", "10", "-k", "1", "-rho", "0.4"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +75,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-graph", "cycle:500", "-trials", "2", "-max-rounds", "1"}, &buf); err == nil {
 		t.Fatal("capped run should fail")
+	}
+	if err := run([]string{"-graph", "petersen", "-fast"}, &buf); err == nil {
+		t.Fatal("-fast is not a flag and should fail")
 	}
 }
 

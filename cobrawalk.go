@@ -183,7 +183,7 @@ type (
 	// Process is a reusable spreading process bound to a fixed graph.
 	Process = process.Process
 	// ProcessConfig parameterises process construction (branching,
-	// bips fast sampling, round observer, kernel workers).
+	// round observer, kernel workers).
 	ProcessConfig = process.Config
 	// ProcessInfo is one registry entry: name, axis semantics, factory.
 	ProcessInfo = process.Info

@@ -7,8 +7,9 @@
 // The processes themselves live in internal/process: every estimator
 // here steps the registry's cobra and bips engines, so the experiments
 // measure the same code the sweep engine and the daemon run. The
-// test-only reference implementations those engines are pinned against
-// live in internal/process/difftest.
+// reference implementations those engines are pinned against live in
+// internal/process/difftest, beside the closed-form BIPS that samples
+// the one-step law ExactExpectedGrowth sums (E13 runs it).
 package core
 
 import "cobrawalk/internal/process"

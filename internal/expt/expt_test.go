@@ -11,6 +11,7 @@ import (
 	"cobrawalk/internal/core"
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/process"
+	"cobrawalk/internal/process/difftest"
 	"cobrawalk/internal/stats"
 	"cobrawalk/internal/sweep"
 )
@@ -246,8 +247,7 @@ func TestLookup(t *testing.T) {
 // checks it renders a table without error. This is the integration test of
 // the whole pipeline (graph → spectral → process/core → sim → stats →
 // table). It also pins each experiment's determinism: the JSON output at
-// Workers 1 and at Workers 4 must match byte for byte once wall-clock
-// columns are blanked.
+// Workers 1 and at Workers 4 must match byte for byte.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke experiments take a few seconds")
@@ -277,7 +277,7 @@ func TestExperimentsSmoke(t *testing.T) {
 				if err := e.Run(context.Background(), &buf, q); err != nil {
 					t.Fatalf("%s (workers %d) failed: %v", e.ID, workers, err)
 				}
-				js[i] = blankWallClock(t, buf.Bytes())
+				js[i] = buf.Bytes()
 			}
 			if !bytes.Equal(js[0], js[1]) {
 				t.Fatalf("%s JSON differs between workers 1 and 4:\n%s\n%s", e.ID, js[0], js[1])
@@ -286,38 +286,24 @@ func TestExperimentsSmoke(t *testing.T) {
 	}
 }
 
-// blankWallClock re-encodes NDJSON tables with every cell of a
-// wall-clock column (one whose name contains "wall") emptied.
-func blankWallClock(t *testing.T, ndjson []byte) []byte {
-	t.Helper()
-	var out bytes.Buffer
-	for _, line := range bytes.Split(bytes.TrimSpace(ndjson), []byte("\n")) {
-		var rec struct {
-			Columns []string   `json:"columns"`
-			Rows    [][]string `json:"rows"`
-			Notes   []string   `json:"notes"`
-			Title   string     `json:"title"`
-		}
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("invalid JSON line %q: %v", line, err)
-		}
-		for c, name := range rec.Columns {
-			if !strings.Contains(name, "wall") {
-				continue
-			}
-			for _, row := range rec.Rows {
-				if c < len(row) {
-					row[c] = ""
-				}
-			}
-		}
-		blob, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Write(append(blob, '\n'))
+// TestInfectionTimesRoundCap: an E13 trial that reaches the round cap
+// fails the ensemble instead of dropping out of the sample, on both
+// sampling paths. BIPS needs at least 32 rounds to infect a 64-cycle.
+func TestInfectionTimesRoundCap(t *testing.T) {
+	g, err := graph.Cycle(64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out.Bytes()
+	exact, err := process.Lookup(process.BIPS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, factory := range []process.Factory{exact.New, difftest.NewClosedFormBips} {
+		_, err := infectionTimes(context.Background(), g, factory, process.Branching{K: 2}, 4, 1, 2, 3)
+		if err == nil || !strings.Contains(err.Error(), "round cap 3") {
+			t.Fatalf("capped trials gave error %v, want one naming the round cap", err)
+		}
+	}
 }
 
 func TestRunAllStopsOnCancel(t *testing.T) {

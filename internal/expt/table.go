@@ -13,8 +13,8 @@
 // into constant-memory stats.Digest accumulators, so full-scale runs
 // (10⁵+ trials) never materialise a per-trial slice. Workloads sweep
 // records nothing for stay on internal/sim directly: E6's phase lengths,
-// E11's raw tail sample, E12's contact process, E13's timed paths and
-// E14's per-vertex COBRA loads. Tables render as aligned ASCII, CSV or
+// E11's raw tail sample, E12's contact process, E13's closed-form
+// reference BIPS and E14's per-vertex COBRA loads. Tables render as aligned ASCII, CSV or
 // NDJSON depending on Params.Format.
 //
 // The experiments are exposed through a registry consumed by

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -21,14 +22,17 @@ type Builder struct {
 type edge struct{ u, v int32 }
 
 // NewBuilder returns a Builder for a graph on n vertices, with capacity for
-// edgeHint undirected edges.
+// edgeHint undirected edges. Vertex ids are int32, so n must lie in
+// [0, math.MaxInt32]; Build reports any other n without allocating.
 func NewBuilder(n, edgeHint int) *Builder {
 	b := &Builder{n: n}
-	if edgeHint > 0 {
-		b.edges = make([]edge, 0, edgeHint)
-	}
-	if n < 0 {
+	switch {
+	case n < 0:
 		b.err = fmt.Errorf("graph: negative vertex count %d", n)
+	case n > math.MaxInt32:
+		b.err = fmt.Errorf("graph: vertex count %d exceeds int32 vertex ids", n)
+	case edgeHint > 0:
+		b.edges = make([]edge, 0, edgeHint)
 	}
 	return b
 }

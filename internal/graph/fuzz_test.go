@@ -21,6 +21,7 @@ func FuzzRead(f *testing.F) {
 		"n 3\n1 1\n",
 		"garbage\n",
 		"n 9999999999999999999\n",
+		"n 9999999999\n",
 		"graph \nn 1\n",
 		"n 4\n0 1\n1 2\nn 4\n2 3\n",
 	}

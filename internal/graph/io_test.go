@@ -98,6 +98,9 @@ func TestReadFormats(t *testing.T) {
 		{"no-header", "0 1\n", "line 1"},
 		{"bad-n", "n x\n", "line 1"},
 		{"negative-n", "n -3\n", "line 1"},
+		// Vertex ids are int32; Build must refuse this count before it
+		// allocates n+1 offsets (80 GB).
+		{"n-beyond-int32", "n 9999999999\n0 1\n", "9999999999"},
 		{"bad-edge-arity", "n 3\n0 1 2\n", "line 2"},
 		{"bad-vertex", "n 3\n0 a\n", "line 2"},
 		{"out-of-range", "n 3\n0 7\n", ""},

@@ -1,7 +1,6 @@
 package process
 
 import (
-	"math"
 	"runtime"
 
 	"cobrawalk/internal/graph"
@@ -25,8 +24,7 @@ import (
 // touches every arc of the infected set. The hot loops are branchless —
 // candidate discovery and the hit compaction are folded into
 // unconditional stores plus arithmetic index advancement into fixed
-// n+1-length buffers (see cobraProc for why). infCount (d_A per
-// candidate) is touched only on the fast-sampling path.
+// n+1-length buffers (see cobraProc for why).
 //
 // A Step runs on the round kernel (kernel.go):
 //
@@ -38,14 +36,12 @@ import (
 //  3. Evaluate (parallel): candidates are cut into KernelChunk-sized
 //     chunks. A worker claiming chunk c reseeds its private generator
 //     to NewStream(roundSeed, c) and fills the chunk's slice of the
-//     hit-flag buffer (disjoint ranges; infB, infCount and the CSR are
-//     read-only here), recording per-chunk transmission counts. Per
-//     candidate the exact path draws the ρ coin when Rho > 0 (an
-//     rng.Coin flip, Bernoulli(Rho) on the same draw) then one bounded
-//     draw per sample; the fast path draws the coin then one Bernoulli
-//     against the closed-form infection probability. On a regular graph
-//     of power-of-two degree the exact path takes its draws in bulk from
-//     the worker's buffer (rng.FillUint64, see refillDraws), and under
+//     hit-flag buffer (disjoint ranges; infB and the CSR are read-only
+//     here), recording per-chunk transmission counts. Per candidate it
+//     draws the ρ coin when Rho > 0 (an rng.Coin flip, Bernoulli(Rho) on
+//     the same draw) then one bounded draw per sample. On a regular
+//     graph of power-of-two degree it takes its draws in bulk from the
+//     worker's buffer (rng.FillUint64, see refillDraws), and under
 //     fractional branching the coin masks the extra sample instead of
 //     branching.
 //  4. Compact (sequential): a branchless index bump over the hit flags
@@ -53,11 +49,9 @@ import (
 //
 // Chunk boundaries depend only on the candidate count and the chunk
 // streams only on (roundSeed, c), so results are byte-identical for
-// every worker count. The test-only reference engine
-// (internal/process/difftest) draws in the same layout with the
-// identical probability expression, and the lockstep harness pins the
-// two draw for draw; do not reorder draws or refactor the probability
-// arithmetic.
+// every worker count. The reference engine (internal/process/difftest)
+// draws in the same layout, and the lockstep harness pins the two draw
+// for draw; do not reorder draws.
 //
 // Buffers are sized at construction and reused; steady-state Steps
 // perform zero allocations.
@@ -74,20 +68,18 @@ type bipsProc struct {
 	k    int
 	rho  float64
 	coin rng.Coin // Bernoulli(rho) on one draw, when rho > 0
-	fast bool
 	obs  RoundObserver
 
 	pool *kernelPool
 
-	source   int32
-	infB     []uint8 // infB[v] == 1 iff v ∈ A_t
-	candB    []uint8 // candB[v] == 1 iff v already discovered this round
-	infCount []int32
-	infBuf   []int32 // A_t, first infLen entries (+ sentinel slot)
-	nextBuf  []int32 // A_{t+1} under construction
-	candBuf  []int32 // Γ(A_t) minus the source, in discovery order
-	hitBuf   []uint8 // per-candidate hit flags; chunk c owns [c·KernelChunk, …)
-	infLen   int
+	source  int32
+	infB    []uint8 // infB[v] == 1 iff v ∈ A_t
+	candB   []uint8 // candB[v] == 1 iff v already discovered this round
+	infBuf  []int32 // A_t, first infLen entries (+ sentinel slot)
+	nextBuf []int32 // A_{t+1} under construction
+	candBuf []int32 // Γ(A_t) minus the source, in discovery order
+	hitBuf  []uint8 // per-candidate hit flags; chunk c owns [c·KernelChunk, …)
+	infLen  int
 
 	// Per-round kernel state: the candidate count, the round seed (both
 	// frozen during the parallel phase), per-chunk transmission counts,
@@ -117,7 +109,6 @@ func newBipsProc(g *graph.Graph, cfg Config) (Process, error) {
 		n:         g.N(),
 		k:         br.K,
 		rho:       br.Rho,
-		fast:      cfg.FastSampling,
 		obs:       cfg.Observer,
 		pool:      newKernelPool(cfg.KernelWorkers),
 		infB:      make([]uint8, g.N()),
@@ -128,16 +119,13 @@ func newBipsProc(g *graph.Graph, cfg Config) (Process, error) {
 		hitBuf:    make([]uint8, g.N()+1),
 		sentC:     make([]int64, chunksFor(g.N())),
 	}
-	if cfg.FastSampling {
-		p.infCount = make([]int32, g.N())
-	}
 	if br.Rho > 0 {
 		p.coin = rng.NewCoin(br.Rho)
 	}
 	if reg, err := g.Regularity(); err == nil {
 		p.reg = int32(reg)
 		p.samp = rng.NewBounded(uint64(reg))
-		if _, pow2 := p.samp.Mask(); pow2 && !p.fast {
+		if _, pow2 := p.samp.Mask(); pow2 {
 			p.drawBufs = newDrawBufs(p.pool.workers(), p.k)
 		}
 	}
@@ -168,9 +156,9 @@ func (p *bipsProc) Reset(starts ...int32) error {
 }
 
 // runChunk evaluates candidate chunk `chunk` into its slice of the
-// hit-flag buffer. Shared state (infB, infCount, the CSR arrays, the
-// candidate list) is read-only during the parallel phase; the only
-// writes are hitBuf[chunk range] and sentC[chunk].
+// hit-flag buffer. Shared state (infB, the CSR arrays, the candidate
+// list) is read-only during the parallel phase; the only writes are
+// hitBuf[chunk range] and sentC[chunk].
 func (p *bipsProc) runChunk(worker, chunk int) {
 	r := p.pool.rands[worker]
 	r.ReseedStream(p.roundSeed, uint64(chunk))
@@ -188,22 +176,6 @@ func (p *bipsProc) runChunk(worker, chunk int) {
 	coin := p.coin
 	var sent int64
 	switch {
-	case p.fast:
-		infCount := p.infCount
-		for i, u := range cands {
-			deg := offsets[u+1] - offsets[u]
-			pp := float64(infCount[u]) / float64(deg)
-			prob := 1 - missProb(pp, k)*(1-rho*pp)
-			sent += int64(k) // expected-equivalent accounting
-			if rho > 0 {
-				sent += int64(coin.Hit(r.Uint64()))
-			}
-			var h uint8
-			if r.Bernoulli(prob) {
-				h = 1
-			}
-			hit[i] = h
-		}
 	case p.reg > 0 && rho == 0:
 		// Regular graph, integral branching: the tight loop. Every
 		// sample is drawn (no short-circuit on the first hit, so
@@ -325,8 +297,7 @@ func (p *bipsProc) Step(r *rng.Rand) {
 	// and therefore the chunk grid — is worker-count-free. The byte maps
 	// and CSR arrays are hoisted into locals throughout Step: stores
 	// through the maps could alias p, so without the hoist the compiler
-	// reloads each slice header from p on every arc. On the fast path,
-	// accumulate d_A(u) while scanning.
+	// reloads each slice header from p on every arc.
 	cands := p.candBuf
 	candB := p.candB
 	nb := p.neighbors
@@ -338,20 +309,7 @@ func (p *bipsProc) Step(r *rng.Rand) {
 	// lets every evaluation loop run with no per-candidate source test at
 	// all. The mark is undone after the round's cleanup.
 	candB[p.source] = 1
-	if p.fast {
-		infCount := p.infCount
-		for _, v := range infected {
-			for _, u := range nb[offsets[v]:offsets[v+1]] {
-				if candB[u] == 0 {
-					candB[u] = 1
-					cands[nc] = u
-					nc++
-					infCount[u] = 0
-				}
-				infCount[u]++
-			}
-		}
-	} else if p.reg > 0 {
+	if p.reg > 0 {
 		// Regular graph: row v is nb[v·reg : (v+1)·reg] — no offsets
 		// loads — and discovery is branchless: mark and store
 		// unconditionally, advance on a fresh candidate byte. Once every
@@ -471,26 +429,5 @@ func clearByteMembers(b []uint8, members []int32) {
 	}
 	for _, v := range members {
 		b[v] = 0
-	}
-}
-
-// missProb returns (1-p)^k with small integer exponents multiplied out —
-// identical, operation for operation, to the difftest reference's copy so
-// the fast path's infection probabilities match bit for bit. math.Pow
-// costs more than the rest of a fast-path candidate evaluation.
-func missProb(p float64, k int) float64 {
-	q := 1 - p
-	switch k {
-	case 1:
-		return q
-	case 2:
-		return q * q
-	case 3:
-		return q * q * q
-	case 4:
-		qq := q * q
-		return qq * qq
-	default:
-		return math.Pow(q, float64(k))
 	}
 }

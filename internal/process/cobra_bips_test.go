@@ -15,7 +15,7 @@ import (
 // registry cobra and bips engines (where the check is engine-agnostic,
 // at every kernel width in kernelWidths): coalescing, the k = 1 walk,
 // source persistence, SIS shrinkage, the neighbourhood constraint and
-// the exact/fast sampling equivalence.
+// the exact K = 1 law at multi-chunk sizes.
 
 // kernelWidths are the kernel worker counts the width-agnostic checks
 // run at: the inline single-worker path and a pool with helpers.
@@ -105,20 +105,6 @@ func TestCobraResetValidation(t *testing.T) {
 		}
 		if got, err := Run(p, rng.New(2), 0, 1); err != nil || got != want {
 			t.Errorf("%s: run after failed Resets = %+v, %v; fresh engine %+v", name, got, err, want)
-		}
-	}
-}
-
-// TestMissProbMatchesPow checks the multiplied-out exponents of the fast
-// sampling path against math.Pow.
-func TestMissProbMatchesPow(t *testing.T) {
-	for k := 1; k <= 7; k++ {
-		for _, p := range []float64{0, 0.1, 0.25, 0.5, 0.9, 1} {
-			got := missProb(p, k)
-			want := math.Pow(1-p, float64(k))
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("missProb(%v, %d) = %v, want %v", p, k, got, want)
-			}
 		}
 	}
 }
@@ -467,43 +453,37 @@ func TestCobraFractionalBranchingCovers(t *testing.T) {
 	}
 }
 
-// TestBipsFractionalBranching: branching 1+ρ infects K32 on both
-// sampling paths.
+// TestBipsFractionalBranching: branching 1+ρ infects K32.
 func TestBipsFractionalBranching(t *testing.T) {
-	g := mk(t)(graph.Complete(32))
-	for _, fast := range []bool{false, true} {
-		p, err := New(BIPS, g, Config{Branching: Branching{K: 1, Rho: 0.5}, FastSampling: fast})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(p, rng.New(10), 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Done {
-			t.Fatalf("fast=%v: 1+ρ BIPS failed to infect K32", fast)
-		}
+	p, err := New(BIPS, mk(t)(graph.Complete(32)), Config{Branching: Branching{K: 1, Rho: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(p, rng.New(10), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Done {
+		t.Fatal("1+ρ BIPS failed to infect K32")
 	}
 }
 
-// TestHighBranchingFactors: K = 4 exercises the unrolled missProb case,
-// K = 5 the math.Pow fallback; both sampling paths must infect K32.
+// TestHighBranchingFactors: BIPS with K = 4 and K = 5 samples per
+// candidate must infect K32.
 func TestHighBranchingFactors(t *testing.T) {
 	g := mk(t)(graph.Complete(32))
 	r := rng.New(8)
 	for _, k := range []int{4, 5} {
-		for _, fast := range []bool{false, true} {
-			p, err := New(BIPS, g, Config{Branching: Branching{K: k}, FastSampling: fast})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(p, r, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Done {
-				t.Fatalf("K=%d fast=%v did not infect", k, fast)
-			}
+		p, err := New(BIPS, g, Config{Branching: Branching{K: k}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(p, r, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Done {
+			t.Fatalf("K=%d did not infect", k)
 		}
 	}
 }
@@ -717,39 +697,139 @@ func TestBipsNeighbourhoodConstraint(t *testing.T) {
 	}
 }
 
-// TestBipsFastVsExactDistribution: the exact-sampling and closed-form
-// fast paths produce the same infection-time distribution; compare means
-// on K32 within 5 combined standard errors.
-func TestBipsFastVsExactDistribution(t *testing.T) {
-	g := mk(t)(graph.Complete(32))
-	meanInfection := func(fast bool) (mean, se float64) {
-		p, err := New(BIPS, g, Config{FastSampling: fast})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rng.New(77)
-		const trials = 400
-		var sum, sumSq float64
-		for i := 0; i < trials; i++ {
-			res, err := Run(p, r, 0, 0)
+// TestBipsVoterAnchor anchors bips to an exact law at sizes whose
+// rounds span several kernel chunks. With K = 1 every vertex but the
+// source copies the state of one uniformly random neighbour: BIPS is
+// the voter model with one stubborn vertex, dual to a single random walk
+// (Theorem 4 at k = 1). By linearity P(u ∈ A_{t+1}) is the mean of
+// P(w ∈ A_t) over u's neighbours w, and P(source ∈ A_t) = 1, so the
+// expected count of A_t in any fixed vertex set is exact in O(t·m) from
+// any start set. The start set is the source followed by the half of
+// the vertices farthest from it, so the source's neighbourhood starts
+// uninfected. Every round, the mean |A_t| and the mean count of A_t in
+// the source's closed neighbourhood must sit within a
+// Bonferroni-corrected normal bound of their exact values. The
+// 8-regular graph takes the bulk-draw integral loop and the 3-regular
+// one the per-call loop.
+func TestBipsVoterAnchor(t *testing.T) {
+	const (
+		trials = 100
+		rounds = 20
+		// Two-sided normal bound with α = 1e-3 over the 2 graphs × 2
+		// counts × 20 rounds: P(|Z| > 4.37) = 1e-3/80.
+		zMax = 4.37
+	)
+	r := rng.New(1204)
+	cases := []struct {
+		name      string
+		g         *graph.Graph
+		minChunks int // the start set's candidate list spans at least this many chunks
+	}{
+		{"rand-reg-8192x8", mk(t)(graph.RandomRegularConnected(8192, 8, r)), 4},
+		{"rand-reg-16384x3", mk(t)(graph.RandomRegularConnected(16384, 3, r)), 6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			const source = 0
+			dist := g.BFS(source)
+			byDist := make([]int32, g.N())
+			for v := range byDist {
+				byDist[v] = int32(v)
+			}
+			slices.SortStableFunc(byDist, func(a, b int32) int { return int(dist[a] - dist[b]) })
+			starts := append([]int32{source}, byDist[g.N()/2:]...)
+			ball := append([]int32{source}, g.Neighbors(source)...)
+			c := candidateCount(g, starts)
+			if (c+KernelChunk-1)/KernelChunk < tc.minChunks {
+				t.Fatalf("start set has %d candidates, under %d kernel chunks", c, tc.minChunks)
+			}
+
+			// Exact means of |A_t| and |A_t ∩ ball| for t = 1…rounds.
+			var want [2][rounds]float64
+			p := make([]float64, g.N())
+			next := make([]float64, g.N())
+			for _, s := range starts {
+				p[s] = 1
+			}
+			for rd := 0; rd < rounds; rd++ {
+				for u := range next {
+					var sum float64
+					for _, w := range g.Neighbors(int32(u)) {
+						sum += p[w]
+					}
+					next[u] = sum / float64(g.Degree(int32(u)))
+				}
+				next[source] = 1
+				p, next = next, p
+				for _, pu := range p {
+					want[0][rd] += pu
+				}
+				for _, u := range ball {
+					want[1][rd] += p[u]
+				}
+			}
+
+			proc, err := New(BIPS, g, Config{Branching: Branching{K: 1}, KernelWorkers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Done {
-				t.Fatal("uninfected run on K32")
+			var sum, sumSq [2][rounds]float64
+			for i := 0; i < trials; i++ {
+				r := rng.NewStream(1204, uint64(i))
+				if err := proc.Reset(starts...); err != nil {
+					t.Fatal(err)
+				}
+				for rd := 0; rd < rounds; rd++ {
+					proc.Step(r)
+					x := [2]float64{float64(proc.ReachedCount()), 0}
+					for _, u := range ball {
+						if proc.(Reacher).Reached(u) {
+							x[1]++
+						}
+					}
+					for s := range x {
+						sum[s][rd] += x[s]
+						sumSq[s][rd] += x[s] * x[s]
+					}
+				}
 			}
-			x := float64(res.Rounds)
-			sum += x
-			sumSq += x * x
+			var maxZ [2]float64
+			for s, what := range []string{"|A_t|", "|A_t ∩ N[source]|"} {
+				for rd := 0; rd < rounds; rd++ {
+					mean := sum[s][rd] / trials
+					se := math.Sqrt((sumSq[s][rd]/trials - mean*mean) / (trials - 1))
+					z := math.Abs(mean-want[s][rd]) / se
+					if !(z <= zMax) {
+						t.Errorf("round %d: mean %s = %.3f, exact %.3f (z = %.2f > %.2f)",
+							rd+1, what, mean, want[s][rd], z, zMax)
+					}
+					maxZ[s] = max(maxZ[s], z)
+				}
+			}
+			t.Logf("%d start candidates; max |z| %.2f for |A_t|, %.2f for the source's neighbourhood", c, maxZ[0], maxZ[1])
+		})
+	}
+}
+
+// candidateCount returns |Γ(A) minus the source|, the length of the
+// candidate list bips evaluates in a round from A = set(starts), source
+// starts[0].
+func candidateCount(g *graph.Graph, starts []int32) int {
+	cand := make([]bool, g.N())
+	for _, v := range starts {
+		for _, u := range g.Neighbors(v) {
+			cand[u] = true
 		}
-		mean = sum / trials
-		return mean, math.Sqrt((sumSq/trials - mean*mean) / trials)
 	}
-	exactMean, exactSE := meanInfection(false)
-	fastMean, fastSE := meanInfection(true)
-	if diff, tol := math.Abs(exactMean-fastMean), 5*math.Hypot(exactSE, fastSE); diff > tol {
-		t.Fatalf("exact mean %.3f vs fast mean %.3f differ by %.3f > %.3f", exactMean, fastMean, diff, tol)
+	cand[starts[0]] = false
+	c := 0
+	for _, in := range cand {
+		if in {
+			c++
+		}
 	}
+	return c
 }
 
 // TestPusher pins cobra's Pusher view, through which E14 counts

@@ -1,5 +1,5 @@
 // Package difftest pins the cobra/bips engines of internal/process to
-// test-only reference implementations.
+// plain reference implementations.
 //
 // The registry engines (bitset frontiers over the CSR arrays,
 // precomputed bounded samplers, branch-free loops, rounds fanned out
@@ -9,9 +9,12 @@
 // reference at every kernel worker count — same reached sets, same
 // transmission counts, same per-round trajectories across every sweep
 // metric. This package holds both halves of that pin: the reference
-// engines, which no production code constructs, and the lockstep
-// harness that drives a native and a reference engine from cloned
-// generators and diffs everything observable after every round.
+// engines and the lockstep harness that drives a native and a
+// reference engine from cloned generators and diffs everything
+// observable after every round. It also holds NewClosedFormBips, which
+// samples BIPS from its one-step law rather than its neighbour samples;
+// experiment E13 compares it with the registry engine in distribution,
+// the only production use of this package.
 package difftest
 
 import (

@@ -116,22 +116,23 @@ func lockstepCases(t testing.TB) []lockstepCase {
 	return cs
 }
 
-// runLockstep pins the registry engine `name` to reference on one grid
-// cell at every kernel width, from a single start and from a
-// deduplicating multi-vertex start set. On a multi-chunk cell it also
-// checks that some round really spanned at least three chunks.
-func runLockstep(t *testing.T, name string, reference process.Factory, c lockstepCase, cfg process.Config, seed uint64, starts []int32) {
+// runLockstep pins native to reference on one grid cell at every
+// kernel width, from a single start and from a deduplicating
+// multi-vertex start set. On a multi-chunk cell it also checks that
+// some round really spanned at least three chunks. A non-empty variant
+// names the pair in the subtest path, between the branching and the
+// width.
+func runLockstep(t *testing.T, native, reference process.Factory, c lockstepCase, variant string, seed uint64, starts []int32) {
 	for _, w := range kernelWidths {
-		c, cfg, w := c, cfg, w
+		c, w := c, w
 		label := fmt.Sprintf("%s/%s/w%d", c.g.Name(), c.br, w)
-		if cfg.FastSampling {
-			label = fmt.Sprintf("%s/%s/fast/w%d", c.g.Name(), c.br, w)
+		if variant != "" {
+			label = fmt.Sprintf("%s/%s/%s/w%d", c.g.Name(), c.br, variant, w)
 		}
 		t.Run(label, func(t *testing.T) {
 			t.Parallel()
-			cfg.Branching = c.br
-			cfg.KernelWorkers = w
-			native, maxActive := observeActive(nativeFactory(t, name))
+			cfg := process.Config{Branching: c.br, KernelWorkers: w}
+			native, maxActive := observeActive(native)
 			if err := Lockstep(c.g, cfg, native, reference, seed, 1<<14, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -181,21 +182,133 @@ func TestLockstepCobra(t *testing.T) {
 		seed := uint64(len(c.g.Name())) + uint64(c.br.K)<<8
 		// Multi-vertex start sets exercise Reset dedup too.
 		starts := []int32{0, int32(c.g.N() / 2), 0}
-		runLockstep(t, process.Cobra, NewReferenceCobra, c, process.Config{}, seed, starts)
+		runLockstep(t, nativeFactory(t, process.Cobra), NewReferenceCobra, c, "", seed, starts)
 	}
 }
 
 // TestLockstepBips pins registry bips to the reference BIPS across the
-// grid at every kernel width, on both the exact-sampling and the
-// closed-form fast path.
+// grid at every kernel width. Its fast/wN cases pin the closed-form
+// ("fast") sampler NewClosedFormBips, which E13 runs, to
+// closedFormOracle on the same grid, seeds and starts; like every
+// reference it must ignore the kernel width.
 func TestLockstepBips(t *testing.T) {
 	for _, c := range lockstepCases(t) {
-		for _, fast := range []bool{false, true} {
-			seed := uint64(len(c.g.Name())) + uint64(c.br.K)<<8 + 7
-			starts := []int32{1, int32(c.g.N() - 1)}
-			runLockstep(t, process.BIPS, NewReferenceBips, c, process.Config{FastSampling: fast}, seed, starts)
+		seed := uint64(len(c.g.Name())) + uint64(c.br.K)<<8 + 7
+		starts := []int32{1, int32(c.g.N() - 1)}
+		runLockstep(t, nativeFactory(t, process.BIPS), NewReferenceBips, c, "", seed, starts)
+		runLockstep(t, NewClosedFormBips, newClosedFormOracle, c, "fast", seed, starts)
+	}
+}
+
+// closedFormOracle is a second closed-form BIPS sampler, written apart
+// from refBips, that NewClosedFormBips is pinned to draw for draw. It
+// keeps the reference's set order and stream layout — A_{t+1} is the
+// source, then the infected candidates in discovery order, and the
+// candidate list draws in process.KernelChunk blocks — but holds A_t
+// as a []bool, counts each candidate's d_A(u) over u's own neighbours
+// once the candidate list is complete, and evaluates the one-step law
+// 1-(1-d_A/d)^K·(1-Rho·d_A/d) with math.Pow.
+type closedFormOracle struct {
+	g     *graph.Graph
+	br    process.Branching
+	obs   process.RoundObserver
+	in    []bool  // in[v] iff v ∈ A_t
+	set   []int32 // A_t, the source first
+	round int
+	sent  int64
+}
+
+func newClosedFormOracle(g *graph.Graph, cfg process.Config) (process.Process, error) {
+	br, err := newReferenceConfig(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &closedFormOracle{g: g, br: br, obs: cfg.Observer, in: make([]bool, g.N())}, nil
+}
+
+func (o *closedFormOracle) Reset(starts ...int32) error {
+	if len(starts) == 0 {
+		return errors.New("closed-form oracle: empty start set")
+	}
+	for _, v := range starts {
+		if v < 0 || int(v) >= o.g.N() {
+			return fmt.Errorf("closed-form oracle: vertex %d out of range [0,%d)", v, o.g.N())
 		}
 	}
+	clear(o.in)
+	o.set = o.set[:0]
+	for _, v := range starts {
+		if !o.in[v] {
+			o.in[v] = true
+			o.set = append(o.set, v)
+		}
+	}
+	o.round, o.sent = 0, 0
+	return nil
+}
+
+func (o *closedFormOracle) Step(r *rng.Rand) {
+	g, source := o.g, o.set[0]
+	seen := make([]bool, g.N())
+	var cands []int32
+	for _, v := range o.set {
+		for _, u := range g.Neighbors(v) {
+			if u != source && !seen[u] {
+				seen[u] = true
+				cands = append(cands, u)
+			}
+		}
+	}
+	rho := o.br.Rho
+	roundSeed := r.Uint64()
+	next := []int32{source}
+	var sent int64
+	var cr *rng.Rand
+	for j, u := range cands {
+		if j%process.KernelChunk == 0 {
+			cr = rng.NewStream(roundSeed, uint64(j/process.KernelChunk))
+		}
+		dA := 0
+		for _, w := range g.Neighbors(u) {
+			if o.in[w] {
+				dA++
+			}
+		}
+		p := float64(dA) / float64(g.Degree(u))
+		sent += int64(o.br.K)
+		if rho > 0 && cr.Bernoulli(rho) {
+			sent++
+		}
+		if cr.Bernoulli(1 - math.Pow(1-p, float64(o.br.K))*(1-rho*p)) {
+			next = append(next, u)
+		}
+	}
+	clear(o.in)
+	for _, u := range next {
+		o.in[u] = true
+	}
+	o.set = next
+	o.round++
+	o.sent += sent
+	if o.obs != nil {
+		o.obs(process.RoundStat{Round: o.round, Active: len(next), Reached: len(next), Transmissions: sent})
+	}
+}
+
+func (o *closedFormOracle) Done() bool           { return len(o.set) == o.g.N() }
+func (o *closedFormOracle) Round() int           { return o.round }
+func (o *closedFormOracle) ReachedCount() int    { return len(o.set) }
+func (o *closedFormOracle) Transmissions() int64 { return o.sent }
+func (o *closedFormOracle) Reached(v int32) bool { return o.in[v] }
+
+// AppendReached appends A_t in ascending vertex order.
+func (o *closedFormOracle) AppendReached(dst []int32) []int32 {
+	for v, in := range o.in {
+		if in {
+			dst = append(dst, int32(v))
+		}
+	}
+	return dst
 }
 
 // nativeFactory resolves the registry factory for name — the engines
@@ -295,6 +408,51 @@ func TestReferenceMissProbMatchesPow(t *testing.T) {
 				t.Fatalf("missProb(%v, %d) = %v, want %v", p, k, got, want)
 			}
 		}
+	}
+}
+
+// TestBipsClosedFormVsExactDistribution: the registry engine's exact
+// sampling and NewClosedFormBips's one-step law give the same
+// infection-time distribution on K32; their means must agree within 5
+// combined standard errors, at integral and at fractional branching.
+func TestBipsClosedFormVsExactDistribution(t *testing.T) {
+	g, err := graph.Complete(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meanInfection := func(t *testing.T, factory process.Factory, br process.Branching, seed uint64) (mean, se float64) {
+		p, err := factory(g, process.Config{Branching: br})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(seed)
+		const trials = 400
+		var sum, sumSq float64
+		for i := 0; i < trials; i++ {
+			res, err := process.Run(p, r, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Done {
+				t.Fatal("uninfected run on K32")
+			}
+			x := float64(res.Rounds)
+			sum += x
+			sumSq += x * x
+		}
+		mean = sum / trials
+		return mean, math.Sqrt((sumSq/trials - mean*mean) / trials)
+	}
+	for _, br := range []process.Branching{{K: 2}, {K: 1, Rho: 0.5}} {
+		t.Run(br.String(), func(t *testing.T) {
+			t.Parallel()
+			exactMean, exactSE := meanInfection(t, nativeFactory(t, process.BIPS), br, 77)
+			closedMean, closedSE := meanInfection(t, NewClosedFormBips, br, 78)
+			if diff, tol := math.Abs(exactMean-closedMean), 5*math.Hypot(exactSE, closedSE); diff > tol {
+				t.Fatalf("exact mean %.3f vs closed-form mean %.3f differ by %.3f > %.3f",
+					exactMean, closedMean, diff, tol)
+			}
+		})
 	}
 }
 

@@ -174,43 +174,62 @@ func (c *refCobra) AppendReached(dst []int32) []int32 {
 	return dst
 }
 
-// NewReferenceBips returns the reference BIPS engine. The first start
-// vertex is the permanently infected source; at every round every other
-// vertex samples K random neighbours uniformly with replacement (plus one
-// with probability Rho) and belongs to A_{t+1} iff at least one sample
-// lies in A_t. Only vertices with an infected neighbour can become
-// infected, so a Step visits just the candidates Γ(A_t) minus the
-// source, in discovery order. With cfg.FastSampling each candidate is
-// infected with its closed-form probability instead.
+// NewReferenceBips returns the reference BIPS engine, which samples the
+// process as the paper defines it. The first start vertex is the
+// permanently infected source; at every round every other vertex
+// samples K random neighbours uniformly with replacement (plus one with
+// probability Rho) and belongs to A_{t+1} iff at least one sample lies
+// in A_t. Only vertices with an infected neighbour can become infected,
+// so a Step visits just the candidates Γ(A_t) minus the source, in
+// discovery order. The registry bips engine is pinned to it draw for
+// draw.
 func NewReferenceBips(g *graph.Graph, cfg process.Config) (process.Process, error) {
+	return newRefBips(g, cfg, false)
+}
+
+// NewClosedFormBips returns a BIPS engine that samples each round from
+// the process's one-step law instead of drawing the neighbour samples:
+// given A_t, the candidates join A_{t+1} independently, u with
+// probability 1-(1-d_A(u)/d(u))^K·(1-Rho·d_A(u)/d(u)), where d_A(u)
+// counts u's neighbours in A_t. It is identical in distribution to
+// NewReferenceBips and to the registry engine, and shares their stream
+// layout, but per candidate it draws the ρ coin (when Rho > 0) and one
+// Bernoulli, so its draws differ. E13 compares the two samplings'
+// infection times; transmissions count K plus the coin per candidate,
+// the messages the exact sampling would send.
+func NewClosedFormBips(g *graph.Graph, cfg process.Config) (process.Process, error) {
+	return newRefBips(g, cfg, true)
+}
+
+func newRefBips(g *graph.Graph, cfg process.Config, closedForm bool) (process.Process, error) {
 	br, err := newReferenceConfig(g, cfg)
 	if err != nil {
 		return nil, err
 	}
 	n := g.N()
 	return &refBips{
-		g:         g,
-		branching: br,
-		fast:      cfg.FastSampling,
-		obs:       cfg.Observer,
-		curStamp:  make([]uint32, n),
-		candStamp: make([]uint32, n),
-		infCount:  make([]int32, n),
+		g:          g,
+		branching:  br,
+		closedForm: closedForm,
+		obs:        cfg.Observer,
+		curStamp:   make([]uint32, n),
+		candStamp:  make([]uint32, n),
+		infCount:   make([]int32, n),
 	}, nil
 }
 
 type refBips struct {
-	g         *graph.Graph
-	branching process.Branching
-	fast      bool
-	obs       process.RoundObserver
+	g          *graph.Graph
+	branching  process.Branching
+	closedForm bool
+	obs        process.RoundObserver
 
 	source   int32
 	infected []int32 // current infected set A_t (unique vertices)
 	next     []int32
 	// v ∈ A_t iff curStamp[v] == epoch; candidate bookkeeping is per step
 	// via candStamp/stepEpoch. infCount[v] accumulates d_A(v) for the
-	// fast sampling path.
+	// closed-form sampling.
 	curStamp  []uint32
 	candStamp []uint32
 	infCount  []int32
@@ -261,7 +280,7 @@ func (b *refBips) Step(r *rng.Rand) {
 	}
 	// Collect candidates: the neighbourhood Γ(A_t) minus the source,
 	// which stays infected without drawing. While scanning, accumulate
-	// d_A(u) for the fast path.
+	// d_A(u) for the closed-form sampling.
 	b.cands = b.cands[:0]
 	for _, v := range b.infected {
 		for _, u := range g.Neighbors(v) {
@@ -288,10 +307,10 @@ func (b *refBips) Step(r *rng.Rand) {
 	for j, u := range b.cands {
 		cr = chunkStream(cr, roundSeed, j)
 		var hit bool
-		if b.fast {
+		if b.closedForm {
 			p := float64(b.infCount[u]) / float64(g.Degree(u))
 			prob := 1 - missProb(p, k)*(1-rho*p)
-			sent += int64(k) // expected-equivalent accounting
+			sent += int64(k)
 			if rho > 0 && cr.Bernoulli(rho) {
 				sent++
 			}
@@ -351,9 +370,8 @@ func (b *refBips) AppendReached(dst []int32) []int32 {
 }
 
 // missProb returns (1-p)^k, with the small integer exponents of practical
-// branching factors multiplied out. The registry bips engine keeps its
-// own copy with the identical operations, so the fast path's
-// probabilities agree bit for bit.
+// branching factors multiplied out: math.Pow costs more than the rest of
+// a closed-form candidate evaluation.
 func missProb(p float64, k int) float64 {
 	q := 1 - p
 	switch k {

@@ -74,12 +74,6 @@ type Config struct {
 	// DefaultBranching (the paper's k = 2). Unbranched processes ignore
 	// it.
 	Branching Branching
-	// FastSampling switches bips to the closed-form Bernoulli sampling
-	// path: each candidate u is infected with its exact probability
-	// 1-(1-d_A(u)/d(u))^K·(1-Rho·d_A(u)/d(u)) instead of drawing the K
-	// individual neighbour samples. The two paths are identical in
-	// distribution. Ignored by every other process.
-	FastSampling bool
 	// Observer, when non-nil, receives a RoundStat after every Step.
 	Observer RoundObserver
 	// KernelWorkers is the worker count (calling goroutine included) of
