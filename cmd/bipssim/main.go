@@ -1,8 +1,9 @@
 // Command bipssim runs Monte-Carlo BIPS infection experiments on a chosen
 // graph family and prints summary statistics plus the three-phase
-// decomposition of the trajectory (Lemmas 2-4 of the paper). Trial results
-// stream through sim.Reduce into constant-memory digests, so -trials can
-// be pushed to 10⁵+ without memory growth.
+// decomposition of the trajectory (Lemmas 2-4 of the paper). Trials run
+// through sweep.Trials, the trial loop behind every sweep point, and
+// stream into constant-memory digests, so -trials can be pushed to 10⁵+
+// without memory growth.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,6 +32,7 @@ import (
 	"cobrawalk/internal/sim"
 	"cobrawalk/internal/spectral"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 func main() {
@@ -87,8 +90,8 @@ func run(args []string, w io.Writer) error {
 		trials    = fs.Int("trials", 100, "number of independent runs")
 		seed      = fs.Uint64("seed", 1, "master RNG seed")
 		source    = fs.Int("source", 0, "persistent infection source vertex")
-		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		maxRounds = fs.Int("max-rounds", 1<<20, "per-run round cap")
+		workers   = fs.Int("workers", 0, "trial worker goroutines (0 = GOMAXPROCS; at most -trials); each trial gets GOMAXPROCS / trial workers (at least 1) kernel workers")
+		maxRounds = fs.Int("max-rounds", process.DefaultMaxRounds, "per-run round cap")
 		jsonOut   = fs.Bool("json", false, "emit one machine-readable JSON object")
 		version   = fs.Bool("version", false, "print build info and exit")
 	)
@@ -120,20 +123,18 @@ func run(args []string, w io.Writer) error {
 	if *maxRounds < 1 {
 		return fmt.Errorf("max rounds %d, need >= 1", *maxRounds)
 	}
-	if _, err := process.New(process.BIPS, g, process.Config{Branching: branch}); err != nil {
-		return err
-	}
 	smallTarget := int(math.Ceil(4 * math.Log2(float64(g.N()))))
-	type outcome struct {
-		infec  float64
-		phases [3]int // -1 for a phase the trial never completed
-	}
-	red := sim.Reducer[outcome, *agg]{
+	red := sim.Reducer[sweep.Trial, *agg]{
 		New: newAgg,
-		Fold: func(a *agg, _ int, o outcome) *agg {
-			a.infec.Add(o.infec)
-			for i, l := range o.phases {
-				if l >= 0 {
+		// The frontier metric attaches a Collector; its |A_t| series
+		// (start state included) feeds the Lemmas 2-4 phase
+		// decomposition.
+		Fold: func(a *agg, _ int, t sweep.Trial) *agg {
+			a.infec.Add(float64(t.Result.Rounds))
+			ph := core.DetectPhases(t.Collector.Active(), g.N(), smallTarget)
+			p1, p2, p3 := ph.PhaseLengths()
+			for i, l := range [3]int{p1, p2, p3} {
+				if l >= 0 { // -1 for a phase the trial never completed
 					a.phases[i].Add(float64(l))
 				}
 			}
@@ -141,43 +142,10 @@ func run(args []string, w io.Writer) error {
 		},
 		Merge: func(into, from *agg) (*agg, error) { return into.merge(from) },
 	}
-	// Each worker owns one reusable BIPS process with a metrics Collector
-	// attached — the collector's |A_t| series (start state included)
-	// feeds the Lemmas 2-4 phase decomposition without any per-trial
-	// allocation.
-	type bipsState struct {
-		p   process.Process
-		col *process.Collector
-	}
-	sources := []int32{int32(*source)}
-	total, err := sim.ReduceWithState(context.Background(),
-		sim.Spec{Trials: *trials, Seed: *seed, Workers: *workers},
-		red,
-		func() *bipsState {
-			col := process.NewCollector(g.N())
-			cfg := process.Config{
-				Branching: branch,
-				Observer:  col.Observe,
-			}
-			p, err := process.New(process.BIPS, g, cfg)
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return &bipsState{p: p, col: col}
-		},
-		func(st *bipsState, trial int, r *rng.Rand) (outcome, error) {
-			out, err := process.RunCollect(nil, st.p, st.col, r, *maxRounds, sources...)
-			if err != nil {
-				return outcome{}, err
-			}
-			if !out.Done {
-				return outcome{}, fmt.Errorf("trial hit the %d-round cap", *maxRounds)
-			}
-			ph := core.DetectPhases(st.col.Active(), g.N(), smallTarget)
-			o := outcome{infec: float64(out.Rounds)}
-			o.phases[0], o.phases[1], o.phases[2] = ph.PhaseLengths()
-			return o, nil
-		})
+	total, err := sweep.Trials(context.Background(), g, sweep.Point{
+		Process: process.BIPS, Branching: branch, Trials: *trials, Seed: *seed, MaxRounds: *maxRounds,
+		Metrics: []string{sweep.MetricFrontier},
+	}, *source, sweep.Options{TrialWorkers: *workers}, red)
 	if err != nil {
 		return err
 	}
@@ -185,8 +153,13 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ci, err := total.infec.Stream.CI(0.95)
-	if err != nil {
+	// A single trial has no standard error: the interval reads n/a.
+	var ci95 any
+	ciText := "n/a"
+	if ci, err := total.infec.Stream.CI(0.95); err == nil {
+		ci95 = map[string]float64{"lo": ci.Lo, "hi": ci.Hi}
+		ciText = fmt.Sprintf("[%.2f, %.2f]", ci.Lo, ci.Hi)
+	} else if !errors.Is(err, stats.ErrInsufficient) {
 		return err
 	}
 
@@ -199,7 +172,7 @@ func run(args []string, w io.Writer) error {
 			"trials":         *trials,
 			"seed":           *seed,
 			"infection_time": s,
-			"ci95":           map[string]float64{"lo": ci.Lo, "hi": ci.Hi},
+			"ci95":           ci95,
 			"phase_mean_rounds": map[string]any{
 				"small":  phaseMean(total.phases[0]),
 				"growth": phaseMean(total.phases[1]),
@@ -214,8 +187,8 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "infection time (%d trials): mean %.2f [%.2f, %.2f]  median %.0f  p95 %.0f  max %.0f\n",
-		*trials, s.Mean, ci.Lo, ci.Hi, s.P50, s.P95, s.Max)
+	fmt.Fprintf(w, "infection time (%d trials): mean %.2f %s  median %.0f  p95 %.0f  max %.0f\n",
+		*trials, s.Mean, ciText, s.P50, s.P95, s.Max)
 	fmt.Fprintf(w, "infec/log2(n): %.3f\n", s.Mean/math.Log2(float64(g.N())))
 	fmt.Fprintf(w, "phases (m=%d): 1→m %s   m→0.9n %s   0.9n→n %s (mean rounds)\n",
 		smallTarget, phaseText(total.phases[0]), phaseText(total.phases[1]), phaseText(total.phases[2]))

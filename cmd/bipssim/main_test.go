@@ -109,3 +109,28 @@ func TestRunPhaseMeansSkipIncomplete(t *testing.T) {
 		t.Fatalf("phase means = %s, want small and growth null, finish >= 1", buf.String())
 	}
 }
+
+// TestRunSingleTrial: one trial has no standard error, so the
+// infection-time interval prints n/a in text and null in JSON instead of
+// a zero-width [mean, mean].
+func TestRunSingleTrial(t *testing.T) {
+	var buf bytes.Buffer
+	args := []string{"-graph", "rand-reg:1024:8", "-trials", "1"}
+	if err := run(args, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "1 trials): mean 14.00 n/a  median") {
+		t.Fatalf("single-trial interval should read n/a:\n%s", out)
+	}
+	buf.Reset()
+	if err := run(append(args, "-json"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	}
+	if ci, ok := rec["ci95"]; !ok || string(ci) != "null" {
+		t.Fatalf("ci95 = %s, want null", ci)
+	}
+}

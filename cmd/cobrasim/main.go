@@ -1,7 +1,8 @@
 // Command cobrasim runs Monte-Carlo COBRA cover-time experiments on a
-// chosen graph family and prints summary statistics. Trial results stream
-// through sim.Reduce into constant-memory digests, so -trials can be
-// pushed to 10⁵+ without memory growth.
+// chosen graph family and prints summary statistics. Trials run through
+// sweep.Trials, the trial loop behind every sweep point, and stream into
+// constant-memory digests, so -trials can be pushed to 10⁵+ without
+// memory growth.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,6 +32,7 @@ import (
 	"cobrawalk/internal/sim"
 	"cobrawalk/internal/spectral"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 func main() {
@@ -66,8 +69,8 @@ func run(args []string, w io.Writer) error {
 		trials    = fs.Int("trials", 100, "number of independent runs")
 		seed      = fs.Uint64("seed", 1, "master RNG seed")
 		start     = fs.Int("start", 0, "start vertex")
-		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		maxRounds = fs.Int("max-rounds", 1<<20, "per-run round cap")
+		workers   = fs.Int("workers", 0, "trial worker goroutines (0 = GOMAXPROCS; at most -trials); each trial gets GOMAXPROCS / trial workers (at least 1) kernel workers")
+		maxRounds = fs.Int("max-rounds", process.DefaultMaxRounds, "per-run round cap")
 		hist      = fs.Bool("hist", false, "print a cover-time histogram")
 		noSpec    = fs.Bool("no-spectral", false, "skip the λ measurement (large graphs)")
 		jsonOut   = fs.Bool("json", false, "emit one machine-readable JSON object")
@@ -108,42 +111,18 @@ func run(args []string, w io.Writer) error {
 	if *maxRounds < 1 {
 		return fmt.Errorf("max rounds %d, need >= 1", *maxRounds)
 	}
-	procCfg := process.Config{Branching: branch}
-	// Validate construction once so the per-worker factory cannot fail.
-	if _, err := process.New(process.Cobra, g, procCfg); err != nil {
-		return err
-	}
-	type outcome struct{ cover, msgs float64 }
-	red := sim.Reducer[outcome, *agg]{
+	red := sim.Reducer[sweep.Trial, *agg]{
 		New: newAgg,
-		Fold: func(a *agg, _ int, o outcome) *agg {
-			a.cover.Add(o.cover)
-			a.msgs.Add(o.msgs)
+		Fold: func(a *agg, _ int, t sweep.Trial) *agg {
+			a.cover.Add(float64(t.Result.Rounds))
+			a.msgs.Add(float64(t.Result.Transmissions))
 			return a
 		},
 		Merge: func(into, from *agg) (*agg, error) { return into.merge(from) },
 	}
-	starts := []int32{int32(*start)}
-	total, err := sim.ReduceWithState(context.Background(),
-		sim.Spec{Trials: *trials, Seed: *seed, Workers: *workers},
-		red,
-		func() process.Process {
-			p, err := process.New(process.Cobra, g, procCfg)
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return p
-		},
-		func(p process.Process, trial int, r *rng.Rand) (outcome, error) {
-			out, err := process.Run(p, r, *maxRounds, starts...)
-			if err != nil {
-				return outcome{}, err
-			}
-			if !out.Done {
-				return outcome{}, fmt.Errorf("trial hit the %d-round cap", *maxRounds)
-			}
-			return outcome{float64(out.Rounds), float64(out.Transmissions)}, nil
-		})
+	total, err := sweep.Trials(context.Background(), g, sweep.Point{
+		Process: process.Cobra, Branching: branch, Trials: *trials, Seed: *seed, MaxRounds: *maxRounds,
+	}, *start, sweep.Options{TrialWorkers: *workers}, red)
 	if err != nil {
 		return err
 	}
@@ -155,8 +134,13 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ci, err := total.cover.Stream.CI(0.95)
-	if err != nil {
+	// A single trial has no standard error: the interval reads n/a.
+	var ci95 any
+	ciText := "n/a"
+	if ci, err := total.cover.Stream.CI(0.95); err == nil {
+		ci95 = map[string]float64{"lo": ci.Lo, "hi": ci.Hi}
+		ciText = fmt.Sprintf("[%.2f, %.2f]", ci.Lo, ci.Hi)
+	} else if !errors.Is(err, stats.ErrInsufficient) {
 		return err
 	}
 
@@ -169,7 +153,7 @@ func run(args []string, w io.Writer) error {
 			"seed":          *seed,
 			"cover_time":    cs,
 			"transmissions": ms,
-			"ci95":          map[string]float64{"lo": ci.Lo, "hi": ci.Hi},
+			"ci95":          ci95,
 		}
 		if !math.IsNaN(lambda) {
 			rec["lambda"] = lambda
@@ -192,8 +176,8 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "cover time (%s, %d trials): mean %.2f [%.2f, %.2f]  median %.0f  p95 %.0f  max %.0f\n",
-		branch, *trials, cs.Mean, ci.Lo, ci.Hi, cs.P50, cs.P95, cs.Max)
+	fmt.Fprintf(w, "cover time (%s, %d trials): mean %.2f %s  median %.0f  p95 %.0f  max %.0f\n",
+		branch, *trials, cs.Mean, ciText, cs.P50, cs.P95, cs.Max)
 	fmt.Fprintf(w, "cover/log2(n): %.3f   transmissions/run: %.0f (%.2f per vertex)\n",
 		cs.Mean/math.Log2(float64(g.N())), ms.Mean, ms.Mean/float64(g.N()))
 

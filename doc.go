@@ -33,8 +33,9 @@
 //     modes on one worker pool — materialise every trial (sim.Run) or
 //     stream trials into constant-memory mergeable accumulators
 //     (sim.Reduce), so ensembles of 10⁵+ trials run in O(1) memory with
-//     bit-identical results for any worker count; sweep points and most
-//     experiment ensembles reach it through one path (sweep.Ensemble);
+//     bit-identical results for any worker count; sweep points, the
+//     simulators and most experiment ensembles reach it through one
+//     trial loop (sweep.Trials, under sweep.Ensemble);
 //   - batch and streaming statistics: summaries, confidence intervals,
 //     scaling-law fits, Welford streams, quantile sketches, histograms
 //     (re-exported here as Stream, QuantileSketch, Digest, Histogram);

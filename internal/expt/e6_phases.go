@@ -11,6 +11,7 @@ import (
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/sim"
 	"cobrawalk/internal/stats"
+	"cobrawalk/internal/sweep"
 )
 
 // e6Experiment reproduces the three-phase structure of the proof of
@@ -19,10 +20,10 @@ import (
 // random 8-regular expanders over doubling n and fitted against log n —
 // all three lemmas predict O(log n) rounds per phase at constant gap.
 //
-// The trajectories come from the metrics layer: each trial worker owns a
-// registry bips process with a Collector attached, whose per-round |A_t|
-// series feeds core.DetectPhases; trials stream through sim.Reduce, so
-// the ensemble runs in constant memory at any trial count.
+// The trajectories come from the metrics layer: sweep.Trials attaches a
+// Collector for the frontier metric, and each trial's per-round |A_t|
+// series feeds core.DetectPhases as it folds, so the ensemble runs in
+// constant memory at any trial count.
 func e6Experiment() Experiment {
 	return Experiment{
 		ID:    "E6",
@@ -44,27 +45,6 @@ func runE6(ctx context.Context, w io.Writer, p Params) error {
 
 	tbl := NewTable("E6: BIPS phase round counts on rand-8-reg (means over trials)",
 		"n", "m=⌈4·log2 n⌉", "phase1 (1→m)", "phase2 (m→.9n)", "phase3 (.9n→n)", "total")
-	type phases struct{ p1, p2, p3, total float64 }
-	red := sim.Reducer[phases, [4]stats.Stream]{
-		New: func() [4]stats.Stream { return [4]stats.Stream{} },
-		Fold: func(acc [4]stats.Stream, _ int, v phases) [4]stats.Stream {
-			acc[0].Add(v.p1)
-			acc[1].Add(v.p2)
-			acc[2].Add(v.p3)
-			acc[3].Add(v.total)
-			return acc
-		},
-		Merge: func(into, from [4]stats.Stream) ([4]stats.Stream, error) {
-			for i := range into {
-				into[i].Merge(from[i])
-			}
-			return into, nil
-		},
-	}
-	type bipsState struct {
-		p   process.Process
-		col *process.Collector
-	}
 	var ns, p1s, p2s, p3s []float64
 	for _, n := range sizes {
 		g, err := fam.build(n, gr)
@@ -72,37 +52,38 @@ func runE6(ctx context.Context, w io.Writer, p Params) error {
 			return err
 		}
 		smallTarget := int(math.Ceil(4 * math.Log2(float64(g.N()))))
-		if _, err := process.New(process.BIPS, g, process.Config{}); err != nil {
-			return err
-		}
-		acc, err := sim.ReduceWithState(ctx,
-			sim.Spec{Trials: trials, Seed: p.Seed ^ 0xe6, Workers: p.Workers},
-			red,
-			func() *bipsState {
-				col := process.NewCollector(g.N())
-				b, err := process.New(process.BIPS, g, process.Config{Observer: col.Observe})
-				if err != nil {
-					panic(err) // unreachable: validated above
+		// acc holds the three phase lengths and the total; a phase stream
+		// skips the trials that never completed that phase.
+		acc, err := sweep.Trials(ctx, g, sweep.Point{
+			Process: process.BIPS, Trials: trials, Seed: p.Seed ^ 0xe6, MaxRounds: 1 << 16,
+			Metrics: []string{sweep.MetricFrontier},
+		}, 0, sweep.Options{TrialWorkers: p.Workers}, sim.Reducer[sweep.Trial, [4]stats.Stream]{
+			New: func() [4]stats.Stream { return [4]stats.Stream{} },
+			Fold: func(acc [4]stats.Stream, _ int, t sweep.Trial) [4]stats.Stream {
+				a, b, c := core.DetectPhases(t.Collector.Active(), g.N(), smallTarget).PhaseLengths()
+				for i, l := range [3]int{a, b, c} {
+					if l >= 0 {
+						acc[i].Add(float64(l))
+					}
 				}
-				return &bipsState{p: b, col: col}
+				acc[3].Add(float64(t.Result.Rounds))
+				return acc
 			},
-			func(st *bipsState, trial int, r *rng.Rand) (phases, error) {
-				out, err := process.RunCollect(ctx, st.p, st.col, r, 1<<16, 0)
-				if err != nil {
-					return phases{}, err
+			Merge: func(into, from [4]stats.Stream) ([4]stats.Stream, error) {
+				for i := range into {
+					into[i].Merge(from[i])
 				}
-				if !out.Done {
-					return phases{}, fmt.Errorf("uninfected run on %s", g.Name())
-				}
-				pt := core.DetectPhases(st.col.Active(), g.N(), smallTarget)
-				a, bb, c := pt.PhaseLengths()
-				if a < 0 || bb < 0 || c < 0 {
-					return phases{}, fmt.Errorf("phase detection failed: %+v", pt)
-				}
-				return phases{float64(a), float64(bb), float64(c), float64(out.Rounds)}, nil
-			})
+				return into, nil
+			},
+		})
 		if err != nil {
 			return err
+		}
+		for i := range 3 {
+			if acc[i].N() < trials {
+				return fmt.Errorf("phase detection failed on %s: %d of %d trials completed phase %d",
+					g.Name(), acc[i].N(), trials, i+1)
+			}
 		}
 		m1, m2, m3, mt := acc[0].Mean(), acc[1].Mean(), acc[2].Mean(), acc[3].Mean()
 		tbl.AddRow(d(g.N()), d(smallTarget), f2(m1), f2(m2), f2(m3), f2(mt))

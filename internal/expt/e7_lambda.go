@@ -95,7 +95,7 @@ func runE7(ctx context.Context, w io.Writer, p Params) error {
 		}
 		res, err := sweep.Ensemble(ctx, g, sweep.Point{
 			Process: process.Cobra, Branching: core.DefaultBranching, Trials: trials,
-			Seed: p.Seed, MaxRounds: 1 << 20, Metrics: roundsOnly,
+			Seed: p.Seed, MaxRounds: process.DefaultMaxRounds, Metrics: roundsOnly,
 		}, sweep.Options{TrialWorkers: p.Workers})
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"cobrawalk/internal/process"
 	"cobrawalk/internal/stats"
 	"cobrawalk/internal/sweep"
 )
@@ -59,7 +60,7 @@ func runE8(ctx context.Context, w io.Writer, p Params) error {
 			Degrees:   degrees,
 			Trials:    trials,
 			Seed:      p.Seed,
-			MaxRounds: 1 << 20,
+			MaxRounds: process.DefaultMaxRounds,
 		}, sweep.Options{TrialWorkers: p.Workers})
 		if err != nil {
 			return nil, nil, err

@@ -68,29 +68,18 @@ var roundsOnly = []string{sweep.MetricRounds}
 // an ensemble with that seed, and a run that reaches maxRounds is an
 // error.
 func coverTimes(ctx context.Context, g *graph.Graph, branch process.Branching, trials int, p Params, maxRounds int) ([]float64, error) {
-	cfg := process.Config{Branching: branch}
-	if _, err := process.New(process.Cobra, g, cfg); err != nil {
-		return nil, err
-	}
-	spec := sim.Spec{Trials: trials, Seed: p.Seed, Workers: p.Workers}
-	return sim.RunWithState(ctx, spec,
-		func() process.Process {
-			c, err := process.New(process.Cobra, g, cfg)
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return c
+	// Every shard writes its own trials' slots of the one slice.
+	covs := make([]float64, trials)
+	return sweep.Trials(ctx, g, sweep.Point{
+		Process: process.Cobra, Branching: branch, Trials: trials, Seed: p.Seed, MaxRounds: maxRounds,
+	}, 0, sweep.Options{TrialWorkers: p.Workers}, sim.Reducer[sweep.Trial, []float64]{
+		New: func() []float64 { return covs },
+		Fold: func(acc []float64, i int, t sweep.Trial) []float64 {
+			acc[i] = float64(t.Result.Rounds)
+			return acc
 		},
-		func(c process.Process, _ int, r *rng.Rand) (float64, error) {
-			out, err := process.Run(c, r, maxRounds, 0)
-			if err != nil {
-				return 0, err
-			}
-			if !out.Done {
-				return 0, fmt.Errorf("%s run hit round cap %d on %s", process.Cobra, maxRounds, g.Name())
-			}
-			return float64(out.Rounds), nil
-		})
+		Merge: func(into, _ []float64) ([]float64, error) { return into, nil },
+	})
 }
 
 // summarizeOrErr wraps stats.Summarize with the experiment error context.

@@ -75,10 +75,15 @@ func (s Stream) Max() float64 {
 
 // CI returns the normal-approximation confidence interval for the running
 // mean at the given level (e.g. 0.95) — the streaming counterpart of
-// NormalCI.
+// NormalCI. A single observation has no standard error, so N < 2
+// returns ErrInsufficient (ErrEmpty for N == 0) instead of a zero-width
+// interval, as DigestSummary.CI does.
 func (s Stream) CI(level float64) (Interval, error) {
 	if s.w.N() == 0 {
 		return Interval{}, ErrEmpty
+	}
+	if s.w.N() < 2 {
+		return Interval{}, ErrInsufficient
 	}
 	if level <= 0 || level >= 1 {
 		return Interval{}, errBadLevel(level)

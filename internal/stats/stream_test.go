@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -107,8 +108,13 @@ func TestStreamEmptyAndCI(t *testing.T) {
 	if _, err := s.CI(0.95); err == nil {
 		t.Fatal("empty CI should fail")
 	}
+	// One observation has no standard error: no zero-width interval.
 	xs := randomSample(400, 4)
-	for _, x := range xs {
+	s.Add(xs[0])
+	if _, err := s.CI(0.95); !errors.Is(err, ErrInsufficient) {
+		t.Fatalf("N = 1 CI err = %v, want ErrInsufficient", err)
+	}
+	for _, x := range xs[1:] {
 		s.Add(x)
 	}
 	ci, err := s.CI(0.95)

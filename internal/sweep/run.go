@@ -194,7 +194,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 		if opts.PointStart != nil {
 			opts.PointStart(pts[i])
 		}
-		res, err := runPoint(ctx, pts[i], opts.budget(), opts.GraphCache, opts.Snapshot, opts.SnapshotInterval)
+		res, err := runPoint(ctx, pts[i], opts)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: point %s: %w", pts[i].ID, err)
 		}
@@ -219,14 +219,15 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 	return &Report{Spec: spec, Results: results, Resumed: resumed}, nil
 }
 
-// trialOut is one trial's raw material for the metric registry: the
-// driven run's result plus the worker's collector (nil when no requested
-// metric observes rounds). The collector's buffers are only valid until
-// the worker's next trial, so Fold must consume them immediately — the
-// sim layer guarantees Fold runs before the worker starts another trial.
-type trialOut struct {
-	res process.Result
-	col *process.Collector
+// Trial is one run of a Trials ensemble, as its reducer's Fold sees
+// it: the driven run's Result plus the trial worker's Collector (nil
+// unless pt.Metrics names a metric that observes rounds). The
+// Collector's buffers are only valid until the worker's next trial, so
+// Fold must consume them at once — the sim layer runs Fold before the
+// worker starts another trial.
+type Trial struct {
+	Result    process.Result
+	Collector *process.Collector
 }
 
 // pointAcc streams a point's ensemble: one digest per requested scalar
@@ -237,11 +238,11 @@ type pointAcc struct {
 	trajs   []*stats.TrajectoryDigest
 }
 
-// pointReducer folds trialOuts into a pointAcc through the metric
+// pointReducer folds Trials into a pointAcc through the metric
 // registry. Merges run in the sim layer's fixed shard order, so the
 // ensemble is independent of the trial worker count.
-func pointReducer(scalars, trajs []MetricInfo) sim.Reducer[trialOut, pointAcc] {
-	return sim.Reducer[trialOut, pointAcc]{
+func pointReducer(scalars, trajs []MetricInfo) sim.Reducer[Trial, pointAcc] {
+	return sim.Reducer[Trial, pointAcc]{
 		New: func() pointAcc {
 			acc := pointAcc{
 				scalars: make([]*stats.Digest, len(scalars)),
@@ -255,12 +256,12 @@ func pointReducer(scalars, trajs []MetricInfo) sim.Reducer[trialOut, pointAcc] {
 			}
 			return acc
 		},
-		Fold: func(acc pointAcc, _ int, v trialOut) pointAcc {
+		Fold: func(acc pointAcc, _ int, v Trial) pointAcc {
 			for i, m := range scalars {
-				acc.scalars[i].Add(m.scalar(v.res, v.col))
+				acc.scalars[i].Add(m.scalar(v.Result, v.Collector))
 			}
 			for i, m := range trajs {
-				acc.trajs[i].AddTrial(m.series(v.col))
+				acc.trajs[i].AddTrial(m.series(v.Collector))
 			}
 			return acc
 		},
@@ -280,9 +281,9 @@ func pointReducer(scalars, trajs []MetricInfo) sim.Reducer[trialOut, pointAcc] {
 	}
 }
 
-// workerBudget carries the Options parallelism knobs into runPoint; see
-// resolve for how they become a per-point (trialWorkers, kernelWorkers)
-// pair.
+// workerBudget carries the Options parallelism knobs into Trials; see
+// resolve for how they become an ensemble's (trialWorkers,
+// kernelWorkers) pair.
 type workerBudget struct {
 	trialWorkers, maxProcs int
 }
@@ -316,10 +317,10 @@ func (b workerBudget) resolve(trials int, kernel bool) (tw, kw int) {
 
 // runPoint builds the point's graph deterministically from the point's
 // GraphSeed and runs the point's ensemble on it. It depends on nothing
-// but pt and the worker budget and cache (which cannot affect the
-// result: the graph is a pure function of family/size/degree/GraphSeed,
-// so a cache hit returns exactly the graph a rebuild would).
-func runPoint(ctx context.Context, pt Point, workers workerBudget, cache *graphcache.Cache, snap func(Snapshot), snapInterval time.Duration) (Result, error) {
+// but pt and the options (which cannot affect the result: the graph is
+// a pure function of family/size/degree/GraphSeed, so a cache hit
+// returns exactly the graph a rebuild would).
+func runPoint(ctx context.Context, pt Point, opts Options) (Result, error) {
 	fam, err := LookupFamily(pt.Family)
 	if err != nil {
 		return Result{}, err
@@ -328,8 +329,8 @@ func runPoint(ctx context.Context, pt Point, workers workerBudget, cache *graphc
 		return fam.Build(pt.Size, pt.Degree, rng.NewStream(pt.GraphSeed, graphStream))
 	}
 	var g *graph.Graph
-	if cache != nil {
-		g, err = cache.GetOrBuild(graphcache.Key{
+	if opts.GraphCache != nil {
+		g, err = opts.GraphCache.GetOrBuild(graphcache.Key{
 			Family: pt.Family, Size: pt.Size, Degree: pt.Degree, Seed: pt.GraphSeed,
 		}, build)
 	} else {
@@ -338,25 +339,25 @@ func runPoint(ctx context.Context, pt Point, workers workerBudget, cache *graphc
 	if err != nil {
 		return Result{}, fmt.Errorf("building graph: %w", err)
 	}
-	return ensemble(ctx, g, pt, workers, snap, snapInterval)
+	return ensemble(ctx, g, pt, opts)
 }
 
 // Ensemble computes pt's Result on the given graph: λ_max when
-// pt.MeasureLambda is set, then pt.Trials runs of pt.Process with
-// pt.Branching from vertex 0, trial i on rng.NewStream(pt.Seed, i),
-// folded into one summary per metric in pt.Metrics. A trial that
-// reaches pt.MaxRounds fails the ensemble. This is exactly what Run
-// records for a point once its graph is built, so a caller holding its
-// own graph gets sweep's ensemble — seeds, folds and shard-order
-// merges — without a Spec. Of opts only the worker budget is read
-// (TrialWorkers, MaxProcs); like every Options field it cannot affect
-// the result.
+// pt.MeasureLambda is set, then Trials from vertex 0 folded into one
+// summary per metric in pt.Metrics through the metric registry. Every
+// run starts from vertex 0: the sweep families are vertex-transitive or
+// statistically symmetric, so vertex 0 is representative of the
+// worst-case start. This is exactly what Run records for a point once
+// its graph is built, so a caller holding its own graph gets sweep's
+// ensemble — seeds, folds and shard-order merges — without a Spec. Of
+// opts only the worker budget is read (TrialWorkers, MaxProcs); like
+// every Options field it cannot affect the result.
 func Ensemble(ctx context.Context, g *graph.Graph, pt Point, opts Options) (Result, error) {
-	return ensemble(ctx, g, pt, opts.budget(), nil, 0)
+	return ensemble(ctx, g, pt, Options{TrialWorkers: opts.TrialWorkers, MaxProcs: opts.MaxProcs})
 }
 
-// ensemble is Ensemble with runPoint's snapshot hook.
-func ensemble(ctx context.Context, g *graph.Graph, pt Point, workers workerBudget, snap func(Snapshot), snapInterval time.Duration) (Result, error) {
+// ensemble is Ensemble with Run's snapshot hook (opts.Snapshot).
+func ensemble(ctx context.Context, g *graph.Graph, pt Point, opts Options) (Result, error) {
 	res := Result{Point: pt, GraphN: g.N()}
 	if deg, err := g.Regularity(); err == nil {
 		res.GraphDegree = deg
@@ -369,11 +370,12 @@ func ensemble(ctx context.Context, g *graph.Graph, pt Point, workers workerBudge
 		}
 	}
 
-	scalars, trajs, collects, err := pointMetrics(pt.Metrics)
+	scalars, trajs, _, err := pointMetrics(pt.Metrics)
 	if err != nil {
 		return Result{}, err
 	}
-	acc, err := runEnsemble(ctx, g, pt, workers, scalars, trajs, collects, snap, snapInterval)
+	red := snapshotReducer(pointReducer(scalars, trajs), pt, scalars, trajs, opts.Snapshot, opts.SnapshotInterval)
+	acc, err := Trials(ctx, g, pt, 0, opts, red)
 	if err != nil {
 		return Result{}, err
 	}
@@ -402,32 +404,40 @@ type trialState struct {
 	col *process.Collector
 }
 
-// runEnsemble streams the point's ensemble through the process registry
-// and the metric registry: the point's process name selects a Factory,
-// each trial worker owns one reusable Process plus (when needed) one
-// reusable Collector — no per-trial graph-sized allocations — and the
-// requested metrics decide what each trial folds into the point
-// accumulator. Adding a process to internal/process makes it sweepable,
-// and adding a metric to the registry in metrics.go makes it recordable,
-// with no change here. All runs start from vertex 0: the sweep families
-// are vertex-transitive or statistically symmetric, so vertex 0 is
-// representative of the worst-case start. Attaching a collector never
-// touches the random stream, so the metric set cannot change any drawn
-// trial.
-func runEnsemble(ctx context.Context, g *graph.Graph, pt Point, workers workerBudget, scalars, trajs []MetricInfo, collects bool, snap func(Snapshot), snapInterval time.Duration) (pointAcc, error) {
+// Trials is the one trial loop behind every run-to-completion ensemble:
+// pt.Trials runs of pt.Process with pt.Branching on g from vertex start,
+// trial i on rng.NewStream(pt.Seed, i), each folded through red in the
+// sim layer's fixed shard order. The process registry picks the engine,
+// so Trials has no per-process switch. Each trial worker owns one
+// reusable Process and, when pt.Metrics names a metric that observes
+// rounds, one reusable Collector, so trials allocate nothing
+// graph-sized; attaching a collector never touches the random stream.
+// The context is checked between rounds, and a trial that reaches
+// pt.MaxRounds fails the ensemble. Of opts only the worker budget is
+// read: trial workers take TrialWorkers and a kernel process gets the
+// budget's slack (workerBudget.resolve). Like every Options field it
+// cannot affect the result.
+func Trials[A any](ctx context.Context, g *graph.Graph, pt Point, start int, opts Options, red sim.Reducer[Trial, A]) (A, error) {
+	var zero A
 	info, err := process.Lookup(pt.Process)
 	if err != nil {
-		return pointAcc{}, err
+		return zero, err
 	}
-	trialWorkers, kernelWorkers := workers.resolve(pt.Trials, info.Kernel)
+	_, _, collects, err := pointMetrics(pt.Metrics)
+	if err != nil {
+		return zero, err
+	}
+	if start < 0 || start >= g.N() {
+		return zero, fmt.Errorf("start vertex %d out of range [0,%d)", start, g.N())
+	}
+	trialWorkers, kernelWorkers := opts.budget().resolve(pt.Trials, info.Kernel)
 	// Validate construction once so the per-worker factory cannot fail.
 	// The probe is single-worker so validating never spins up a pool.
 	if _, err := info.New(g, process.Config{Branching: pt.Branching, KernelWorkers: 1}); err != nil {
-		return pointAcc{}, err
+		return zero, err
 	}
 	spec := sim.Spec{Trials: pt.Trials, Seed: pt.Seed, Workers: trialWorkers}
-	start := []int32{0} // hoisted so the per-trial Run call allocates nothing
-	red := snapshotReducer(pointReducer(scalars, trajs), pt, scalars, trajs, snap, snapInterval)
+	starts := []int32{int32(start)} // hoisted so the per-trial Run call allocates nothing
 	return sim.ReduceWithState(ctx, spec, red,
 		func() trialState {
 			cfg := process.Config{Branching: pt.Branching, KernelWorkers: kernelWorkers}
@@ -442,20 +452,20 @@ func runEnsemble(ctx context.Context, g *graph.Graph, pt Point, workers workerBu
 			}
 			return trialState{p: p, col: col}
 		},
-		func(st trialState, _ int, r *rng.Rand) (trialOut, error) {
+		func(st trialState, _ int, r *rng.Rand) (Trial, error) {
 			var out process.Result
 			var err error
 			if st.col != nil {
-				out, err = process.RunCollect(ctx, st.p, st.col, r, pt.MaxRounds, start...)
+				out, err = process.RunCollect(ctx, st.p, st.col, r, pt.MaxRounds, starts...)
 			} else {
-				out, err = process.RunContext(ctx, st.p, r, pt.MaxRounds, start...)
+				out, err = process.RunContext(ctx, st.p, r, pt.MaxRounds, starts...)
 			}
 			if err != nil {
-				return trialOut{}, err
+				return Trial{}, err
 			}
 			if !out.Done {
-				return trialOut{}, fmt.Errorf("%s run hit round cap %d on %s", pt.Process, pt.MaxRounds, g.Name())
+				return Trial{}, fmt.Errorf("%s run hit round cap %d on %s", pt.Process, pt.MaxRounds, g.Name())
 			}
-			return trialOut{res: out, col: st.col}, nil
+			return Trial{Result: out, Collector: st.col}, nil
 		})
 }

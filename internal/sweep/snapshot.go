@@ -52,7 +52,7 @@ type Snapshot struct {
 // passed since the last delivery, the fold that crossed the line
 // summarises the shadow and hands a Snapshot to snap. With snap == nil
 // the reducer is returned untouched — the hot path pays nothing.
-func snapshotReducer(red sim.Reducer[trialOut, pointAcc], pt Point, scalars, trajs []MetricInfo, snap func(Snapshot), interval time.Duration) sim.Reducer[trialOut, pointAcc] {
+func snapshotReducer(red sim.Reducer[Trial, pointAcc], pt Point, scalars, trajs []MetricInfo, snap func(Snapshot), interval time.Duration) sim.Reducer[Trial, pointAcc] {
 	if snap == nil {
 		return red
 	}
@@ -66,7 +66,7 @@ func snapshotReducer(red sim.Reducer[trialOut, pointAcc], pt Point, scalars, tra
 		last   = time.Now()
 	)
 	fold := red.Fold
-	red.Fold = func(acc pointAcc, trial int, v trialOut) pointAcc {
+	red.Fold = func(acc pointAcc, trial int, v Trial) pointAcc {
 		acc = fold(acc, trial, v)
 		// The collector buffers in v are only valid until the worker's
 		// next trial, but Fold runs synchronously before that — reading

@@ -50,9 +50,6 @@ func processBranched(name string) bool {
 	return err == nil && info.Branched
 }
 
-// DefaultMaxRounds caps point runs that do not set Spec.MaxRounds.
-const DefaultMaxRounds = 1 << 20
-
 // Spec declares a sweep grid. Points expands it into the cross product
 // family × degree × size × process × branching, with the degree axis
 // collapsed for families that take no degree and the branching axis
@@ -86,8 +83,8 @@ type Spec struct {
 	// Seed is the sweep master seed; every point derives its own seed
 	// from it and the point identity.
 	Seed uint64 `json:"seed"`
-	// MaxRounds caps each trial (default DefaultMaxRounds). A trial that
-	// hits the cap fails the point.
+	// MaxRounds caps each trial (default process.DefaultMaxRounds). A
+	// trial that hits the cap fails the point.
 	MaxRounds int `json:"max_rounds,omitempty"`
 	// MeasureLambda additionally computes λ_max of every point's graph.
 	MeasureLambda bool `json:"measure_lambda,omitempty"`
@@ -106,7 +103,7 @@ func (s Spec) withDefaults() Spec {
 		s.Metrics = DefaultMetrics()
 	}
 	if s.MaxRounds <= 0 {
-		s.MaxRounds = DefaultMaxRounds
+		s.MaxRounds = process.DefaultMaxRounds
 	}
 	return s
 }

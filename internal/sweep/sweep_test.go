@@ -128,7 +128,7 @@ func TestSpecDefaults(t *testing.T) {
 		t.Fatalf("got %d points, want 1", len(pts))
 	}
 	pt := pts[0]
-	if pt.Process != ProcCobra || pt.Branching != core.DefaultBranching || pt.MaxRounds != DefaultMaxRounds {
+	if pt.Process != ProcCobra || pt.Branching != core.DefaultBranching || pt.MaxRounds != process.DefaultMaxRounds {
 		t.Fatalf("defaults not applied: %+v", pt)
 	}
 }
