@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per core reproduction experiment
 // (E1-E11; see DESIGN.md §3 and EXPERIMENTS.md for the full E1-E15
 // catalogue) plus micro-benchmarks of the hot paths, including the
-// streaming aggregation layer (sim.Reduce + stats.Digest). Each experiment
+// streaming aggregation layer (sim.ReduceWithState + stats.Digest). Each experiment
 // benchmark exercises the same workload as its internal/expt counterpart
 // at a fixed representative size and reports the domain metric (rounds,
 // infection time) alongside ns/op, so `go test -bench=. -benchmem`
@@ -414,20 +414,8 @@ func BenchmarkDigestFold(b *testing.B) {
 // BenchmarkReduceEnsemble: the streaming harness end to end — 10⁴ COBRA
 // cover trials on a small expander folded into a digest. Allocations per
 // op must stay flat as trials grow (O(shards) accumulators, no per-trial
-// slice); compare BenchmarkRunEnsemble, whose allocation count scales with
-// the trial count.
+// slice).
 func BenchmarkReduceEnsemble(b *testing.B) {
-	benchEnsemble(b, true)
-}
-
-// BenchmarkRunEnsemble: the collect-then-summarise baseline for the same
-// workload as BenchmarkReduceEnsemble.
-func BenchmarkRunEnsemble(b *testing.B) {
-	benchEnsemble(b, false)
-}
-
-func benchEnsemble(b *testing.B, streaming bool) {
-	b.Helper()
 	g := buildRandomRegular(b, 256, 8)
 	spec := sim.Spec{Trials: 10000, Seed: 1}
 	newCobra := func() process.Process {
@@ -447,22 +435,12 @@ func benchEnsemble(b *testing.B, streaming bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var mean float64
-		if streaming {
-			d, err := sim.ReduceWithState(context.Background(), spec,
-				sim.DigestReducer(func(x float64) float64 { return x }), newCobra, trial)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mean = d.Stream.Mean()
-		} else {
-			res, err := sim.RunWithState(context.Background(), spec, newCobra, trial)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mean = stats.Mean(res)
+		d, err := sim.ReduceWithState(context.Background(), spec,
+			sim.DigestReducer(func(x float64) float64 { return x }), newCobra, trial)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if mean <= 0 {
+		if d.Stream.Mean() <= 0 {
 			b.Fatal("degenerate ensemble")
 		}
 	}

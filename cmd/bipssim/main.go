@@ -107,13 +107,13 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	lambda, err := spectral.LambdaMax(g)
+	rep, err := spectral.Analyze(g)
 	if err != nil {
 		return err
 	}
 	if !*jsonOut {
 		fmt.Fprintf(w, "graph: %s\n", g)
-		fmt.Fprintf(w, "λmax: %.6f  gap: %.6f\n", lambda, 1-lambda)
+		fmt.Fprintf(w, "λmax: %.6f  gap: %.6f\n", rep.LambdaMax, rep.Gap)
 	}
 
 	branch := core.Branching{K: *k, Rho: *rho}
@@ -156,7 +156,7 @@ func run(args []string, w io.Writer) error {
 	// A single trial has no standard error: the interval reads n/a.
 	var ci95 any
 	ciText := "n/a"
-	if ci, err := total.infec.Stream.CI(0.95); err == nil {
+	if ci, err := s.CI(0.95); err == nil {
 		ci95 = map[string]float64{"lo": ci.Lo, "hi": ci.Hi}
 		ciText = fmt.Sprintf("[%.2f, %.2f]", ci.Lo, ci.Hi)
 	} else if !errors.Is(err, stats.ErrInsufficient) {
@@ -167,8 +167,8 @@ func run(args []string, w io.Writer) error {
 		blob, err := json.Marshal(map[string]any{
 			"graph":          g.Name(),
 			"n":              g.N(),
-			"lambda":         lambda,
-			"gap":            1 - lambda,
+			"lambda":         rep.LambdaMax,
+			"gap":            rep.Gap,
 			"trials":         *trials,
 			"seed":           *seed,
 			"infection_time": s,

@@ -92,15 +92,15 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "graph: %s\n", g)
 	}
 
-	lambda := math.NaN()
+	var rep *spectral.Report
 	if !*noSpec {
-		lambda, err = spectral.LambdaMax(g)
+		r, err := spectral.Analyze(g)
 		if err != nil {
 			return err
 		}
+		rep = &r
 		if !*jsonOut {
-			fmt.Fprintf(w, "λmax: %.6f  gap: %.6f  T=log(n)/gap³: %.1f\n",
-				lambda, 1-lambda, math.Log(float64(g.N()))/math.Pow(1-lambda, 3))
+			fmt.Fprintf(w, "λmax: %.6f  gap: %.6f  T=log(n)/gap³: %.1f\n", rep.LambdaMax, rep.Gap, rep.TheoremT())
 		}
 	}
 
@@ -137,7 +137,7 @@ func run(args []string, w io.Writer) error {
 	// A single trial has no standard error: the interval reads n/a.
 	var ci95 any
 	ciText := "n/a"
-	if ci, err := total.cover.Stream.CI(0.95); err == nil {
+	if ci, err := cs.CI(0.95); err == nil {
 		ci95 = map[string]float64{"lo": ci.Lo, "hi": ci.Hi}
 		ciText = fmt.Sprintf("[%.2f, %.2f]", ci.Lo, ci.Hi)
 	} else if !errors.Is(err, stats.ErrInsufficient) {
@@ -155,9 +155,9 @@ func run(args []string, w io.Writer) error {
 			"transmissions": ms,
 			"ci95":          ci95,
 		}
-		if !math.IsNaN(lambda) {
-			rec["lambda"] = lambda
-			rec["gap"] = 1 - lambda
+		if rep != nil {
+			rec["lambda"] = rep.LambdaMax
+			rec["gap"] = rep.Gap
 		}
 		if *hist {
 			h, err := total.cover.Sketch.FixedHistogram(cs.Min, cs.Max+1, 20)

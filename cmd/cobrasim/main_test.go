@@ -129,3 +129,28 @@ func TestRunSingleTrial(t *testing.T) {
 		t.Fatalf("ci95 = %s, want null", ci)
 	}
 }
+
+// TestRunZeroGap: a bipartite graph has gap 0, so the Theorem 1 scale
+// T = log(n)/gap³ is undefined and prints +Inf, and JSON's gap is 0, not
+// the roundoff 1-λ leaves; λ itself keeps its measured value.
+func TestRunZeroGap(t *testing.T) {
+	var buf bytes.Buffer
+	args := []string{"-graph", "cycle:1000", "-trials", "2"}
+	if err := run(args, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "λmax: 1.000000  gap: 0.000000  T=log(n)/gap³: +Inf\n") {
+		t.Fatalf("zero-gap line should read T = +Inf:\n%s", out)
+	}
+	buf.Reset()
+	if err := run(append(args, "-json"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	var rec struct{ Lambda, Gap float64 }
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	}
+	if rec.Gap != 0 || rec.Lambda < 1-1e-12 || rec.Lambda > 1 {
+		t.Fatalf("lambda = %v, gap = %v, want λ ≈ 1 and gap 0", rec.Lambda, rec.Gap)
+	}
+}

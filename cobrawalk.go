@@ -135,15 +135,9 @@ var (
 // MaxExactVertices bounds the exact duality solver (subset-space cost 4^n).
 const MaxExactVertices = core.MaxExactVertices
 
-// Summary holds descriptive statistics of a sample.
-type Summary = stats.Summary
-
-// Summarize computes the Summary of a sample.
-var Summarize = stats.Summarize
-
-// Streaming statistics: constant-memory accumulators for Monte-Carlo
-// ensembles too large to materialise (internal/sim.Reduce folds trials
-// into them in parallel, deterministically; sweep points and most
+// Streaming statistics: the constant-memory accumulators every
+// Monte-Carlo ensemble folds into (internal/sim.ReduceWithState folds
+// trials into them in parallel, deterministically; sweep points and most
 // experiment ensembles reach it through internal/sweep.Ensemble).
 type (
 	// Stream accumulates count/mean/variance/min/max online (Welford).
@@ -151,8 +145,8 @@ type (
 	// QuantileSketch estimates quantiles with bounded relative error and
 	// merges exactly.
 	QuantileSketch = stats.QuantileSketch
-	// Digest combines a Stream and a QuantileSketch — the streaming
-	// counterpart of Summarize.
+	// Digest combines a Stream and a QuantileSketch; its Summary is a
+	// DigestSummary.
 	Digest = stats.Digest
 	// DigestSummary is a Digest snapshot, JSON-marshalable for tooling.
 	DigestSummary = stats.DigestSummary

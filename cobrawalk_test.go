@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"cobrawalk"
@@ -253,32 +254,36 @@ func ExampleRunProcessCollect() {
 }
 
 // TestFacadeStreamingStats exercises the streaming aggregation exports:
-// a Digest fed a sample must agree with Summarize on it, and quantile
-// sketches must merge exactly.
+// a Digest fed a sample must agree with the sample's exact mean, extremes
+// and p95 (sorted, interpolated), and quantile sketches must merge
+// exactly.
 func TestFacadeStreamingStats(t *testing.T) {
 	r := cobrawalk.NewRand(5)
 	xs := make([]float64, 5000)
 	d := cobrawalk.NewDigest()
+	var sum float64
 	for i := range xs {
 		xs[i] = 10 + 100*r.Float64()
 		d.Add(xs[i])
+		sum += xs[i]
 	}
-	batch, err := cobrawalk.Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mean := sum / float64(len(xs))
+	sort.Float64s(xs)
+	pos := 0.95 * float64(len(xs)-1)
+	lo := int(pos)
+	p95 := xs[lo] + (pos-float64(lo))*(xs[lo+1]-xs[lo])
 	s, err := d.Summary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.N != batch.N || s.Min != batch.Min || s.Max != batch.Max {
-		t.Fatalf("digest %+v, batch %+v", s, batch)
+	if s.N != len(xs) || s.Min != xs[0] || s.Max != xs[len(xs)-1] {
+		t.Fatalf("digest %+v, exact N %d range [%v, %v]", s, len(xs), xs[0], xs[len(xs)-1])
 	}
-	if math.Abs(s.Mean-batch.Mean) > 1e-9*batch.Mean {
-		t.Fatalf("digest mean %v, batch %v", s.Mean, batch.Mean)
+	if math.Abs(s.Mean-mean) > 1e-9*mean {
+		t.Fatalf("digest mean %v, exact %v", s.Mean, mean)
 	}
-	if math.Abs(s.P95-batch.P95) > 0.03*batch.P95 {
-		t.Fatalf("digest p95 %v, batch %v", s.P95, batch.P95)
+	if math.Abs(s.P95-p95) > 0.03*p95 {
+		t.Fatalf("digest p95 %v, exact %v", s.P95, p95)
 	}
 
 	sk, err := cobrawalk.NewQuantileSketch(0.02)

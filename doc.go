@@ -29,16 +29,17 @@
 //   - the duality machinery: Monte-Carlo estimation and an exact
 //     subset-space verifier for graphs up to 13 vertices;
 //   - Lemma 1 growth bounds, three-phase trajectory analysis (Lemmas 2-4);
-//   - a deterministic parallel Monte-Carlo harness with two aggregation
-//     modes on one worker pool — materialise every trial (sim.Run) or
-//     stream trials into constant-memory mergeable accumulators
-//     (sim.Reduce), so ensembles of 10⁵+ trials run in O(1) memory with
-//     bit-identical results for any worker count; sweep points, the
-//     simulators and most experiment ensembles reach it through one
-//     trial loop (sweep.Trials, under sweep.Ensemble);
-//   - batch and streaming statistics: summaries, confidence intervals,
-//     scaling-law fits, Welford streams, quantile sketches, histograms
-//     (re-exported here as Stream, QuantileSketch, Digest, Histogram);
+//   - a deterministic parallel Monte-Carlo harness with one aggregation
+//     path: every ensemble streams its trials into constant-memory
+//     mergeable accumulators (sim.ReduceWithState), so ensembles of 10⁵+
+//     trials run in O(1) memory with bit-identical results for any
+//     worker count; sweep points, the simulators and most experiment
+//     ensembles reach it through one trial loop (sweep.Trials, under
+//     sweep.Ensemble);
+//   - streaming statistics: Welford streams, quantile sketches,
+//     histograms and digests (re-exported here as Stream,
+//     QuantileSketch, Digest, DigestSummary, Histogram), the digest's
+//     normal confidence interval, and scaling-law fits;
 //   - a pluggable metrics layer: a MetricsCollector rides any process's
 //     round-observer hook and records per-trial scalars plus per-round
 //     series in reusable zero-alloc buffers, and a TrajectoryDigest

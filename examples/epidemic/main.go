@@ -107,7 +107,8 @@ func runScenario(g *cobrawalk.Graph, contacts cobrawalk.Branching, r *cobrawalk.
 		return err
 	}
 	smallTarget := int(math.Ceil(4 * math.Log2(float64(g.N()))))
-	var days, p1s, p2s, p3s []float64
+	days := cobrawalk.NewDigest()
+	var p1s, p2s, p3s []float64
 	failed := 0
 	for rep := 0; rep < replicates; rep++ {
 		// Animal 0 is the PI calf, the persistent source.
@@ -119,19 +120,19 @@ func runScenario(g *cobrawalk.Graph, contacts cobrawalk.Branching, r *cobrawalk.
 			failed++
 			continue
 		}
-		days = append(days, float64(res.Rounds))
+		days.Add(float64(res.Rounds))
 		ph := cobrawalk.DetectPhases(col.Active(), g.N(), smallTarget)
 		p1, p2, p3 := ph.PhaseLengths()
 		p1s = append(p1s, float64(p1))
 		p2s = append(p2s, float64(p2))
 		p3s = append(p3s, float64(p3))
 	}
-	if len(days) == 0 {
+	if days.N() == 0 {
 		fmt.Printf("  contacts %-10s herd never fully exposed within the cap (%d/%d runs failed)\n",
 			contacts, failed, replicates)
 		return nil
 	}
-	s, err := cobrawalk.Summarize(days)
+	s, err := days.Summary()
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		obs.Fatal(logger, "creating process", "err", err)
 	}
-	covers := make([]float64, 0, runs)
+	covers := cobrawalk.NewDigest()
 	var msgs float64
 	for i := 0; i < runs; i++ {
 		res, err := cobrawalk.RunProcess(proc, r, 0, 0) // cap 0 = default, start at vertex 0
@@ -49,10 +49,10 @@ func main() {
 		if !res.Done {
 			obs.Fatal(logger, "run did not cover the graph", "run", i)
 		}
-		covers = append(covers, float64(res.Rounds))
+		covers.Add(float64(res.Rounds))
 		msgs += float64(res.Transmissions)
 	}
-	s, err := cobrawalk.Summarize(covers)
+	s, err := covers.Summary()
 	if err != nil {
 		obs.Fatal(logger, "summarising cover times", "err", err)
 	}

@@ -155,20 +155,16 @@ func TestSampleGrowthMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.NewStream(11, 0x9c0147)
-	samples := make([]float64, 5000)
-	for i := range samples {
+	var s stats.Stream
+	for range 5000 {
 		if err := b.Reset(set...); err != nil {
 			t.Fatal(err)
 		}
 		b.Step(r)
-		samples[i] = float64(b.ReachedCount())
+		s.Add(float64(b.ReachedCount()))
 	}
-	s, err := stats.Summarize(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(s.Mean - exact); d > 5*s.SE()+1e-9 {
-		t.Fatalf("sampled mean %.4f vs exact %.4f (%.1f SE)", s.Mean, exact, d/s.SE())
+	if d := math.Abs(s.Mean() - exact); d > 5*s.SE()+1e-9 {
+		t.Fatalf("sampled mean %.4f vs exact %.4f (%.1f SE)", s.Mean(), exact, d/s.SE())
 	}
 }
 

@@ -40,17 +40,20 @@ func runE11(ctx context.Context, w io.Writer, p Params) error {
 	if err != nil {
 		return err
 	}
+	// The survival function needs every order statistic, so the sample
+	// stays materialised; the mean folds it in sorted order.
 	sort.Float64s(covs)
-	s, err := summarizeOrErr(covs, "cover times")
-	if err != nil {
-		return err
+	var s stats.Stream
+	for _, c := range covs {
+		s.Add(c)
 	}
+	median, p95 := orderStat(covs, 0.5), orderStat(covs, 0.95)
 
 	tbl := NewTable("E11: empirical tail P(cov > t) on "+g.Name(),
 		"t", "P(cov > t)", "log10 P")
 	// Evaluate the survival function on a grid from the median to the max.
-	lo := int(s.Median)
-	hi := int(s.Max)
+	lo := int(median)
+	hi := int(s.Max())
 	var ts, logPs []float64
 	for t := lo; t <= hi; t++ {
 		// covs sorted ascending: count of elements > t.
@@ -73,9 +76,16 @@ func runE11(ctx context.Context, w io.Writer, p Params) error {
 			perRound := math.Exp(fit.Slope)
 			tbl.AddNote("per-round survival factor %.3f (geometric decay, as eq. (1) requires)", perRound)
 			halfLife := math.Log(2) / -fit.Slope
-			tbl.AddNote("tail half-life %.2f rounds vs mean cover %.2f", halfLife, s.Mean)
+			tbl.AddNote("tail half-life %.2f rounds vs mean cover %.2f", halfLife, s.Mean())
 		}
 	}
-	tbl.AddNote("mean %.2f, median %.0f, p95 %.0f, max %.0f over %d trials", s.Mean, s.Median, s.P95, s.Max, trials)
+	tbl.AddNote("mean %.2f, median %.0f, p95 %.0f, max %.0f over %d trials", s.Mean(), median, p95, s.Max(), trials)
 	return tbl.Emit(w, p)
+}
+
+// orderStat returns the order statistic of rank ⌈q·N⌉ (at least 1) of an
+// ascending sample: the rank rule the quantile sketch uses.
+func orderStat(sorted []float64, q float64) float64 {
+	rank := max(int(math.Ceil(q*float64(len(sorted)))), 1)
+	return sorted[rank-1]
 }

@@ -11,7 +11,6 @@ import (
 	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
 	"cobrawalk/internal/sim"
-	"cobrawalk/internal/stats"
 	"cobrawalk/internal/sweep"
 )
 
@@ -59,9 +58,10 @@ func runE12(ctx context.Context, w io.Writer, p Params) error {
 		if _, err := contact.New(g, contact.Config{Mu: mu}); err != nil {
 			return err
 		}
-		type out struct{ covered, endTime, peak float64 }
-		res, err := sim.RunWithState(ctx,
-			sim.Spec{Trials: trials, Seed: p.Seed ^ 0xc0, Workers: p.Workers},
+		// Per trial, in table order: covered before extinction, end
+		// time, peak |I|.
+		m, err := sim.ReduceWithState(ctx,
+			sim.Spec{Trials: trials, Seed: p.Seed ^ 0xc0, Workers: p.Workers}, streamsReducer(3),
 			func() *contact.Process {
 				cp, err := contact.New(g, contact.Config{Mu: mu, MaxEvents: maxEvents})
 				if err != nil {
@@ -69,24 +69,21 @@ func runE12(ctx context.Context, w io.Writer, p Params) error {
 				}
 				return cp
 			},
-			func(cp *contact.Process, trial int, r *rng.Rand) (out, error) {
+			func(cp *contact.Process, trial int, r *rng.Rand) ([]float64, error) {
 				res, err := cp.Run(0, r)
 				if err != nil {
-					return out{}, err
+					return nil, err
 				}
 				covered := 0.0
 				if res.CoveredAll {
 					covered = 1
 				}
-				return out{covered, res.EndTime, float64(res.PeakInfected)}, nil
+				return []float64{covered, res.EndTime, float64(res.PeakInfected)}, nil
 			})
 		if err != nil {
 			return err
 		}
-		tbl.AddRow(f2(mu), d(trials),
-			f2(stats.Mean(sim.Floats(res, func(o out) float64 { return o.covered }))),
-			f2(stats.Mean(sim.Floats(res, func(o out) float64 { return o.endTime }))),
-			f1(stats.Mean(sim.Floats(res, func(o out) float64 { return o.peak }))))
+		tbl.AddRow(f2(mu), d(trials), f2(m[0].Mean()), f2(m[1].Mean()), f1(m[2].Mean()))
 	}
 	tbl.AddNote("the coverage fraction sweeps 0→1 across the critical window; COBRA/BIPS have no such extinction regime")
 	if err := tbl.Emit(w, p); err != nil {
@@ -115,8 +112,9 @@ func runE12(ctx context.Context, w io.Writer, p Params) error {
 		if _, err := contact.New(g, cfg); err != nil {
 			return err
 		}
-		res, err := sim.RunWithState(ctx,
+		dg, err := sim.ReduceWithState(ctx,
 			sim.Spec{Trials: trials, Seed: p.Seed ^ 0xc1, Workers: p.Workers},
+			sim.DigestReducer(func(t float64) float64 { return t }),
 			func() *contact.Process {
 				cp, err := contact.New(g, cfg)
 				if err != nil {
@@ -137,7 +135,7 @@ func runE12(ctx context.Context, w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		s, err := summarizeOrErr(res, "contact coverage times")
+		s, err := dg.Summary()
 		if err != nil {
 			return err
 		}

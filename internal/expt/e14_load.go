@@ -44,14 +44,14 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 	tbl := NewTable(fmt.Sprintf("E14: per-vertex send load on %s (means over %d runs)", g.Name(), trials),
 		"protocol", "rounds", "total sends", "mean sends/vertex", "max sends/vertex", "max duty cycle")
 
-	// COBRA k=2 with load tracking, one registry engine per worker.
-	type loadOut struct {
-		rounds, total, maxSend, maxRecv, gini float64
-	}
+	// COBRA k=2 with load tracking, one registry engine per worker. Each
+	// trial folds five values into streams: rounds, total sends, max
+	// sends, max receives and the send-load Gini.
 	if _, err := process.New(process.Cobra, g, process.Config{}); err != nil {
 		return err
 	}
-	cres, err := sim.RunWithState(ctx, sim.Spec{Trials: trials, Seed: p.Seed ^ 0xe14, Workers: p.Workers},
+	cres, err := sim.ReduceWithState(ctx, sim.Spec{Trials: trials, Seed: p.Seed ^ 0xe14, Workers: p.Workers},
+		streamsReducer(5),
 		func() process.Process {
 			c, err := process.New(process.Cobra, g, process.Config{})
 			if err != nil {
@@ -59,10 +59,10 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 			}
 			return c
 		},
-		func(c process.Process, _ int, r *rng.Rand) (loadOut, error) {
-			activations, deliveries, err := cobraLoads(c, g.N(), r)
+		func(c process.Process, _ int, r *rng.Rand) ([]float64, error) {
+			activations, deliveries, err := cobraLoads(c, g, r)
 			if err != nil {
-				return loadOut{}, err
+				return nil, err
 			}
 			var maxSend, maxRecv int64
 			sends := make([]float64, len(activations))
@@ -78,22 +78,20 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 			}
 			gini, err := stats.Gini(sends)
 			if err != nil {
-				return loadOut{}, err
+				return nil, err
 			}
-			return loadOut{float64(c.Round()), float64(c.Transmissions()), float64(maxSend), float64(maxRecv), gini}, nil
+			return []float64{float64(c.Round()), float64(c.Transmissions()), float64(maxSend), float64(maxRecv), gini}, nil
 		})
 	if err != nil {
 		return err
 	}
-	cRounds := stats.Mean(sim.Floats(cres, func(o loadOut) float64 { return o.rounds }))
-	cTotal := stats.Mean(sim.Floats(cres, func(o loadOut) float64 { return o.total }))
-	cMax := stats.Mean(sim.Floats(cres, func(o loadOut) float64 { return o.maxSend }))
+	cRounds, cTotal, cMax := cres[0].Mean(), cres[1].Mean(), cres[2].Mean()
 	cMean := cTotal / float64(n)
 	// Duty cycle: sends by the busiest vertex relative to the protocol's
 	// per-round cap (k) over the whole run — 1.0 means "never rests".
 	cDuty := cMax / (2 * cRounds)
 	tbl.AddRow("COBRA k=2", f2(cRounds), f1(cTotal), f2(cMean), f2(cMax), f2(cDuty))
-	cMaxRecv := stats.Mean(sim.Floats(cres, func(o loadOut) float64 { return o.maxRecv }))
+	cMaxRecv := cres[3].Mean()
 
 	// Push: a vertex informed at round t sends exactly (rounds - t)
 	// messages, so the busiest vertex is the start vertex, which pushes
@@ -113,7 +111,7 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 	pDuty := pMax / pRounds // push's per-round cap is 1 send
 	tbl.AddRow("push", f2(pRounds), f1(pTotal), f2(pMean), f2(pMax), f2(pDuty))
 
-	cGini := stats.Mean(sim.Floats(cres, func(o loadOut) float64 { return o.gini }))
+	cGini := cres[4].Mean()
 	tbl.AddNote("duty cycle = (busiest vertex's sends)/(per-round cap × rounds); 1.00 means that vertex transmits every round")
 	tbl.AddNote("COBRA send-load Gini coefficient: %.3f (0 = perfectly even)", cGini)
 	tbl.AddNote("push's source transmits every round until global completion (duty %.2f); COBRA vertices go quiet between activations (max duty %.2f)", pDuty, cDuty)
@@ -121,22 +119,25 @@ func runE14(ctx context.Context, w io.Writer, p Params) error {
 	return tbl.Emit(w, p)
 }
 
+// loadRoundCap bounds E14's COBRA load runs.
+const loadRoundCap = 1 << 18
+
 // cobraLoads runs one COBRA cover run from vertex 0 on c, a registry
-// cobra engine on an n-vertex graph, and counts per vertex the rounds it
-// was active (it sent k = 2 messages each time) and the messages
-// delivered to it, coalesced duplicates included. Both come from the
-// engine's Pusher view: C_t before each Step, the pushes after it. A run
-// past 2^18 rounds is an error.
-func cobraLoads(c process.Process, n int, r *rng.Rand) (activations, deliveries []int64, err error) {
+// cobra engine on g, and counts per vertex the rounds it was active (it
+// sent k = 2 messages each time) and the messages delivered to it,
+// coalesced duplicates included. Both come from the engine's Pusher
+// view: C_t before each Step, the pushes after it. A run that reaches
+// loadRoundCap is an error naming the cap and the graph.
+func cobraLoads(c process.Process, g *graph.Graph, r *rng.Rand) (activations, deliveries []int64, err error) {
 	if err := c.Reset(0); err != nil {
 		return nil, nil, err
 	}
 	pu := c.(process.Pusher)
-	activations, deliveries = make([]int64, n), make([]int64, n)
+	activations, deliveries = make([]int64, g.N()), make([]int64, g.N())
 	var buf []int32
 	for !c.Done() {
-		if c.Round() >= 1<<18 {
-			return nil, nil, fmt.Errorf("uncovered run")
+		if c.Round() >= loadRoundCap {
+			return nil, nil, fmt.Errorf("cobra run hit round cap %d on %s", loadRoundCap, g.Name())
 		}
 		buf = pu.AppendActive(buf[:0])
 		for _, v := range buf {

@@ -11,11 +11,12 @@
 // Ensemble experiments of registry processes run through sweep.Ensemble,
 // the computation behind every sweep record, which streams trial results
 // into constant-memory stats.Digest accumulators, so full-scale runs
-// (10⁵+ trials) never materialise a per-trial slice. Workloads sweep
-// records nothing for stay on internal/sim directly: E6's phase lengths,
-// E11's raw tail sample, E12's contact process, E13's closed-form
-// reference BIPS and E14's per-vertex COBRA loads. Tables render as aligned ASCII, CSV or
-// NDJSON depending on Params.Format.
+// (10⁵+ trials) never materialise a per-trial slice. Workloads no sweep
+// metric records fold their own per-trial values: E6's phase lengths and
+// E11's raw tail sample through sweep.Trials, and E12's contact process,
+// E13's closed-form reference BIPS and E14's per-vertex COBRA loads
+// through sim.ReduceWithState directly. Tables render as aligned ASCII,
+// CSV or NDJSON depending on Params.Format.
 //
 // The experiments are exposed through a registry consumed by
 // cmd/experiments and by the repository-level benchmark harness.

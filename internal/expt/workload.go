@@ -82,13 +82,24 @@ func coverTimes(ctx context.Context, g *graph.Graph, branch process.Branching, t
 	})
 }
 
-// summarizeOrErr wraps stats.Summarize with the experiment error context.
-func summarizeOrErr(xs []float64, what string) (stats.Summary, error) {
-	s, err := stats.Summarize(xs)
-	if err != nil {
-		return stats.Summary{}, fmt.Errorf("expt: summarising %s: %w", what, err)
+// streamsReducer folds each trial's k values into k streams, one per
+// table column, for ensembles whose tables report per-column means.
+func streamsReducer(k int) sim.Reducer[[]float64, []stats.Stream] {
+	return sim.Reducer[[]float64, []stats.Stream]{
+		New: func() []stats.Stream { return make([]stats.Stream, k) },
+		Fold: func(acc []stats.Stream, _ int, v []float64) []stats.Stream {
+			for i, x := range v {
+				acc[i].Add(x)
+			}
+			return acc
+		},
+		Merge: func(into, from []stats.Stream) ([]stats.Stream, error) {
+			for i := range into {
+				into[i].Merge(from[i])
+			}
+			return into, nil
+		},
 	}
-	return s, nil
 }
 
 func f1(x float64) string { return fmt.Sprintf("%.1f", x) }

@@ -13,46 +13,40 @@ import (
 // Reducer describes a streaming reduction over trial results: trial
 // outcomes of type T are folded into accumulators of type A, and
 // accumulators combine with Merge. The three functions must be pure with
-// respect to everything except the accumulator they are handed — Reduce
-// calls them from multiple goroutines, but never concurrently on the same
-// accumulator.
+// respect to everything except the accumulator they are handed —
+// ReduceWithState calls them from multiple goroutines, but never
+// concurrently on the same accumulator.
 type Reducer[T, A any] struct {
 	// New returns a fresh accumulator. It is called once per shard.
 	New func() A
 	// Fold incorporates one trial result and returns the updated
 	// accumulator (in-place update and returning the argument is fine).
 	Fold func(acc A, trial int, v T) A
-	// Merge combines from into into and returns the result. Reduce always
-	// merges in ascending shard order, so a non-commutative Merge (e.g.
-	// Welford/Chan moment combination) still yields bit-identical results
-	// for every worker count.
+	// Merge combines from into into and returns the result.
+	// ReduceWithState always merges in ascending shard order, so a
+	// non-commutative Merge (e.g. Welford/Chan moment combination) still
+	// yields bit-identical results for every worker count.
 	Merge func(into, from A) (A, error)
 }
 
-// reduceShards is the fixed shard count Reduce partitions trials into.
-// Shard assignment depends only on the trial index — never on the worker
-// count or scheduling — which is what makes the final merged accumulator
-// bit-identical for Workers=1 and Workers=GOMAXPROCS. 64 shards keeps the
-// tail of a run well balanced across any realistic core count while
-// holding memory at O(64) accumulators regardless of trial count.
+// reduceShards is the fixed shard count ReduceWithState partitions
+// trials into. Shard assignment depends only on the trial index — never
+// on the worker count or scheduling — which is what makes the final
+// merged accumulator bit-identical for Workers=1 and Workers=GOMAXPROCS.
+// 64 shards keeps the tail of a run well balanced across any realistic
+// core count while holding memory at O(64) accumulators regardless of
+// trial count.
 const reduceShards = 64
 
-// Reduce executes fn once per trial, folding each result into a per-shard
-// accumulator and merging the shards in order at the end. Unlike Run it
-// never materialises a per-trial slice: memory is O(shards), so 10⁵+
-// trial ensembles are limited by time, not RAM. Determinism matches Run:
-// trial i uses the stream rng.NewStream(Seed, i), and the shard-ordered
-// merge makes the result independent of Workers.
-func Reduce[T, A any](ctx context.Context, spec Spec, red Reducer[T, A], fn func(trial int, r *rng.Rand) (T, error)) (A, error) {
-	return ReduceWithState(ctx, spec, red, func() struct{} { return struct{}{} },
-		func(_ struct{}, trial int, r *rng.Rand) (T, error) { return fn(trial, r) })
-}
-
-// ReduceWithState is Reduce with per-worker scratch state, mirroring
-// RunWithState: newState runs once per worker goroutine and its value is
-// passed to every trial that worker executes, so expensive per-run
-// allocations (process objects, buffers) are reused without cross-worker
-// sharing.
+// ReduceWithState executes fn once per trial, folding each result into a
+// per-shard accumulator and merging the shards in ascending order at the
+// end. It never materialises a per-trial slice: memory is O(shards).
+// Trial i uses the stream rng.NewStream(Seed, i), and the shard-ordered
+// merge makes the result independent of Workers. newState runs once per
+// worker goroutine and its value is passed to every trial that worker
+// executes, so expensive per-run allocations (process objects, buffers)
+// are reused without cross-worker sharing. The first trial error cancels
+// outstanding work and is returned with its trial index.
 func ReduceWithState[S, T, A any](ctx context.Context, spec Spec, red Reducer[T, A], newState func() S, fn func(state S, trial int, r *rng.Rand) (T, error)) (A, error) {
 	var zero A
 	if spec.Trials < 1 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -24,9 +25,15 @@ func trialMetric(trial int, r *rng.Rand) (float64, error) {
 	return sum * float64(trial%17+1), nil
 }
 
+// reduce runs a stateless trial function through ReduceWithState.
+func reduce[T, A any](ctx context.Context, spec Spec, red Reducer[T, A], fn func(trial int, r *rng.Rand) (T, error)) (A, error) {
+	return ReduceWithState(ctx, spec, red, func() struct{} { return struct{}{} },
+		func(_ struct{}, trial int, r *rng.Rand) (T, error) { return fn(trial, r) })
+}
+
 func digestOf(t *testing.T, workers, trials int) stats.DigestSummary {
 	t.Helper()
-	d, err := Reduce(context.Background(),
+	d, err := reduce(context.Background(),
 		Spec{Trials: trials, Seed: 42, Workers: workers},
 		DigestReducer(func(x float64) float64 { return x }),
 		trialMetric)
@@ -52,33 +59,45 @@ func TestReduceBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestReduceMatchesRunPlusSummarize checks the streamed digest against
+// a hand-driven serial loop over the same per-trial streams, summarised
+// exactly: two-pass moments and the interpolated p95 of the sorted
+// sample.
 func TestReduceMatchesRunPlusSummarize(t *testing.T) {
 	const trials = 500
-	raw, err := Run(context.Background(), Spec{Trials: trials, Seed: 42}, trialMetric)
-	if err != nil {
-		t.Fatal(err)
+	raw := make([]float64, trials)
+	var sum float64
+	for i := range raw {
+		raw[i], _ = trialMetric(i, rng.NewStream(42, uint64(i)))
+		sum += raw[i]
 	}
-	batch, err := stats.Summarize(raw)
-	if err != nil {
-		t.Fatal(err)
+	mean := sum / trials
+	var ss float64
+	for _, x := range raw {
+		ss += (x - mean) * (x - mean)
 	}
+	sort.Float64s(raw)
+	pos := 0.95 * (trials - 1)
+	lo := int(pos)
+	p95 := raw[lo] + (pos-float64(lo))*(raw[lo+1]-raw[lo])
+
 	streaming := digestOf(t, 0, trials)
-	if streaming.N != batch.N {
-		t.Fatalf("N = %d, want %d", streaming.N, batch.N)
+	if streaming.N != trials {
+		t.Fatalf("N = %d, want %d", streaming.N, trials)
 	}
 	rel := func(name string, got, want float64) {
 		t.Helper()
 		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
-			t.Fatalf("%s = %v, batch %v", name, got, want)
+			t.Fatalf("%s = %v, exact %v", name, got, want)
 		}
 	}
-	rel("mean", streaming.Mean, batch.Mean)
-	rel("variance", streaming.Variance, batch.Variance)
-	rel("min", streaming.Min, batch.Min)
-	rel("max", streaming.Max, batch.Max)
+	rel("mean", streaming.Mean, mean)
+	rel("variance", streaming.Variance, ss/(trials-1))
+	rel("min", streaming.Min, raw[0])
+	rel("max", streaming.Max, raw[trials-1])
 	// Quantiles go through the sketch: relative accuracy, not exact.
-	if math.Abs(streaming.P95-batch.P95) > 2*stats.DefaultSketchAlpha*batch.P95 {
-		t.Fatalf("p95 = %v, batch %v", streaming.P95, batch.P95)
+	if math.Abs(streaming.P95-p95) > 2*stats.DefaultSketchAlpha*p95 {
+		t.Fatalf("p95 = %v, exact %v", streaming.P95, p95)
 	}
 }
 
@@ -111,7 +130,7 @@ func TestReduceWithStatePerWorkerReuse(t *testing.T) {
 
 func TestReduceErrorPropagation(t *testing.T) {
 	sentinel := errors.New("boom")
-	_, err := Reduce(context.Background(), Spec{Trials: 200, Seed: 2, Workers: 4},
+	_, err := reduce(context.Background(), Spec{Trials: 200, Seed: 2, Workers: 4},
 		DigestReducer(func(x float64) float64 { return x }),
 		func(trial int, r *rng.Rand) (float64, error) {
 			if trial == 131 {
@@ -119,32 +138,39 @@ func TestReduceErrorPropagation(t *testing.T) {
 			}
 			return 1, nil
 		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
+	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "sim: trial 131:") {
+		t.Fatalf("err = %v, want wrapped sentinel naming trial 131", err)
 	}
 }
 
 func TestReduceValidation(t *testing.T) {
-	red := DigestReducer(func(x float64) float64 { return x })
-	if _, err := Reduce(context.Background(), Spec{Trials: 0}, red,
-		func(int, *rng.Rand) (float64, error) { return 0, nil }); err == nil {
-		t.Fatal("zero trials should fail")
-	}
 	bad := Reducer[float64, *stats.Digest]{New: stats.NewDigest}
-	if _, err := Reduce(context.Background(), Spec{Trials: 1}, bad,
+	if _, err := reduce(context.Background(), Spec{Trials: 1}, bad,
 		func(int, *rng.Rand) (float64, error) { return 0, nil }); err == nil {
 		t.Fatal("incomplete reducer should fail")
 	}
 }
 
+// TestReduceContextCancellation: a context cancelled mid-run stops the
+// ensemble before its next trial and returns the context's error.
 func TestReduceContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Reduce(ctx, Spec{Trials: 10, Seed: 3},
+	defer cancel()
+	last := -1
+	_, err := reduce(ctx, Spec{Trials: 100, Seed: 3, Workers: 1},
 		DigestReducer(func(x float64) float64 { return x }),
-		func(trial int, r *rng.Rand) (float64, error) { return 1, nil })
-	if err == nil {
-		t.Fatal("pre-cancelled context should fail")
+		func(trial int, r *rng.Rand) (float64, error) {
+			last = trial
+			if trial == 5 {
+				cancel()
+			}
+			return 1, nil
+		})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "sim: cancelled") {
+		t.Fatalf("err = %v, want the cancellation", err)
+	}
+	if last != 5 {
+		t.Fatalf("trial %d ran after the cancel", last)
 	}
 }
 
@@ -160,7 +186,7 @@ func TestReduceMergeErrorSurfaces(t *testing.T) {
 		},
 	}
 	// Needs at least two shards for Merge to run: 200 trials > 64 shards.
-	_, err := Reduce(context.Background(), Spec{Trials: 200, Seed: 5}, red,
+	_, err := reduce(context.Background(), Spec{Trials: 200, Seed: 5}, red,
 		func(trial int, r *rng.Rand) (float64, error) { return 1, nil })
 	if err == nil || !strings.Contains(err.Error(), "merge exploded") {
 		t.Fatalf("merge error should surface, got %v", err)
@@ -168,15 +194,15 @@ func TestReduceMergeErrorSurfaces(t *testing.T) {
 }
 
 func TestReduceTrialsMatchRunStreams(t *testing.T) {
-	// Reduce must hand trial i exactly the stream Run hands it: fold the
+	// Trial i must draw from exactly rng.NewStream(Seed, i): fold the
 	// first random uint64 of each trial via XOR (order-independent) and
-	// compare against a serial computation.
+	// compare against a hand-driven serial loop over those streams.
 	xorRed := Reducer[uint64, uint64]{
 		New:   func() uint64 { return 0 },
 		Fold:  func(acc uint64, _ int, v uint64) uint64 { return acc ^ v },
 		Merge: func(a, b uint64) (uint64, error) { return a ^ b, nil },
 	}
-	got, err := Reduce(context.Background(), Spec{Trials: 777, Seed: 9, Workers: 16}, xorRed,
+	got, err := reduce(context.Background(), Spec{Trials: 777, Seed: 9, Workers: 16}, xorRed,
 		func(trial int, r *rng.Rand) (uint64, error) { return r.Uint64(), nil })
 	if err != nil {
 		t.Fatal(err)
@@ -215,10 +241,13 @@ func TestShardRangeCoversAllTrials(t *testing.T) {
 	}
 }
 
-func ExampleReduce() {
-	d, err := Reduce(context.Background(), Spec{Trials: 100000, Seed: 7},
+func ExampleReduceWithState() {
+	// The per-worker state is empty here; an ensemble passes the process
+	// object each worker reuses across its trials.
+	d, err := ReduceWithState(context.Background(), Spec{Trials: 100000, Seed: 7},
 		DigestReducer(func(x float64) float64 { return x }),
-		func(trial int, r *rng.Rand) (float64, error) { return float64(trial % 10), nil })
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, trial int, r *rng.Rand) (float64, error) { return float64(trial % 10), nil })
 	if err != nil {
 		panic(err)
 	}

@@ -3,15 +3,30 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
 
 	"cobrawalk/internal/rng"
 )
 
+// collect runs fn through ReduceWithState with a fold that stores each
+// result at its trial index, so a test can inspect every trial.
+func collect[T any](ctx context.Context, spec Spec, fn func(trial int, r *rng.Rand) (T, error)) ([]T, error) {
+	out := make([]T, max(spec.Trials, 0))
+	_, err := reduce(ctx, spec, Reducer[T, []T]{
+		New: func() []T { return out },
+		Fold: func(acc []T, trial int, v T) []T {
+			acc[trial] = v
+			return acc
+		},
+		Merge: func(into, _ []T) ([]T, error) { return into, nil },
+	}, fn)
+	return out, err
+}
+
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []float64 {
-		res, err := Run(context.Background(), Spec{Trials: 64, Seed: 42, Workers: workers},
+		res, err := collect(context.Background(), Spec{Trials: 64, Seed: 42, Workers: workers},
 			func(trial int, r *rng.Rand) (float64, error) {
 				// Consume a trial-dependent amount of randomness to make
 				// any stream-sharing bug visible.
@@ -37,8 +52,10 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestRunResultsInTrialOrder pins Fold's trial argument: every trial's
+// value arrives with its own index.
 func TestRunResultsInTrialOrder(t *testing.T) {
-	res, err := Run(context.Background(), Spec{Trials: 100, Seed: 1},
+	res, err := collect(context.Background(), Spec{Trials: 100, Seed: 1},
 		func(trial int, r *rng.Rand) (int, error) { return trial * trial, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -50,44 +67,71 @@ func TestRunResultsInTrialOrder(t *testing.T) {
 	}
 }
 
+// TestRunErrorPropagation: on one worker the first error stops the run,
+// so no later trial starts, and the error names its trial.
 func TestRunErrorPropagation(t *testing.T) {
 	sentinel := errors.New("boom")
-	_, err := Run(context.Background(), Spec{Trials: 50, Seed: 2, Workers: 4},
+	last := -1
+	_, err := collect(context.Background(), Spec{Trials: 50, Seed: 2, Workers: 1},
 		func(trial int, r *rng.Rand) (int, error) {
+			last = trial
 			if trial == 13 {
 				return 0, sentinel
 			}
 			return trial, nil
 		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
+	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "trial 13") {
+		t.Fatalf("err = %v, want wrapped sentinel naming trial 13", err)
+	}
+	if last != 13 {
+		t.Fatalf("trial %d ran after trial 13 failed", last)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), Spec{Trials: 0},
-		func(int, *rng.Rand) (int, error) { return 0, nil }); err == nil {
-		t.Fatal("zero trials should fail")
+	for _, trials := range []int{0, -1} {
+		if _, err := collect(context.Background(), Spec{Trials: trials},
+			func(int, *rng.Rand) (int, error) { return 0, nil }); err == nil {
+			t.Fatalf("trials = %d should fail", trials)
+		}
 	}
 }
 
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before start
-	_, err := Run(ctx, Spec{Trials: 10, Seed: 3},
-		func(trial int, r *rng.Rand) (int, error) { return trial, nil })
-	if err == nil {
-		t.Fatal("pre-cancelled context should fail")
+	ran := false
+	_, err := collect(ctx, Spec{Trials: 10, Seed: 3},
+		func(trial int, r *rng.Rand) (int, error) {
+			ran = true
+			return trial, nil
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ran {
+		t.Fatal("a trial ran under a pre-cancelled context")
 	}
 }
 
 func TestRunWithStatePerWorkerReuse(t *testing.T) {
-	// Each worker gets its own scratch buffer; concurrent trials must
-	// never observe another worker's state. Use a counter-in-struct that
-	// each trial increments; totals must equal trial count.
+	// Each worker gets its own scratch state, built once and reused for
+	// every trial that worker runs; concurrent trials never observe
+	// another worker's state.
 	type scratch struct{ uses int }
-	res, err := RunWithState(context.Background(), Spec{Trials: 200, Seed: 4, Workers: 8},
-		func() *scratch { return &scratch{} },
+	const trials, workers = 200, 8
+	states := make(chan *scratch, trials)
+	red := Reducer[int, int]{
+		New:   func() int { return 0 },
+		Fold:  func(acc, _, v int) int { return max(acc, v) },
+		Merge: func(a, b int) (int, error) { return max(a, b), nil },
+	}
+	maxUse, err := ReduceWithState(context.Background(), Spec{Trials: trials, Seed: 4, Workers: workers}, red,
+		func() *scratch {
+			s := &scratch{}
+			states <- s
+			return s
+		},
 		func(s *scratch, trial int, r *rng.Rand) (int, error) {
 			s.uses++
 			return s.uses, nil
@@ -95,34 +139,17 @@ func TestRunWithStatePerWorkerReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	maxUse := 0
-	for _, v := range res {
-		if v < 1 {
-			t.Fatalf("invalid use count %d", v)
-		}
-		total++
-		if v > maxUse {
-			maxUse = v
-		}
+	close(states)
+	built, total := 0, 0
+	for s := range states {
+		built++
+		total += s.uses
 	}
-	if total != 200 {
-		t.Fatalf("total trials %d", total)
+	if built > workers || total != trials {
+		t.Fatalf("%d states ran %d trials, want at most %d states and %d trials", built, total, workers, trials)
 	}
-	if maxUse < 200/8 {
+	if maxUse < trials/workers {
 		t.Fatalf("max per-worker use %d suspiciously small (state not reused?)", maxUse)
-	}
-}
-
-func TestFloats(t *testing.T) {
-	type res struct{ x int }
-	in := []res{{1}, {2}, {3}}
-	out := Floats(in, func(r res) float64 { return float64(r.x) * 2 })
-	want := []float64{2, 4, 6}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("Floats = %v", out)
-		}
 	}
 }
 
@@ -135,14 +162,4 @@ func TestSpecWorkersClamp(t *testing.T) {
 	if got := s.workers(); got < 1 {
 		t.Fatalf("workers = %d", got)
 	}
-}
-
-func ExampleRun() {
-	res, err := Run(context.Background(), Spec{Trials: 3, Seed: 7},
-		func(trial int, r *rng.Rand) (int, error) { return trial + 1, nil })
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res)
-	// Output: [1 2 3]
 }

@@ -3,9 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
-
-	"cobrawalk/internal/rng"
 )
 
 // Interval is a two-sided confidence interval for a point estimate.
@@ -66,51 +63,4 @@ func invNormCDF(p float64) float64 {
 		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
-}
-
-// NormalCI returns the normal-approximation confidence interval for the
-// mean of xs at the given level (e.g. 0.95).
-func NormalCI(xs []float64, level float64) (Interval, error) {
-	if level <= 0 || level >= 1 {
-		return Interval{}, errBadLevel(level)
-	}
-	s, err := Summarize(xs)
-	if err != nil {
-		return Interval{}, err
-	}
-	z := zQuantile(level)
-	h := z * s.SE()
-	return Interval{Point: s.Mean, Lo: s.Mean - h, Hi: s.Mean + h, Level: level}, nil
-}
-
-// BootstrapCI returns a percentile-bootstrap confidence interval for an
-// arbitrary statistic of xs. resamples controls the bootstrap replications
-// (default 2000 when <= 0). Deterministic given the rng stream.
-func BootstrapCI(xs []float64, level float64, resamples int, stat func([]float64) float64, r *rng.Rand) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, ErrEmpty
-	}
-	if level <= 0 || level >= 1 {
-		return Interval{}, errBadLevel(level)
-	}
-	if resamples <= 0 {
-		resamples = 2000
-	}
-	point := stat(xs)
-	replicates := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for b := 0; b < resamples; b++ {
-		for i := range buf {
-			buf[i] = xs[r.Intn(len(xs))]
-		}
-		replicates[b] = stat(buf)
-	}
-	sort.Float64s(replicates)
-	alpha := (1 - level) / 2
-	return Interval{
-		Point: point,
-		Lo:    quantileSorted(replicates, alpha),
-		Hi:    quantileSorted(replicates, 1-alpha),
-		Level: level,
-	}, nil
 }

@@ -6,7 +6,7 @@ import (
 	"math"
 )
 
-// Digest is the streaming counterpart of Summarize: it folds observations
+// Digest is the summary every ensemble folds into: it takes observations
 // one at a time into a Stream (count/mean/variance/min/max, exact) and a
 // QuantileSketch (p50/p90/p95/p99 to within the sketch's relative
 // accuracy), holding constant memory regardless of how many observations
@@ -86,10 +86,12 @@ func (d *Digest) Summary() (DigestSummary, error) {
 }
 
 // CI returns the normal-approximation confidence interval for the mean
-// at the given level — Stream.CI reconstructed from the snapshot, for
-// consumers that only hold the serialised summary (sweep records). A
-// single observation has no standard error, so N < 2 returns
-// ErrInsufficient (ErrEmpty for N == 0) instead of degenerate bounds.
+// at the given level (e.g. 0.95), mean ± z·SE. It is the one interval
+// the stats layer builds: the simulators take it from a live Digest's
+// Summary, and consumers that only hold the serialised summary (sweep
+// records) get the same bounds. A single observation has no standard
+// error, so N < 2 returns ErrInsufficient (ErrEmpty for N == 0) instead
+// of degenerate bounds.
 func (s DigestSummary) CI(level float64) (Interval, error) {
 	if s.N == 0 {
 		return Interval{}, ErrEmpty

@@ -30,7 +30,7 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 	if n < 2 {
 		return Fit{}, fmt.Errorf("stats: need >= 2 points, got %d", n)
 	}
-	mx, my := Mean(xs), Mean(ys)
+	mx, my := mean(xs), mean(ys)
 	var sxx, sxy, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
@@ -49,6 +49,15 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 		fit.R2 = (sxy * sxy) / (sxx * syy)
 	}
 	return fit, nil
+}
+
+// mean is the plain left-to-right sum over len(xs).
+func mean(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }
 
 // FitLogN fits y = a·log₂(n) + b for positive sample sizes ns. It is the

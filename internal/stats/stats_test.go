@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,12 +12,22 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSummarizeKnown(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	s, err := Summarize(xs)
+// digestOf folds xs into a fresh Digest and snapshots it.
+func digestOf(t *testing.T, xs []float64) DigestSummary {
+	t.Helper()
+	d := NewDigest()
+	for _, x := range xs {
+		d.Add(x)
+	}
+	s, err := d.Summary()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func TestSummarizeKnown(t *testing.T) {
+	s := digestOf(t, []float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N != 8 || !approx(s.Mean, 5, 1e-12) {
 		t.Fatalf("mean: %+v", s)
 	}
@@ -29,11 +38,12 @@ func TestSummarizeKnown(t *testing.T) {
 	if s.Min != 2 || s.Max != 9 {
 		t.Fatalf("range: %+v", s)
 	}
-	if !approx(s.Median, 4.5, 1e-12) {
-		t.Fatalf("median = %v, want 4.5", s.Median)
+	// The sketch median is the rank-⌈N/2⌉ order statistic, 4, within α.
+	if !approx(s.P50, 4, DefaultSketchAlpha*4) {
+		t.Fatalf("median = %v, want 4 within α", s.P50)
 	}
-	if !approx(s.SE(), s.Std/math.Sqrt(8), 1e-12) {
-		t.Fatalf("SE = %v", s.SE())
+	if !approx(s.SE, s.Std/math.Sqrt(8), 1e-12) {
+		t.Fatalf("SE = %v", s.SE)
 	}
 	if !strings.Contains(s.String(), "n=8") {
 		t.Fatalf("String: %s", s.String())
@@ -41,139 +51,69 @@ func TestSummarizeKnown(t *testing.T) {
 }
 
 func TestSummarizeSingleAndEmpty(t *testing.T) {
-	s, err := Summarize([]float64{3.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != 3.5 || s.Variance != 0 || s.Median != 3.5 || s.Min != 3.5 || s.Max != 3.5 {
+	s := digestOf(t, []float64{3.5})
+	if s.Mean != 3.5 || s.Variance != 0 || s.Min != 3.5 || s.Max != 3.5 ||
+		!approx(s.P50, 3.5, DefaultSketchAlpha*3.5) {
 		t.Fatalf("singleton summary: %+v", s)
 	}
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
+	if _, err := NewDigest().Summary(); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("empty: %v", err)
 	}
 }
 
-func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Summarize(xs); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
+// TestQuantile pins the sketch's rank rule: the q-th quantile is the
+// order statistic of rank max(1, ⌈q·N⌉), to within α.
 func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
+	sk := NewDefaultSketch()
+	if _, err := sk.Quantile(0.5); !errors.Is(err, ErrEmpty) {
+		t.Fatal("empty should fail with ErrEmpty")
+	}
+	for _, x := range []float64{1, 2, 3, 4, 5} {
+		sk.Add(x)
+	}
 	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.1, 1.4},
+		{0, 1}, {0.1, 1}, {0.25, 2}, {0.5, 3}, {0.7, 4}, {0.75, 4}, {1, 5},
 	}
 	for _, tc := range cases {
-		got, err := Quantile(xs, tc.q)
+		got, err := sk.Quantile(tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !approx(got, tc.want, 1e-12) {
-			t.Fatalf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
+		if !approx(got, tc.want, DefaultSketchAlpha*tc.want) {
+			t.Fatalf("Quantile(%v) = %v, want %v within α", tc.q, got, tc.want)
 		}
 	}
-	if _, err := Quantile(xs, 1.5); err == nil {
+	if _, err := sk.Quantile(1.5); err == nil {
 		t.Fatal("q > 1 should fail")
-	}
-	if _, err := Quantile(nil, 0.5); !errors.Is(err, ErrEmpty) {
-		t.Fatal("empty should fail with ErrEmpty")
 	}
 }
 
 func TestQuantilePropertyMonotone(t *testing.T) {
-	r := rng.New(1)
 	f := func(seed uint32) bool {
 		rr := rng.New(uint64(seed))
 		n := rr.Intn(50) + 1
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rr.Float64() * 100
+		sk := NewDefaultSketch()
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i := 0; i < n; i++ {
+			x := rr.Float64() * 100
+			sk.Add(x)
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
 		}
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.1 {
-			v, err := Quantile(xs, q)
+			v, err := sk.Quantile(q)
 			if err != nil || v < prev {
 				return false
 			}
 			prev = v
 		}
-		// Quantiles bounded by min/max.
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		lo, _ := Quantile(xs, 0)
-		hi, _ := Quantile(xs, 1)
-		return lo == sorted[0] && hi == sorted[n-1]
+		// The extreme quantiles are the extreme observations, within α.
+		q0, _ := sk.Quantile(0)
+		q1, _ := sk.Quantile(1)
+		return approx(q0, lo, DefaultSketchAlpha*lo) && approx(q1, hi, DefaultSketchAlpha*hi)
 	}
-	_ = r
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	r := rng.New(2)
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = r.NormFloat64()*3 + 7
-		w.Add(xs[i])
-	}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(w.Mean(), s.Mean, 1e-10) || !approx(w.Variance(), s.Variance, 1e-8) {
-		t.Fatalf("welford (%v, %v) vs batch (%v, %v)", w.Mean(), w.Variance(), s.Mean, s.Variance)
-	}
-	if w.N() != 1000 {
-		t.Fatalf("N = %d", w.N())
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	r := rng.New(3)
-	var whole, left, right Welford
-	for i := 0; i < 500; i++ {
-		x := r.Float64() * 10
-		whole.Add(x)
-		if i < 180 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(right)
-	if left.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", left.N(), whole.N())
-	}
-	if !approx(left.Mean(), whole.Mean(), 1e-10) || !approx(left.Variance(), whole.Variance(), 1e-8) {
-		t.Fatalf("merge mismatch: (%v,%v) vs (%v,%v)", left.Mean(), left.Variance(), whole.Mean(), whole.Variance())
-	}
-	// Merging into empty and merging empty are both identity-ish.
-	var empty Welford
-	empty.Merge(whole)
-	if !approx(empty.Mean(), whole.Mean(), 1e-12) {
-		t.Fatal("merge into empty failed")
-	}
-	before := whole.Mean()
-	whole.Merge(Welford{})
-	if whole.Mean() != before {
-		t.Fatal("merging empty changed state")
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.SE()) {
-		t.Fatal("empty accumulator should report NaN mean/SE")
-	}
-	if w.Variance() != 0 {
-		t.Fatal("empty variance should be 0")
 	}
 }
 
@@ -197,13 +137,15 @@ func TestInvNormCDF(t *testing.T) {
 	}
 }
 
+// TestNormalCI checks DigestSummary.CI, the one normal-approximation
+// interval.
 func TestNormalCI(t *testing.T) {
 	r := rng.New(4)
 	xs := make([]float64, 4000)
 	for i := range xs {
 		xs[i] = r.NormFloat64() + 5
 	}
-	iv, err := NormalCI(xs, 0.95)
+	iv, err := digestOf(t, xs).CI(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +155,13 @@ func TestNormalCI(t *testing.T) {
 	if iv.Hi-iv.Lo > 0.2 {
 		t.Fatalf("CI too wide: %v", iv)
 	}
-	if iv.Lo >= iv.Point || iv.Point >= iv.Hi {
+	if iv.Lo >= iv.Point || iv.Point >= iv.Hi || iv.Level != 0.95 {
 		t.Fatalf("CI ordering broken: %v", iv)
 	}
-	if _, err := NormalCI(xs, 1.5); err == nil {
+	if _, err := digestOf(t, xs).CI(1.5); err == nil {
 		t.Fatal("bad level should fail")
 	}
-	if _, err := NormalCI(nil, 0.95); err == nil {
+	if _, err := (DigestSummary{}).CI(0.95); err == nil {
 		t.Fatal("empty should fail")
 	}
 }
@@ -235,7 +177,7 @@ func TestNormalCICoverage(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.NormFloat64() * 2
 		}
-		iv, err := NormalCI(xs, 0.90)
+		iv, err := digestOf(t, xs).CI(0.90)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,30 +188,6 @@ func TestNormalCICoverage(t *testing.T) {
 	rate := float64(covered) / experiments
 	if rate < 0.84 || rate > 0.96 {
 		t.Fatalf("90%% CI empirical coverage = %.3f", rate)
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	r := rng.New(6)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.Float64()*2 + 3 // uniform(3,5), median 4
-	}
-	iv, err := BootstrapCI(xs, 0.95, 1000, func(s []float64) float64 {
-		v, _ := Quantile(s, 0.5)
-		return v
-	}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(4) {
-		t.Fatalf("bootstrap CI %v should contain true median 4", iv)
-	}
-	if _, err := BootstrapCI(nil, 0.95, 100, Mean, r); !errors.Is(err, ErrEmpty) {
-		t.Fatal("empty should fail")
-	}
-	if _, err := BootstrapCI(xs, 0, 100, Mean, r); err == nil {
-		t.Fatal("bad level should fail")
 	}
 }
 
@@ -412,16 +330,9 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestMeanEdge(t *testing.T) {
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("Mean(nil) should be NaN")
-	}
-	if Mean([]float64{2, 4}) != 3 {
-		t.Fatal("Mean broken")
-	}
-}
-
-// Property: Summary invariants hold for arbitrary samples.
+// Property: DigestSummary invariants hold for arbitrary samples. The
+// moments and extremes are exact; the sketch quantiles are ordered and
+// sit within α of the sample's range.
 func TestSummaryInvariantsQuick(t *testing.T) {
 	f := func(seed uint32) bool {
 		r := rng.New(uint64(seed))
@@ -430,13 +341,11 @@ func TestSummaryInvariantsQuick(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.NormFloat64() * 50
 		}
-		s, err := Summarize(xs)
-		if err != nil {
-			return false
-		}
-		return s.Min <= s.Q25 && s.Q25 <= s.Median && s.Median <= s.Q75 &&
-			s.Q75 <= s.Max && s.Mean >= s.Min && s.Mean <= s.Max &&
-			s.Variance >= 0 && s.P95 <= s.Max && s.P95 >= s.Median
+		s := digestOf(t, xs)
+		return s.Mean >= s.Min && s.Mean <= s.Max && s.Variance >= 0 &&
+			s.P50 <= s.P90 && s.P90 <= s.P95 && s.P95 <= s.P99 &&
+			s.P50 >= s.Min-DefaultSketchAlpha*math.Abs(s.Min) &&
+			s.P99 <= s.Max+DefaultSketchAlpha*math.Abs(s.Max)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

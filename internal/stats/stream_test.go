@@ -2,8 +2,8 @@ package stats
 
 import (
 	"encoding/json"
-	"errors"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -20,18 +20,53 @@ func randomSample(n int, seed uint64) []float64 {
 	return xs
 }
 
+// exact is the reference the streaming accumulators are checked
+// against: the sorted sample and its two-pass moments.
+type exact struct {
+	sorted         []float64
+	mean, variance float64
+}
+
+func summarize(xs []float64) exact {
+	e := exact{sorted: append([]float64(nil), xs...)}
+	sort.Float64s(e.sorted)
+	for _, x := range e.sorted {
+		e.mean += x
+	}
+	e.mean /= float64(len(xs))
+	for _, x := range e.sorted {
+		e.variance += (x - e.mean) * (x - e.mean)
+	}
+	if len(xs) > 1 {
+		e.variance /= float64(len(xs) - 1)
+	}
+	return e
+}
+
+func (e exact) min() float64 { return e.sorted[0] }
+func (e exact) max() float64 { return e.sorted[len(e.sorted)-1] }
+
+// quantile interpolates linearly between the order statistics either
+// side of position q·(N-1).
+func (e exact) quantile(q float64) float64 {
+	pos := q * float64(len(e.sorted)-1)
+	lo := int(pos)
+	if lo == len(e.sorted)-1 {
+		return e.sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return e.sorted[lo]*(1-frac) + e.sorted[lo+1]*frac
+}
+
 func TestStreamMatchesSummarize(t *testing.T) {
 	xs := randomSample(10000, 1)
 	var s Stream
 	for _, x := range xs {
 		s.Add(x)
 	}
-	want, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N() != want.N {
-		t.Fatalf("N = %d, want %d", s.N(), want.N)
+	want := summarize(xs)
+	if s.N() != len(xs) {
+		t.Fatalf("N = %d, want %d", s.N(), len(xs))
 	}
 	const tol = 1e-9
 	approx := func(name string, got, ref float64) {
@@ -40,11 +75,12 @@ func TestStreamMatchesSummarize(t *testing.T) {
 			t.Fatalf("%s = %v, want %v", name, got, ref)
 		}
 	}
-	approx("mean", s.Mean(), want.Mean)
-	approx("variance", s.Variance(), want.Variance)
-	approx("std", s.Std(), want.Std)
-	if s.Min() != want.Min || s.Max() != want.Max {
-		t.Fatalf("min/max = %v/%v, want %v/%v", s.Min(), s.Max(), want.Min, want.Max)
+	approx("mean", s.Mean(), want.mean)
+	approx("variance", s.Variance(), want.variance)
+	approx("std", s.Std(), math.Sqrt(want.variance))
+	approx("se", s.SE(), math.Sqrt(want.variance/float64(len(xs))))
+	if s.Min() != want.min() || s.Max() != want.max() {
+		t.Fatalf("min/max = %v/%v, want %v/%v", s.Min(), s.Max(), want.min(), want.max())
 	}
 }
 
@@ -77,11 +113,22 @@ func TestStreamMergeMatchesSequential(t *testing.T) {
 	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
 		t.Fatal("merged min/max mismatch")
 	}
+	// Merging into an empty stream copies; merging an empty one is a
+	// no-op.
+	var empty Stream
+	empty.Merge(whole)
+	if empty != whole {
+		t.Fatalf("merge into empty: %+v, want %+v", empty, whole)
+	}
+	whole.Merge(Stream{})
+	if whole != empty {
+		t.Fatal("merging an empty stream changed state")
+	}
 }
 
 func TestStreamMergeDeterministic(t *testing.T) {
 	// Bit-identical results for the same shard partition, however many
-	// times we run it — the property sim.Reduce relies on.
+	// times we run it — the property sim.ReduceWithState relies on.
 	xs := randomSample(1000, 3)
 	build := func() Stream {
 		parts := make([]Stream, 4)
@@ -102,34 +149,23 @@ func TestStreamMergeDeterministic(t *testing.T) {
 
 func TestStreamEmptyAndCI(t *testing.T) {
 	var s Stream
-	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {
+	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.SE()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {
 		t.Fatal("empty stream should report NaN")
 	}
-	if _, err := s.CI(0.95); err == nil {
-		t.Fatal("empty CI should fail")
+	if s.N() != 0 || s.Variance() != 0 {
+		t.Fatal("empty stream should report N = 0 and variance 0")
 	}
-	// One observation has no standard error: no zero-width interval.
+	// The interval comes from the digest snapshot: mean ± z·SE with the
+	// exact two-pass moments.
 	xs := randomSample(400, 4)
-	s.Add(xs[0])
-	if _, err := s.CI(0.95); !errors.Is(err, ErrInsufficient) {
-		t.Fatalf("N = 1 CI err = %v, want ErrInsufficient", err)
-	}
-	for _, x := range xs[1:] {
-		s.Add(x)
-	}
-	ci, err := s.CI(0.95)
+	ci, err := digestOf(t, xs).CI(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NormalCI(xs, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ci.Lo-want.Lo) > 1e-9 || math.Abs(ci.Hi-want.Hi) > 1e-9 {
-		t.Fatalf("stream CI [%v,%v], batch [%v,%v]", ci.Lo, ci.Hi, want.Lo, want.Hi)
-	}
-	if _, err := s.CI(1.5); err == nil {
-		t.Fatal("bad level should fail")
+	want := summarize(xs)
+	h := zQuantile(0.95) * math.Sqrt(want.variance/float64(len(xs)))
+	if math.Abs(ci.Lo-(want.mean-h)) > 1e-9 || math.Abs(ci.Hi-(want.mean+h)) > 1e-9 {
+		t.Fatalf("digest CI [%v,%v], exact [%v,%v]", ci.Lo, ci.Hi, want.mean-h, want.mean+h)
 	}
 }
 
@@ -144,13 +180,10 @@ func TestSketchRelativeError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Quantile(xs, q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := summarize(xs).quantile(q)
 		// The guarantee is relative to an exact order statistic; linear
-		// interpolation in Quantile shifts it by at most one neighbour
-		// gap, so allow 2α.
+		// interpolation shifts it by at most one neighbour gap, so allow
+		// 2α.
 		if math.Abs(got-want) > 2*DefaultSketchAlpha*want {
 			t.Fatalf("q=%v: sketch %v, exact %v", q, got, want)
 		}
@@ -331,15 +364,12 @@ func TestDigestSummaryAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
+	want := summarize(xs)
+	if s.N != len(xs) || math.Abs(s.Mean-want.mean) > 1e-9*want.mean {
+		t.Fatalf("digest %+v disagrees with the exact mean %v", s, want.mean)
 	}
-	if s.N != want.N || math.Abs(s.Mean-want.Mean) > 1e-9*want.Mean {
-		t.Fatalf("digest %+v disagrees with Summarize %+v", s, want)
-	}
-	if math.Abs(s.P95-want.P95) > 2*DefaultSketchAlpha*want.P95 {
-		t.Fatalf("p95 = %v, exact %v", s.P95, want.P95)
+	if p95 := want.quantile(0.95); math.Abs(s.P95-p95) > 2*DefaultSketchAlpha*p95 {
+		t.Fatalf("p95 = %v, exact %v", s.P95, p95)
 	}
 	if s.P50 > s.P90 || s.P90 > s.P95 || s.P95 > s.P99 {
 		t.Fatalf("quantiles out of order: %+v", s)
@@ -400,7 +430,7 @@ func TestDigestMerge(t *testing.T) {
 // TestDigestSummaryJSONRoundTrip pins the DigestSummary wire format: a
 // marshalled summary unmarshals back field-for-field, non-finite values
 // travel as null (and come back as the zero value), and the CI
-// reconstructed from the snapshot matches the live Stream's.
+// reconstructed from the snapshot is the live stream's mean ± z·SE.
 func TestDigestSummaryJSONRoundTrip(t *testing.T) {
 	d := NewDigest()
 	xs := randomSample(2500, 13)
@@ -432,17 +462,15 @@ func TestDigestSummaryJSONRoundTrip(t *testing.T) {
 		t.Fatalf("re-marshal not byte-stable:\n%s\n%s", blob, blob2)
 	}
 
-	// CI from the snapshot matches CI from the live stream.
-	want, err := d.Stream.CI(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// CI from the round-tripped snapshot is the live stream's
+	// mean ± z·SE, bit for bit.
 	got, err := back.CI(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.Lo-want.Lo) > 1e-9 || math.Abs(got.Hi-want.Hi) > 1e-9 {
-		t.Fatalf("snapshot CI %+v, stream CI %+v", got, want)
+	h := zQuantile(0.95) * d.Stream.SE()
+	if got.Lo != d.Stream.Mean()-h || got.Hi != d.Stream.Mean()+h {
+		t.Fatalf("snapshot CI %+v, stream mean %v ± %v", got, d.Stream.Mean(), h)
 	}
 	if _, err := (DigestSummary{}).CI(0.95); err == nil {
 		t.Fatal("empty summary CI should fail")

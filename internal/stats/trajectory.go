@@ -21,7 +21,7 @@ import (
 // Column sketch merges are exact (bucket counts are additive integers)
 // and column moment merges follow the same fixed-shard-order contract as
 // the rest of the stats layer, which keeps ensembles byte-identical
-// across worker counts when folded through sim.Reduce.
+// across worker counts when folded through sim.ReduceWithState.
 //
 // The zero value is not usable; construct with NewTrajectoryDigest.
 type TrajectoryDigest struct {

@@ -95,8 +95,8 @@ func TestTrajectoryShardedMerge(t *testing.T) {
 		seq.AddTrial(tr)
 	}
 
-	// shardFold mimics sim.Reduce: contiguous trial blocks per shard,
-	// merged in ascending shard order.
+	// shardFold mimics sim.ReduceWithState: contiguous trial blocks per
+	// shard, merged in ascending shard order.
 	shardFold := func(shards int) *TrajectoryDigest {
 		per := (len(trials) + shards - 1) / shards
 		total := NewTrajectoryDigest()

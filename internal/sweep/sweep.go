@@ -3,7 +3,7 @@
 // plus a metric set, and expands into a deterministic, ID-stamped list
 // of Points; Run computes the points one at a time in expansion order,
 // each point streaming its Monte-Carlo ensemble across the trial and
-// kernel workers of one CPU budget through sim.Reduce into
+// kernel workers of one CPU budget through sim.ReduceWithState into
 // constant-memory digests, one per requested metric (see metrics.go:
 // scalar summaries like rounds and transmissions, and per-round
 // trajectory quantile bands like coverage and frontier).
