@@ -154,3 +154,26 @@ func TestRunZeroGap(t *testing.T) {
 		t.Fatalf("lambda = %v, gap = %v, want λ ≈ 1 and gap 0", rec.Lambda, rec.Gap)
 	}
 }
+
+// TestRunQuantilesInRange: every reported quantile lies in [min, max] of
+// its digest. On complete:2 every cover time is 1, where the sketch
+// alone reads p50 0.99.
+func TestRunQuantilesInRange(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-graph", "complete:2", "-trials", "2", "-json"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	}
+	for _, field := range []string{"cover_time", "transmissions"} {
+		s := rec[field].(map[string]any)
+		lo, hi := s["min"].(float64), s["max"].(float64)
+		for _, q := range []string{"p50", "p90", "p95", "p99"} {
+			if v := s[q].(float64); v < lo || v > hi {
+				t.Errorf("%s %s = %v outside [min %v, max %v]", field, q, v, lo, hi)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package process
 
 import (
+	"encoding/binary"
 	"runtime"
 
 	"cobrawalk/internal/graph"
@@ -12,28 +13,37 @@ import (
 // every round each vertex with an infected neighbour samples K random
 // neighbours with replacement (plus one with probability Rho) and joins
 // A_{t+1} iff at least one sample lies in A_t. BIPS is the time-reversal
-// dual of COBRA (Theorem 4); a Step costs O(Σ_{v∈A_t} deg(v)).
+// dual of COBRA (Theorem 4); a Step costs O(Σ_{v∈A_t} deg(v)) plus an
+// O(n/8)-word scan.
 //
 // Membership lives in byte maps rather than bitsets: `infB[v]` is 1 when
-// v ∈ A_t, `candB[v]` is 1 once v has been discovered as a candidate this
-// round. A byte map costs 8× the memory of a bitset (16 KB at n = 2^14 —
-// still L1-resident) but the per-arc update is a plain load/store pair
-// with no read-modify-write of a word shared by 64 vertices: with a
-// bitset, consecutive arcs hit the same word often enough that the OR
-// chains serialize through store-forwarding, and the candidate scan
-// touches every arc of the infected set. The hot loops are branchless —
-// candidate discovery and the hit compaction are folded into
-// unconditional stores plus arithmetic index advancement into fixed
-// n+1-length buffers (see cobraProc for why).
+// v ∈ A_t, and `marks[w][v]` is 1 once kernel worker w has seen v as a
+// neighbour of A_t this round. A byte map costs 8× the memory of a
+// bitset (128 KiB per map at n = 2^17, L2-resident) but the per-arc
+// update is a plain load/store pair with no read-modify-write of a word
+// shared by 64 vertices: with a bitset, consecutive arcs hit the same
+// word often enough that the OR chains serialize through
+// store-forwarding, and the mark pass touches every arc of the infected
+// set. The maps are per worker because Go has no atomic byte store: two
+// goroutines storing 1 into one byte map is a data race. The hot loops
+// are branchless — the hit compaction and the candidate enumeration are
+// folded into unconditional stores plus arithmetic index advancement
+// into fixed-length buffers (see cobraProc for why).
 //
 // A Step runs on the round kernel (kernel.go):
 //
 //  1. Seed: one Uint64 draw from the trial stream yields roundSeed.
-//  2. Collect (sequential, no RNG): Γ(A_t) minus the source, in
-//     infected-list discovery order. Collection is a duplicate-
-//     suppressing scan whose discovery order defines the candidate
-//     list, so it stays sequential.
-//  3. Evaluate (parallel): candidates are cut into KernelChunk-sized
+//  2. Mark (parallel, no RNG): A_t is cut into KernelChunk-sized blocks.
+//     A worker claiming a block stores a 1 in its own map for every
+//     neighbour of the block's vertices, and stops once its map holds
+//     every vertex but the source. The marks depend on A_t only as a
+//     set, so neither the order of A_t nor this grid can change a byte.
+//  3. Enumerate (sequential): one ascending pass ORs the maps 8 bytes at
+//     a time, skips zero words, writes Γ(A_t) minus the source into the
+//     candidate list in ascending vertex order and zeroes the words it
+//     read. When a worker's map filled, the list is every vertex but
+//     the source and is written without a scan.
+//  4. Evaluate (parallel): candidates are cut into KernelChunk-sized
 //     chunks. A worker claiming chunk c reseeds its private generator
 //     to NewStream(roundSeed, c) and fills the chunk's slice of the
 //     hit-flag buffer (disjoint ranges; infB and the CSR are read-only
@@ -44,14 +54,17 @@ import (
 //     worker's buffer (rng.FillUint64, see refillDraws), and under
 //     fractional branching the coin masks the extra sample instead of
 //     branching.
-//  4. Compact (sequential): a branchless index bump over the hit flags
-//     builds A_{t+1}, then the member-wise cleanup runs.
+//  5. Compact (sequential): a branchless index bump over the hit flags
+//     builds A_{t+1} — the source, then the hits in candidate order, so
+//     ascending — and the member-wise cleanup restamps infB.
 //
-// Chunk boundaries depend only on the candidate count and the chunk
-// streams only on (roundSeed, c), so results are byte-identical for
-// every worker count. The reference engine (internal/process/difftest)
-// draws in the same layout, and the lockstep harness pins the two draw
-// for draw; do not reorder draws.
+// Both parallel passes read the CSR rows in ascending vertex order. The
+// candidate list is a function of A_t's set, chunk boundaries depend
+// only on the candidate count and the chunk streams only on
+// (roundSeed, c), so results are byte-identical for every worker count.
+// The reference engine (internal/process/difftest) draws in the same
+// layout, and the lockstep harness pins the two draw for draw; do not
+// reorder draws.
 //
 // Buffers are sized at construction and reused; steady-state Steps
 // perform zero allocations.
@@ -74,12 +87,18 @@ type bipsProc struct {
 
 	source  int32
 	infB    []uint8 // infB[v] == 1 iff v ∈ A_t
-	candB   []uint8 // candB[v] == 1 iff v already discovered this round
-	infBuf  []int32 // A_t, first infLen entries (+ sentinel slot)
+	infBuf  []int32 // A_t, first infLen entries: the source, then ascending once stepped
 	nextBuf []int32 // A_{t+1} under construction
-	candBuf []int32 // Γ(A_t) minus the source, in discovery order
+	candBuf []int32 // Γ(A_t) minus the source, ascending (+ 8 slots of dead stores)
 	hitBuf  []uint8 // per-candidate hit flags; chunk c owns [c·KernelChunk, …)
 	infLen  int
+
+	// The mark pass's per-worker state: marks[w] is worker w's candidate
+	// map, n bytes padded to a multiple of 8 and all zero between rounds;
+	// marked[w] counts the non-source vertices it holds this round.
+	marks  [][]uint8
+	marked []int
+	used   [][]uint8 // the maps the enumeration ORs, reused per round
 
 	// Per-round kernel state: the candidate count, the round seed (both
 	// frozen during the parallel phase), per-chunk transmission counts,
@@ -112,13 +131,19 @@ func newBipsProc(g *graph.Graph, cfg Config) (Process, error) {
 		obs:       cfg.Observer,
 		pool:      newKernelPool(cfg.KernelWorkers),
 		infB:      make([]uint8, g.N()),
-		candB:     make([]uint8, g.N()),
-		infBuf:    make([]int32, g.N()+1),
-		nextBuf:   make([]int32, g.N()+1),
-		candBuf:   make([]int32, g.N()+1),
-		hitBuf:    make([]uint8, g.N()+1),
+		infBuf:    make([]int32, g.N()),
+		nextBuf:   make([]int32, g.N()),
+		candBuf:   make([]int32, g.N()+8),
+		hitBuf:    make([]uint8, g.N()),
 		sentC:     make([]int64, chunksFor(g.N())),
 	}
+	workers := p.pool.workers()
+	p.marks = make([][]uint8, workers)
+	for w := range p.marks {
+		p.marks[w] = make([]uint8, (g.N()+7)&^7)
+	}
+	p.marked = make([]int, workers)
+	p.used = make([][]uint8, 0, workers)
 	if br.Rho > 0 {
 		p.coin = rng.NewCoin(br.Rho)
 	}
@@ -126,7 +151,7 @@ func newBipsProc(g *graph.Graph, cfg Config) (Process, error) {
 		p.reg = int32(reg)
 		p.samp = rng.NewBounded(uint64(reg))
 		if _, pow2 := p.samp.Mask(); pow2 {
-			p.drawBufs = newDrawBufs(p.pool.workers(), p.k)
+			p.drawBufs = newDrawBufs(workers, p.k)
 		}
 	}
 	if len(p.pool.start) > 0 {
@@ -290,79 +315,85 @@ func (p *bipsProc) runChunk(worker, chunk int) {
 	p.sentC[chunk] = sent
 }
 
-func (p *bipsProc) Step(r *rng.Rand) {
-	p.roundSeed = r.Uint64()
-	// Collect candidates: the neighbourhood Γ(A_t) in infected-list
-	// discovery order. No randomness is consumed, so collection order —
-	// and therefore the chunk grid — is worker-count-free. The byte maps
-	// and CSR arrays are hoisted into locals throughout Step: stores
-	// through the maps could alias p, so without the hoist the compiler
-	// reloads each slice header from p on every arc.
-	cands := p.candBuf
-	candB := p.candB
+// bipsMark is the mark pass's view of the engine: the pool runs its
+// runChunk on blocks of A_t, where bipsProc's own runChunk evaluates
+// blocks of the candidate list.
+type bipsMark bipsProc
+
+// runChunk marks the neighbours of A_t's block `chunk` in the worker's
+// own map and adds the fresh non-source marks to marked[worker]. It
+// reads infBuf and the CSR and writes only the worker's map and count.
+func (m *bipsMark) runChunk(worker, chunk int) {
+	p := (*bipsProc)(m)
+	mark := p.marks[worker]
+	cnt := p.marked[worker]
+	full := p.n - 1
+	lo := chunk * KernelChunk
+	hi := min(lo+KernelChunk, p.infLen)
 	nb := p.neighbors
-	offsets := p.offsets
-	infected := p.infBuf[:p.infLen]
-	nc := 0
-	// Pre-mark the source so it never enters the candidate list: the
-	// protocol skips it without consuming any draws, so excluding it here
-	// lets every evaluation loop run with no per-candidate source test at
-	// all. The mark is undone after the round's cleanup.
-	candB[p.source] = 1
 	if p.reg > 0 {
-		// Regular graph: row v is nb[v·reg : (v+1)·reg] — no offsets
-		// loads — and discovery is branchless: mark and store
-		// unconditionally, advance on a fresh candidate byte. Once every
-		// non-source vertex is a candidate no row can contribute more, so
-		// dense rounds break out of the scan early (the check is per row,
-		// not per arc, and predicts perfectly until the exit). A load of
-		// the row eight infected vertices ahead, parked in the sentinel
-		// slot of hitBuf, prefetches it. The row scan is unrolled two
-		// arcs per iteration (plus an odd tail): the per-arc work is four
-		// µops, so halving the loop control is a measurable slice of the
-		// round. A duplicate neighbour inside one pair is still counted
-		// once — the second byte load observes the first store.
+		// Regular graph: row v is nb[v·reg : (v+1)·reg], no offsets
+		// loads. Mark and count unconditionally: a fresh byte adds 1.
+		// Once the map holds every vertex but the source no row can add
+		// more, so dense rounds stop early (the check is per row, not per
+		// arc, and predicts perfectly until the exit). The row is
+		// unrolled two arcs per iteration (plus an odd tail): the per-arc
+		// work is a few µops, so halving the loop control is a measurable
+		// slice of the pass. A duplicate neighbour inside one pair is
+		// still counted once — the second byte load observes the first
+		// store.
 		reg := int64(p.reg)
-		full := p.n - 1
-		pf := p.hitBuf
-		last := len(infected) - 1
-		for i, v := range infected {
-			if nc == full {
+		for _, v := range p.infBuf[lo:hi] {
+			if cnt == full {
 				break
 			}
-			pf[p.n] = uint8(nb[int64(infected[min(i+8, last)])*reg])
 			a := int64(v) * reg
 			end := a + reg
 			for ; a+1 < end; a += 2 {
 				u0, u1 := nb[a], nb[a+1]
-				old0 := candB[u0]
-				candB[u0] = 1
-				cands[nc] = u0
-				nc += int(old0) ^ 1
-				old1 := candB[u1]
-				candB[u1] = 1
-				cands[nc] = u1
-				nc += int(old1) ^ 1
+				old0 := mark[u0]
+				mark[u0] = 1
+				old1 := mark[u1]
+				mark[u1] = 1
+				cnt += int(old0^1) + int(old1^1)
 			}
 			if a < end {
 				u := nb[a]
-				old := candB[u]
-				candB[u] = 1
-				cands[nc] = u
-				nc += int(old) ^ 1
+				old := mark[u]
+				mark[u] = 1
+				cnt += int(old ^ 1)
 			}
 		}
 	} else {
-		for _, v := range infected {
+		offsets := p.offsets
+		for _, v := range p.infBuf[lo:hi] {
+			if cnt == full {
+				break
+			}
 			for _, u := range nb[offsets[v]:offsets[v+1]] {
-				old := candB[u]
-				candB[u] = 1
-				cands[nc] = u
-				nc += int(old) ^ 1
+				old := mark[u]
+				mark[u] = 1
+				cnt += int(old ^ 1)
 			}
 		}
 	}
-	cands = cands[:nc]
+	p.marked[worker] = cnt
+}
+
+func (p *bipsProc) Step(r *rng.Rand) {
+	p.roundSeed = r.Uint64()
+	// Mark Γ(A_t) on the pool. Pre-marking the source keeps it out of
+	// every worker's count, so a map is full at n−1 fresh marks; the
+	// enumeration drops it, so the protocol skips the source without
+	// consuming any draws and no evaluation loop tests for it.
+	for w, mark := range p.marks {
+		mark[p.source] = 1
+		p.marked[w] = 0
+	}
+	infected := p.infBuf[:p.infLen]
+	p.pool.dispatch((*bipsMark)(p), chunksFor(p.infLen))
+	nc := p.enumerate()
+	cands := p.candBuf[:nc]
 	p.nc = nc
 
 	// Evaluate in parallel, then compact sequentially.
@@ -382,11 +413,8 @@ func (p *bipsProc) Step(r *rng.Rand) {
 		sent += p.sentC[c]
 	}
 
-	// Swap infected sets: clear the per-round candidate marks (including
-	// the source pre-mark) and the old membership marks, then stamp the
+	// Swap infected sets: clear the old membership marks, then stamp the
 	// new set.
-	clearByteMembers(candB, cands)
-	candB[p.source] = 0
 	infB := p.infB
 	clearByteMembers(infB, infected)
 	for _, u := range next[:j] {
@@ -400,6 +428,82 @@ func (p *bipsProc) Step(r *rng.Rand) {
 		p.obs(RoundStat{Round: p.round, Active: p.infLen, Reached: p.infLen,
 			Transmissions: sent})
 	}
+}
+
+// enumerate writes Γ(A_t) minus the source into candBuf in ascending
+// vertex order from the workers' maps, leaves every map zero, and
+// returns the candidate count.
+func (p *bipsProc) enumerate() int {
+	full := p.n - 1
+	filled := false
+	used := p.used[:0]
+	for w, mark := range p.marks {
+		mark[p.source] = 0
+		if p.marked[w] > 0 {
+			used = append(used, mark)
+		}
+		filled = filled || p.marked[w] == full
+	}
+	cands := p.candBuf
+	if filled {
+		// A full map needs no scan: the list is every vertex but the
+		// source (on a complete graph, every round).
+		for _, mark := range used {
+			clear(mark)
+		}
+		nc := 0
+		for u := int32(0); int(u) < p.n; u++ {
+			if u != p.source {
+				cands[nc] = u
+				nc++
+			}
+		}
+		return nc
+	}
+	// OR the maps a word (8 vertices) at a time. A non-zero word spills
+	// its vertices branch-free: each is stored at the write position,
+	// which advances by its 0/1 byte, so the stores for unmarked
+	// vertices are dead and overwritten (candBuf's 8 spare slots absorb
+	// the last word's). Maps are padded to a multiple of 8 bytes and
+	// vertices past n are never marked, so there is no tail case. Some
+	// map is used: A_t holds the source, and graphs have no isolated
+	// vertex and no self-loop, so the source has a neighbour to mark.
+	first, rest := used[0], used[1:]
+	nc := 0
+	for i := 0; i < len(first); i += 8 {
+		x := binary.LittleEndian.Uint64(first[i:])
+		for _, mark := range rest {
+			x |= binary.LittleEndian.Uint64(mark[i:])
+		}
+		if x == 0 {
+			continue
+		}
+		binary.LittleEndian.PutUint64(first[i:], 0)
+		for _, mark := range rest {
+			binary.LittleEndian.PutUint64(mark[i:], 0)
+		}
+		c := (*[8]int32)(cands[nc : nc+8])
+		u := int32(i)
+		k := 0
+		c[k&7] = u
+		k += int(x & 1)
+		c[k&7] = u + 1
+		k += int(x >> 8 & 1)
+		c[k&7] = u + 2
+		k += int(x >> 16 & 1)
+		c[k&7] = u + 3
+		k += int(x >> 24 & 1)
+		c[k&7] = u + 4
+		k += int(x >> 32 & 1)
+		c[k&7] = u + 5
+		k += int(x >> 40 & 1)
+		c[k&7] = u + 6
+		k += int(x >> 48 & 1)
+		c[k&7] = u + 7
+		k += int(x >> 56 & 1)
+		nc += k
+	}
+	return nc
 }
 
 func (p *bipsProc) Done() bool           { return p.infLen == p.n }

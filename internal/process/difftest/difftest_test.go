@@ -9,6 +9,7 @@ import (
 	"cobrawalk/internal/graph"
 	"cobrawalk/internal/process"
 	"cobrawalk/internal/rng"
+	"cobrawalk/internal/stats"
 )
 
 // grid is the family × size × degree slice of the differential suite.
@@ -203,11 +204,12 @@ func TestLockstepBips(t *testing.T) {
 // closedFormOracle is a second closed-form BIPS sampler, written apart
 // from refBips, that NewClosedFormBips is pinned to draw for draw. It
 // keeps the reference's set order and stream layout — A_{t+1} is the
-// source, then the infected candidates in discovery order, and the
-// candidate list draws in process.KernelChunk blocks — but holds A_t
-// as a []bool, counts each candidate's d_A(u) over u's own neighbours
-// once the candidate list is complete, and evaluates the one-step law
-// 1-(1-d_A/d)^K·(1-Rho·d_A/d) with math.Pow.
+// source, then the infected candidates in ascending vertex order, and
+// the candidate list draws in process.KernelChunk blocks — but holds A_t
+// as a []bool and finds the candidates in pull form: for each vertex u
+// in ascending order, u ≠ source, it counts d_A(u) over u's own
+// neighbours, and u is a candidate iff d_A(u) > 0. It evaluates the
+// one-step law 1-(1-d_A/d)^K·(1-Rho·d_A/d) with math.Pow.
 type closedFormOracle struct {
 	g     *graph.Graph
 	br    process.Branching
@@ -249,14 +251,20 @@ func (o *closedFormOracle) Reset(starts ...int32) error {
 
 func (o *closedFormOracle) Step(r *rng.Rand) {
 	g, source := o.g, o.set[0]
-	seen := make([]bool, g.N())
-	var cands []int32
-	for _, v := range o.set {
-		for _, u := range g.Neighbors(v) {
-			if u != source && !seen[u] {
-				seen[u] = true
-				cands = append(cands, u)
+	var cands, dAs []int32
+	for u := int32(0); int(u) < g.N(); u++ {
+		if u == source {
+			continue
+		}
+		var dA int32
+		for _, w := range g.Neighbors(u) {
+			if o.in[w] {
+				dA++
 			}
+		}
+		if dA > 0 {
+			cands = append(cands, u)
+			dAs = append(dAs, dA)
 		}
 	}
 	rho := o.br.Rho
@@ -268,13 +276,7 @@ func (o *closedFormOracle) Step(r *rng.Rand) {
 		if j%process.KernelChunk == 0 {
 			cr = rng.NewStream(roundSeed, uint64(j/process.KernelChunk))
 		}
-		dA := 0
-		for _, w := range g.Neighbors(u) {
-			if o.in[w] {
-				dA++
-			}
-		}
-		p := float64(dA) / float64(g.Degree(u))
+		p := float64(dAs[j]) / float64(g.Degree(u))
 		sent += int64(o.br.K)
 		if rho > 0 && cr.Bernoulli(rho) {
 			sent++
@@ -413,22 +415,24 @@ func TestReferenceMissProbMatchesPow(t *testing.T) {
 
 // TestBipsClosedFormVsExactDistribution: the registry engine's exact
 // sampling and NewClosedFormBips's one-step law give the same
-// infection-time distribution on K32; their means must agree within 5
-// combined standard errors, at integral and at fractional branching.
+// infection-time distribution on K32, at integral and at fractional
+// branching: their means must agree within 5 combined standard errors,
+// and the two-sample KS D must stay below its critical value at
+// α = 0.001 (0.138 for 400 against 400 trials).
 func TestBipsClosedFormVsExactDistribution(t *testing.T) {
 	g, err := graph.Complete(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meanInfection := func(t *testing.T, factory process.Factory, br process.Branching, seed uint64) (mean, se float64) {
+	const trials = 400
+	infectionTimes := func(t *testing.T, factory process.Factory, br process.Branching, seed uint64) []float64 {
 		p, err := factory(g, process.Config{Branching: br})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := rng.New(seed)
-		const trials = 400
-		var sum, sumSq float64
-		for i := 0; i < trials; i++ {
+		xs := make([]float64, trials)
+		for i := range xs {
 			res, err := process.Run(p, r, 0, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -436,21 +440,39 @@ func TestBipsClosedFormVsExactDistribution(t *testing.T) {
 			if !res.Done {
 				t.Fatal("uninfected run on K32")
 			}
-			x := float64(res.Rounds)
-			sum += x
-			sumSq += x * x
+			xs[i] = float64(res.Rounds)
 		}
-		mean = sum / trials
-		return mean, math.Sqrt((sumSq/trials - mean*mean) / trials)
+		return xs
+	}
+	meanSE := func(xs []float64) (mean, se float64) {
+		var s stats.Stream
+		for _, x := range xs {
+			s.Add(x)
+		}
+		return s.Mean(), s.SE()
+	}
+	critical, err := stats.KSCritical(trials, trials, 0.001)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, br := range []process.Branching{{K: 2}, {K: 1, Rho: 0.5}} {
 		t.Run(br.String(), func(t *testing.T) {
 			t.Parallel()
-			exactMean, exactSE := meanInfection(t, nativeFactory(t, process.BIPS), br, 77)
-			closedMean, closedSE := meanInfection(t, NewClosedFormBips, br, 78)
+			exact := infectionTimes(t, nativeFactory(t, process.BIPS), br, 77)
+			closed := infectionTimes(t, NewClosedFormBips, br, 78)
+			exactMean, exactSE := meanSE(exact)
+			closedMean, closedSE := meanSE(closed)
 			if diff, tol := math.Abs(exactMean-closedMean), 5*math.Hypot(exactSE, closedSE); diff > tol {
-				t.Fatalf("exact mean %.3f vs closed-form mean %.3f differ by %.3f > %.3f",
+				t.Errorf("exact mean %.3f vs closed-form mean %.3f differ by %.3f > %.3f",
 					exactMean, closedMean, diff, tol)
+			}
+			d, err := stats.KS2(exact, closed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("means %.3f and %.3f, KS D %.4f (critical %.4f)", exactMean, closedMean, d, critical)
+			if d >= critical {
+				t.Errorf("KS D = %.4f >= critical %.4f (α = 0.001)", d, critical)
 			}
 		})
 	}

@@ -17,10 +17,10 @@ import (
 //
 // Both draw in the round kernel's stream layout: each Step spends one
 // Uint64 of the trial generator as the round seed, then walks its
-// active set (cobra) or candidate list (bips) in process.KernelChunk
-// blocks, drawing block c from rng.NewStream(roundSeed, c). The layout
-// is independent of any worker count, so the references ignore
-// Config.KernelWorkers.
+// active set (cobra, in first-push order) or candidate list (bips, in
+// ascending vertex order) in process.KernelChunk blocks, drawing block c
+// from rng.NewStream(roundSeed, c). The layout is independent of any
+// worker count, so the references ignore Config.KernelWorkers.
 
 // chunkStream returns the generator the i-th entry of a round's active
 // set or candidate list draws from: cur, reseeded to the next block's
@@ -181,8 +181,8 @@ func (c *refCobra) AppendReached(dst []int32) []int32 {
 // probability Rho) and belongs to A_{t+1} iff at least one sample lies
 // in A_t. Only vertices with an infected neighbour can become infected,
 // so a Step visits just the candidates Γ(A_t) minus the source, in
-// discovery order. The registry bips engine is pinned to it draw for
-// draw.
+// ascending vertex order. The registry bips engine is pinned to it draw
+// for draw.
 func NewReferenceBips(g *graph.Graph, cfg process.Config) (process.Process, error) {
 	return newRefBips(g, cfg, false)
 }
@@ -280,8 +280,8 @@ func (b *refBips) Step(r *rng.Rand) {
 	}
 	// Collect candidates: the neighbourhood Γ(A_t) minus the source,
 	// which stays infected without drawing. While scanning, accumulate
-	// d_A(u) for the closed-form sampling.
-	b.cands = b.cands[:0]
+	// d_A(u) for the closed-form sampling. Then list the candidates in
+	// ascending vertex order, the order they draw in.
 	for _, v := range b.infected {
 		for _, u := range g.Neighbors(v) {
 			if u == b.source {
@@ -289,10 +289,15 @@ func (b *refBips) Step(r *rng.Rand) {
 			}
 			if b.candStamp[u] != b.stepEpoch {
 				b.candStamp[u] = b.stepEpoch
-				b.cands = append(b.cands, u)
 				b.infCount[u] = 0
 			}
 			b.infCount[u]++
+		}
+	}
+	b.cands = b.cands[:0]
+	for u, stamp := range b.candStamp {
+		if stamp == b.stepEpoch {
+			b.cands = append(b.cands, int32(u))
 		}
 	}
 

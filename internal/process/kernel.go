@@ -14,7 +14,8 @@ import (
 // active-set or candidate count), never on the worker count — so
 // changing it changes results the same way changing a seed would. Code
 // that reproduces the engines' draws (the difftest reference engines)
-// cuts its rounds with this constant.
+// cuts its rounds with this constant. bips' mark pass cuts A_t with it
+// too, but draws nothing there, so that grid is scheduling only.
 //
 // 2048 entries × K pushes ≈ 4k random CSR gathers per chunk: coarse
 // enough that chunk-claim traffic (one atomic add) and the per-chunk

@@ -2,6 +2,7 @@ package process
 
 import (
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -117,4 +118,88 @@ type Mismatched struct {
 
 func (m *Mismatched) Error() string {
 	return "kernel hammer: goroutine repeat run diverged"
+}
+
+// TestBipsMarkMerge pins bips' candidate collection at three kernel
+// workers with fixed chunk-to-worker assignments, which the pool's
+// dynamic claiming cannot promise: whichever worker marks which block
+// of A_t, the enumeration must list Γ(A_t) minus the source in ascending
+// order and leave every worker's map zero, so no mark leaks into the
+// next collection. A_t spans up to four blocks, n is not a multiple of
+// 8, and the sets run back to back on one engine, sparse, dense and
+// full (the direct write), on a regular and an irregular graph.
+func TestBipsMarkMerge(t *testing.T) {
+	torus, err := graph.Torus(90, 91) // n = 8190, deg 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	gnp, err := graph.ErdosRenyi(8189, 16.0/8189, rng.New(8189))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gnp.MinDegree() == 0 {
+		t.Fatal("G(n, p) has an isolated vertex; pick another seed")
+	}
+	const workers = 3
+	assignments := []struct {
+		name   string
+		worker func(chunk int) int
+	}{
+		{"all on worker 0", func(int) int { return 0 }},
+		{"round robin", func(c int) int { return c % workers }},
+		{"all on last", func(int) int { return workers - 1 }},
+		{"skip worker 0", func(c int) int { return 1 + c%2 }},
+		{"pairs per worker", func(c int) int { return (c / 2) % workers }},
+	}
+	for _, g := range []*graph.Graph{torus, gnp} {
+		t.Run(g.Name(), func(t *testing.T) {
+			p, err := New(BIPS, g, Config{KernelWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp := p.(*bipsProc)
+			r := rng.New(uint64(g.N()))
+			for _, frac := range []float64{0.01, 0.75, 0.3, 1, 0.5} {
+				for _, as := range assignments {
+					starts := []int32{int32(r.Intn(g.N()))}
+					for v := int32(0); int(v) < g.N(); v++ {
+						if r.Float64() < frac {
+							starts = append(starts, v)
+						}
+					}
+					if err := bp.Reset(starts...); err != nil {
+						t.Fatal(err)
+					}
+					for w, mark := range bp.marks {
+						mark[bp.source] = 1
+						bp.marked[w] = 0
+					}
+					for c := 0; c < chunksFor(bp.infLen); c++ {
+						(*bipsMark)(bp).runChunk(as.worker(c), c)
+					}
+					got := bp.candBuf[:bp.enumerate()]
+					var want []int32
+					for u := int32(0); int(u) < g.N(); u++ {
+						if u == bp.source {
+							continue
+						}
+						for _, w := range g.Neighbors(u) {
+							if bp.infB[w] == 1 {
+								want = append(want, u)
+								break
+							}
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("|A_t| = %d, %s: %d candidates, want %d", bp.infLen, as.name, len(got), len(want))
+					}
+					for w, mark := range bp.marks {
+						if i := slices.IndexFunc(mark, func(b uint8) bool { return b != 0 }); i >= 0 {
+							t.Fatalf("|A_t| = %d, %s: worker %d's map still marks vertex %d", bp.infLen, as.name, w, i)
+						}
+					}
+				}
+			}
+		})
+	}
 }

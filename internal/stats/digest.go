@@ -41,8 +41,41 @@ func (d *Digest) Merge(o *Digest) error {
 // N returns the number of observations so far.
 func (d *Digest) N() int { return d.Stream.N() }
 
-// Quantile returns the q-th quantile estimate from the sketch.
-func (d *Digest) Quantile(q float64) (float64, error) { return d.Sketch.Quantile(q) }
+// Quantile returns the q-th quantile estimate, within the sketch's
+// relative accuracy and inside [Min, Max] of the observations.
+func (d *Digest) Quantile(q float64) (float64, error) {
+	qs := [1]float64{q}
+	var out [1]float64
+	err := d.quantiles(qs[:], out[:])
+	return out[0], err
+}
+
+// quantiles fills out[i] with the qs[i]-th quantile (qs ascending, in
+// [0, 1]) from one walk over the sketch, clamped into the stream's
+// [Min, Max]: the sketch answers with a bucket's midpoint, which can lie
+// up to α past the observed extremes (an all-949 sample would read a
+// median of 944.05), and a quantile outside the sample's range reads as
+// a bug. It is the one quantile path of Digest and TrajectoryDigest. On
+// error the outputs are NaN.
+func (d *Digest) quantiles(qs, out []float64) error {
+	if err := d.Sketch.Quantiles(qs, out); err != nil {
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return err
+	}
+	lo, hi := d.Stream.Min(), d.Stream.Max()
+	for i, x := range out {
+		if x < lo {
+			x = lo
+		}
+		if x > hi {
+			x = hi
+		}
+		out[i] = x
+	}
+	return nil
+}
 
 // DigestSummary is the machine-readable snapshot of a Digest, shaped for
 // the -json output of the simulation commands. Quantiles carry the
@@ -69,7 +102,7 @@ func (d *Digest) Summary() (DigestSummary, error) {
 	}
 	qs := [4]float64{0.50, 0.90, 0.95, 0.99}
 	var p [4]float64
-	d.Sketch.mustQuantiles(qs[:], p[:])
+	d.quantiles(qs[:], p[:])
 	return DigestSummary{
 		N:        d.Stream.N(),
 		Mean:     d.Stream.Mean(),

@@ -261,16 +261,6 @@ func (s *QuantileSketch) quantileWalk(ranks []int64, out []float64) {
 	}
 }
 
-// mustQuantiles is Quantiles for internal callers with pre-sorted inputs;
-// on error the outputs are NaN.
-func (s *QuantileSketch) mustQuantiles(qs []float64, out []float64) {
-	if err := s.Quantiles(qs, out); err != nil {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-	}
-}
-
 // FixedHistogram redistributes the sketch's buckets into a fixed-bin
 // Histogram over [lo, hi) for display; each sketch bucket contributes its
 // full count at its representative value, so the histogram total equals

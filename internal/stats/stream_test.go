@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -637,4 +638,68 @@ func TestSketchQuantilesBatch(t *testing.T) {
 	if err := NewDefaultSketch().Quantiles([]float64{0.5}, out[:1]); err != ErrEmpty {
 		t.Fatalf("empty sketch: got %v, want ErrEmpty", err)
 	}
+}
+
+// TestDigestQuantilesWithinRange: every quantile a Digest or a
+// TrajectoryDigest column reports lies in [Min, Max] of what it saw, so
+// a sample of equal values reports exactly that value. The sketch alone
+// answers with a bucket midpoint up to α past the extremes: 944.049… for
+// an all-949 sample, 0.99 for an all-1 sample.
+func TestDigestQuantilesWithinRange(t *testing.T) {
+	qs := []float64{0, 0.1, 0.5, 0.9, 0.95, 0.99, 1}
+	for _, tc := range []struct {
+		name string
+		xs   []float64
+	}{
+		{"all 949", []float64{949, 949}},
+		{"all 1", []float64{1, 1}},
+		{"all 19", []float64{19, 19, 19, 19}},
+		{"all -3.25", []float64{-3.25, -3.25, -3.25}},
+		{"one value", []float64{42.5}},
+		{"18 and 19", []float64{18, 19, 19, 19}},
+		{"random", randomSample(500, 11)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDigest()
+			for _, x := range tc.xs {
+				d.Add(x)
+			}
+			lo, hi := slices.Min(tc.xs), slices.Max(tc.xs)
+			for _, q := range qs {
+				got, err := d.Quantile(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got < lo || got > hi {
+					t.Errorf("Quantile(%v) = %v outside [%v, %v]", q, got, lo, hi)
+				}
+			}
+			s, err := d.Summary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []float64{s.P50, s.P90, s.P95, s.P99} {
+				if p < lo || p > hi {
+					t.Errorf("summary %+v: quantile %v outside [%v, %v]", s, p, lo, hi)
+				}
+			}
+			if lo == hi && (s.P50 != lo || s.P99 != lo) {
+				t.Errorf("equal values %v: p50 %v, p99 %v", lo, s.P50, s.P99)
+			}
+		})
+	}
+	t.Run("trajectory column of equal values", func(t *testing.T) {
+		td := NewTrajectoryDigest()
+		td.AddTrial([]int{1, 949, 1000})
+		td.AddTrial([]int{1, 949, 1000})
+		s, err := td.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, want := range []float64{1, 949, 1000} {
+			if s.P10[k] != want || s.P50[k] != want || s.P90[k] != want {
+				t.Errorf("column %d: band %v/%v/%v, want %v", k, s.P10[k], s.P50[k], s.P90[k], want)
+			}
+		}
+	})
 }

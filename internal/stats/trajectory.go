@@ -190,7 +190,7 @@ func (t *TrajectoryDigest) Summary() (TrajectorySummary, error) {
 		s.Rounds[k] = TrajectoryRound(k)
 		s.N[k] = col.N()
 		s.Mean[k] = col.Stream.Mean()
-		col.Sketch.mustQuantiles(qs[:], band[:])
+		col.quantiles(qs[:], band[:])
 		s.P10[k], s.P50[k], s.P90[k] = band[0], band[1], band[2]
 	}
 	return s, nil

@@ -35,7 +35,9 @@ const (
 	// stream layout, so v3 records came from different draws.
 	// v5: λ_max comes from a Lanczos run with a measured residual stop,
 	// so the lambda of v4 measure_lambda records differs.
-	manifestVersion = 5
+	// v6: bips lists its candidates in ascending vertex order, so its
+	// draws moved, and digest quantiles are clamped into [min, max].
+	manifestVersion = 6
 )
 
 // Hash returns a short stable fingerprint of the normalised spec plus
